@@ -7,10 +7,9 @@ sparse penalized estimation, and inverse design of a structure that
 mimics a target curve.
 """
 
-from .cokrige import (Prediction, TrainedEmulator, back_transform,
-                      default_strain_grid, hpd_interval, load_model,
-                      log_stress, log_transform, mean_basis, predict,
-                      save_model, unlog_stress)
+from .cokrige import (Prediction, TrainedEmulator, default_strain_grid,
+                      hpd_interval, load_model, log_stress, mean_basis,
+                      predict, save_model, unlog_stress)
 from .dataio import Dataset, load_dataset, save_dataset
 from .design import DESIGN_BOX, SinusoidSpec, gen_sinusoid, sample_designs
 from .estimate import (FitConfig, FitTrace, beta_step, fit, glasso_kkt_residual,
@@ -23,8 +22,7 @@ from .mimic import (MimicProblem, MimicResult, build_problem, mse_objective,
                     optimize, reconstruct_structure)
 from .oracle import synthetic_oracle
 from .spectral import (KernelParams, StructureDesign, correlation_matrix,
-                       cross_correlation, dft_modulus, feature_correlation,
-                       l2_correlation, sped_correlation)
+                       cross_correlation, dft_modulus)
 
 __version__ = "0.1.0"
 
@@ -33,14 +31,12 @@ __all__ = [
     "FitTrace", "InvalidInputError", "KernelParams", "MetricsReport",
     "MimicProblem", "MimicResult", "NumericalError", "Prediction",
     "SingularMatrixError", "SinusoidSpec", "StructureDesign", "TrainedEmulator",
-    "back_transform", "beta_step", "build_problem", "correlation_matrix",
-    "cross_correlation",
-    "default_strain_grid", "dft_modulus", "evaluate", "feature_correlation",
-    "fit", "gen_sinusoid", "glasso_kkt_residual", "graphical_lasso",
-    "hpd_interval", "l2_correlation", "load_dataset", "load_model",
-    "log_stress", "log_transform", "mare", "mean_basis", "moduli_and_kappa",
+    "beta_step", "build_problem", "correlation_matrix", "cross_correlation",
+    "default_strain_grid", "dft_modulus", "evaluate", "fit", "gen_sinusoid",
+    "glasso_kkt_residual", "graphical_lasso", "hpd_interval", "load_dataset",
+    "load_model", "log_stress", "mare", "mean_basis", "moduli_and_kappa",
     "mse_objective", "neg_log_posterior", "optimize", "predict",
     "reconstruct_structure", "sample_designs", "save_dataset", "save_model",
-    "select_penalties", "sigma_step", "sped_correlation", "synthetic_oracle",
-    "theta_step", "unlog_stress",
+    "select_penalties", "sigma_step", "synthetic_oracle", "theta_step",
+    "unlog_stress",
 ]

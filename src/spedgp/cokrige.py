@@ -24,8 +24,9 @@ from scipy.linalg import cho_solve
 from scipy.stats import norm
 
 from .exceptions import InvalidInputError, NumericalError
-from .spectral import (KernelParams, StructureDesign, correlation_cholesky,
-                       cross_correlation, design_feature_rows)
+from .spectral import (KernelParams, StructureDesign, correlation_from_features,
+                       correlation_with_nugget, design_feature_rows,
+                       factor_correlation, sq_differences)
 
 #: negative v beyond this magnitude is treated as a real inconsistency
 V_TOLERANCE = 1e-8
@@ -78,19 +79,14 @@ def unlog_stress(values) -> np.ndarray:
     return np.exp(v)
 
 
-# transform pair under the names the rest of the API documents
-log_transform = log_stress
-back_transform = unlog_stress
-
-
 @dataclass
 class TrainedEmulator:
     """Fitted co-kriging model plus cached factorizations.
 
-    Y holds log-stress rows. The correlation factorization, feature rows
-    and centered responses are derived in __post_init__ and never
-    mutated; predict and downstream consumers treat instances as
-    read-only.
+    Y holds log-stress rows. The feature rows F, packed kernel weights z,
+    correlation matrix R with its factorization, and centered responses
+    are derived in __post_init__ and never mutated; predict and
+    downstream consumers treat instances as read-only.
     """
 
     grid: np.ndarray
@@ -120,8 +116,11 @@ class TrainedEmulator:
             raise InvalidInputError("beta length does not match the mean basis")
         if self.beta.size >= 2 and self.beta[1] <= 0:
             raise InvalidInputError("beta_2 must be positive (monotone mean constraint)")
-        self.R, self.chol_R = correlation_cholesky(self.designs, self.params)
-        self.F, self.dcol = design_feature_rows(self.designs, self.params)
+        self.F = design_feature_rows(self.designs, self.params.family)
+        self.z = self.params.weights(self.p)
+        self.R = correlation_with_nugget(sq_differences(self.F, self.F), self.z,
+                                         self.params.nugget)
+        self.chol_R = factor_correlation(self.R, self.params.nugget)
         self.mu = self.P @ self.beta
         self.resid = self.Y - self.mu
 
@@ -165,10 +164,15 @@ def predict_from_point(model: TrainedEmulator, r: np.ndarray) -> Prediction:
 
 
 def predict(model: TrainedEmulator, new: StructureDesign) -> Prediction:
-    """Predictive distribution of the log-stress curve at a new design."""
+    """Predictive distribution of the log-stress curve at a new design.
+
+    Only the new design's feature row is computed; the training rows are
+    the model's cached F.
+    """
     if new.p != model.p:
         raise InvalidInputError(f"new design has p={new.p}, model expects {model.p}")
-    r = cross_correlation(new, model.designs, model.params)
+    f_new = design_feature_rows([new], model.params.family)[0]
+    r = correlation_from_features(model.F, f_new, model.z)
     return predict_from_point(model, r)
 
 

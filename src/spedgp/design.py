@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .exceptions import InvalidInputError
-from .spectral import STRUCTURE_SPAN, StructureDesign, structure_times
+from .spectral import StructureDesign, structure_times
 
 DESIGN_BOX = {
     "d": (0.2, 2.0),
@@ -95,12 +95,3 @@ def sample_designs(n: int, seed: int = 0, scheme: str = "lhs",
     points = lo + u * (hi - lo)
     return [SinusoidSpec(*row) for row in points]
 
-
-def specs_to_designs(specs, p: int) -> list[StructureDesign]:
-    """Vector convenience over gen_sinusoid."""
-    return [gen_sinusoid(spec, p) for spec in specs]
-
-
-def structure_dt(p: int) -> float:
-    """Grid spacing of the discretized span (mm)."""
-    return STRUCTURE_SPAN / (p - 1)

@@ -40,7 +40,9 @@ from scipy.optimize import minimize
 from .cokrige import TrainedEmulator, log_stress, mean_basis, predict, unlog_stress
 from .exceptions import (ConvergenceError, FitError, InvalidInputError,
                          NumericalError, SingularMatrixError)
-from .spectral import FAMILIES, KernelParams, design_feature_rows
+from .spectral import (DIAMETER_FAMILIES, FAMILIES, KernelParams,
+                       correlation_with_nugget, design_feature_rows,
+                       factor_correlation, sq_differences)
 
 logger = logging.getLogger(__name__)
 
@@ -97,10 +99,11 @@ class FitTrace:
 class FitData:
     """Responses, basis and kernel features shared by all estimation steps.
 
-    D stacks one n x n matrix of squared feature differences per kernel
-    coordinate, with the squared diameter differences as the (unpenalized)
-    last slice for the families that keep the diameter separate. The
-    packed weight vector z follows the same layout.
+    F holds the kernel feature rows of :func:`design_feature_rows`, with
+    the diameter as the (unpenalized) last column for the families that
+    keep it separate, and D = sq_differences(F, F) stacks one n x n matrix
+    of squared differences per column. The packed weight vector z follows
+    the same layout.
     """
 
     designs: list
@@ -108,7 +111,6 @@ class FitData:
     grid: np.ndarray
     P: np.ndarray
     F: np.ndarray
-    dcol: np.ndarray | None
     D: np.ndarray
     nugget: float
     family: str
@@ -126,42 +128,40 @@ class FitData:
         return self.D.shape[2]
 
     @property
+    def has_diameter(self) -> bool:
+        return self.family in DIAMETER_FAMILIES
+
+    @property
     def n_theta(self) -> int:
-        return self.F.shape[1]
+        return self.nz - self.has_diameter
 
     def pack(self, theta, theta_d: float) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.size != self.n_theta:
             raise InvalidInputError(
                 f"theta has length {theta.size}, expected {self.n_theta}")
-        if self.dcol is None:
+        if not self.has_diameter:
             return theta.copy()
         return np.append(theta, float(theta_d))
 
     def unpack(self, z: np.ndarray):
-        if self.dcol is None:
+        if not self.has_diameter:
             return z.copy(), 0.0
         return z[:-1].copy(), float(z[-1])
 
     def penalty_mask(self) -> np.ndarray:
         """1 for coordinates inside the lambda_I penalty, 0 for theta_d."""
         mask = np.ones(self.nz)
-        if self.dcol is not None:
+        if self.has_diameter:
             mask[-1] = 0.0
         return mask
 
     def correlation(self, z: np.ndarray) -> np.ndarray:
-        R = np.exp(-np.tensordot(self.D, z, axes=([2], [0])))
-        np.fill_diagonal(R, 1.0 + self.nugget)
-        return R
+        return correlation_with_nugget(self.D, z, self.nugget)
 
     def chol(self, z: np.ndarray):
         R = self.correlation(z)
-        try:
-            return R, cho_factor(R, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                "correlation matrix not factorizable during estimation") from exc
+        return R, factor_correlation(R, self.nugget)
 
 
 def make_fit_data(designs, Y_log, grid, family: str = "sped",
@@ -175,34 +175,18 @@ def make_fit_data(designs, Y_log, grid, family: str = "sped",
         raise InvalidInputError("responses must be finite")
     if len(designs) < 2:
         raise InvalidInputError("need at least 2 designs to fit")
-    p = designs[0].p
-    probe = KernelParams(theta=np.zeros(_theta_length(family, p)), family=family,
-                         nugget=nugget)
-    F, dcol = design_feature_rows(designs, probe)
-    _check_distinct(F, dcol)
-    slices = [(F[:, k, None] - F[None, :, k]) ** 2 for k in range(F.shape[1])]
-    if dcol is not None:
-        slices.append((dcol[:, None] - dcol[None, :]) ** 2)
-    D = np.stack(slices, axis=2)
+    F = design_feature_rows(designs, family)
+    _check_distinct(F)
     return FitData(designs=list(designs), Y=Y, grid=grid, P=mean_basis(grid),
-                   F=F, dcol=dcol, D=D, nugget=nugget, family=family)
+                   F=F, D=sq_differences(F, F), nugget=nugget, family=family)
 
 
-def _theta_length(family: str, p: int) -> int:
-    if family == "sped":
-        return (p - 1) // 2 + 1
-    if family == "feature_based":
-        return 4
-    return p
-
-
-def _check_distinct(F, dcol):
+def _check_distinct(F):
     # duplicate kernel features make R exactly singular without a nugget
     n = F.shape[0]
     for i in range(n):
         for j in range(i + 1, n):
-            same = np.allclose(F[i], F[j], rtol=1e-12, atol=1e-12)
-            if same and (dcol is None or abs(dcol[i] - dcol[j]) < 1e-12):
+            if np.allclose(F[i], F[j], rtol=1e-12, atol=1e-12):
                 raise InvalidInputError(
                     f"designs {i} and {j} are identical up to cyclic shift; "
                     "the training set must be distinct modulo shifts")

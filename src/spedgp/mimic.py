@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .cokrige import Prediction, TrainedEmulator, log_stress, predict_from_point
-from .exceptions import ConvergenceError, InvalidInputError
+from .exceptions import InvalidInputError
 from .spectral import correlation_from_features, half_size
 
 DIAMETER_BOX = (0.2, 2.0)
@@ -88,20 +88,43 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress,
                         coef_bounds=coef_bounds)
 
 
-def _embed(model, active_set, spectrum_active) -> np.ndarray:
-    f = np.zeros(half_size(model.p))
-    f[active_set] = spectrum_active
+def _candidate_row(model, active_set, x) -> np.ndarray:
+    """Kernel feature row of a candidate x = (d, moduli on the active set).
+
+    Inert coordinates are zero; the diameter is the last column.
+    """
+    f = np.zeros(model.F.shape[1])
+    f[active_set] = x[1:]
+    f[-1] = x[0]
     return f
+
+
+def _objective_and_grad(x, model: TrainedEmulator, target_log, active_set):
+    """Expected squared mismatch at x = (d, moduli on the active set), and its gradient."""
+    f_new = _candidate_row(model, active_set, x)
+    r = correlation_from_features(model.F, f_new, model.z)
+    alpha = cho_solve(model.chol_R, r)
+    mean = model.mu + model.resid.T @ alpha
+    v = 1.0 - float(r @ alpha)
+    g_m = mean - target_log
+    tr_sigma = float(np.trace(model.Sigma))
+    fval = float(g_m @ g_m + max(v, 0.0) * tr_sigma)
+    # d obj / d r, then chain through dr_i/dx_k = -2 z_k (x_k - F_ik) r_i
+    u = 2.0 * cho_solve(model.chol_R, model.resid @ g_m) - 2.0 * tr_sigma * alpha
+    t = u * r
+    cols = np.concatenate([[-1], active_set])
+    grad = -2.0 * model.z[cols] * (x * float(t.sum()) - model.F[:, cols].T @ t)
+    return fval, grad
 
 
 def mse_objective(model: TrainedEmulator, target, d: float, spectrum_active,
                   active_set=None) -> float:
     """Expected squared log-stress mismatch at one candidate point.
 
-    ``target`` is already in log space on the model grid. The candidate
-    is a diameter plus the modulus values on the active set (defaults to
-    the fitted theta's support); inert coordinates are zero and drop out
-    of the kernel.
+    E ||y - y*||^2 = ||yhat - y*||^2 + v tr(Sigma). ``target`` is already
+    in log space on the model grid. The candidate is a diameter plus the
+    modulus values on the active set (defaults to the fitted theta's
+    support); inert coordinates are zero and drop out of the kernel.
     """
     spectrum_active = np.asarray(spectrum_active, dtype=float)
     if np.any(spectrum_active < 0) or not np.all(np.isfinite(spectrum_active)):
@@ -110,33 +133,9 @@ def mse_objective(model: TrainedEmulator, target, d: float, spectrum_active,
         raise InvalidInputError("diameter must be positive")
     if active_set is None:
         active_set = np.flatnonzero(model.params.theta > 0)
-    f_new = _embed(model, active_set, spectrum_active)
-    r = correlation_from_features(model.F, model.dcol, f_new, d, model.params)
-    pred = predict_from_point(model, r)
-    resid = pred.mean - np.asarray(target, dtype=float)
-    return float(resid @ resid + pred.scale * np.trace(model.Sigma))
-
-
-def _objective_and_grad(x, problem: MimicProblem):
-    model = problem.model
-    d, coefs = x[0], x[1:]
-    f_new = _embed(model, problem.active_set, coefs)
-    r = correlation_from_features(model.F, model.dcol, f_new, d, model.params)
-    alpha = cho_solve(model.chol_R, r)
-    mean = model.mu + model.resid.T @ alpha
-    v = 1.0 - float(r @ alpha)
-    g_m = mean - problem.target_log
-    tr_sigma = float(np.trace(model.Sigma))
-    fval = float(g_m @ g_m + max(v, 0.0) * tr_sigma)
-    # d obj / d r, then chain through dr/d(point)
-    u = 2.0 * cho_solve(model.chol_R, model.resid @ g_m) - 2.0 * tr_sigma * alpha
-    t = u * r
-    total = float(t.sum())
-    theta_a = model.params.theta[problem.active_set]
-    F_a = model.F[:, problem.active_set]
-    g_coef = -2.0 * theta_a * (coefs * total - F_a.T @ t)
-    g_d = -2.0 * model.params.theta_d * (d * total - float(model.dcol @ t))
-    return fval, np.concatenate([[g_d], g_coef])
+    x = np.concatenate([[d], spectrum_active])
+    return _objective_and_grad(x, model, np.asarray(target, dtype=float),
+                               np.asarray(active_set, dtype=int))[0]
 
 
 @dataclass
@@ -169,10 +168,11 @@ def _start_points(problem: MimicProblem, starts: int, seed: int) -> np.ndarray:
     model = problem.model
     best, best_x = np.inf, None
     for j in range(model.n):
-        xj = np.concatenate([[model.dcol[j]],
+        xj = np.concatenate([[model.F[j, -1]],
                              model.F[j, problem.active_set]])
         xj = np.clip(xj, lo, hi)
-        fj, _ = _objective_and_grad(xj, problem)
+        fj, _ = _objective_and_grad(xj, model, problem.target_log,
+                                    problem.active_set)
         if fj < best:
             best, best_x = fj, xj
     return np.vstack([points, best_x])
@@ -187,13 +187,15 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
     """
     if starts < 1:
         raise InvalidInputError("need at least one start")
+    model = problem.model
+    args = (model, problem.target_log, problem.active_set)
     bounds = [problem.d_bounds] + [tuple(b) for b in problem.coef_bounds]
     trace = []
     candidates = []
     for k, x0 in enumerate(_start_points(problem, starts, seed)):
-        f0, _ = _objective_and_grad(x0, problem)
+        f0, _ = _objective_and_grad(x0, *args)
         try:
-            res = minimize(_objective_and_grad, x0, args=(problem,), jac=True,
+            res = minimize(_objective_and_grad, x0, args=args, jac=True,
                            method="L-BFGS-B", bounds=bounds,
                            options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-10})
             fk, xk = float(res.fun), res.x
@@ -205,19 +207,13 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
         trace.append({"start": k, "initial_objective": float(f0),
                       "final_objective": float(fk)})
         candidates.append((fk, k, xk))
-    if not candidates:
-        raise ConvergenceError("every optimizer start failed")
-    _, _, x_best = min(candidates, key=lambda c: (c[0], c[1]))
-    d_best, coef_best = float(x_best[0]), x_best[1:]
-    spectrum = _embed(problem.model, problem.active_set, coef_best)
-    r = correlation_from_features(problem.model.F, problem.model.dcol, spectrum,
-                                  d_best, problem.model.params)
-    pred = predict_from_point(problem.model, r)
-    objective = mse_objective(problem.model, problem.target_log, d_best,
-                              coef_best, problem.active_set)
+    objective, _, x_best = min(candidates, key=lambda c: (c[0], c[1]))
+    f_best = _candidate_row(model, problem.active_set, x_best)
+    pred = predict_from_point(model, correlation_from_features(model.F, f_best, model.z))
+    spectrum = f_best[:-1]
     return MimicResult(
-        diameter=d_best, spectrum=spectrum,
-        reconstructed_curve=reconstruct_structure(spectrum, problem.model.p),
+        diameter=float(x_best[0]), spectrum=spectrum,
+        reconstructed_curve=reconstruct_structure(spectrum, model.p),
         objective=objective, predicted=pred, trace=trace)
 
 

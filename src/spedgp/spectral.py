@@ -4,10 +4,13 @@ A structure is a real curve sampled on a uniform grid of p points (p odd)
 plus a scalar fiber diameter. The kernel representation of the curve is
 the modulus of its discrete Fourier transform over the half spectrum;
 the curve is real, so bins above (p-1)/2 are redundant. Correlations are
-Gaussian in weighted squared distances between these spectral features,
-times a separable diameter factor. Two baseline families share the same
-algebra with different feature rows: a four-feature parametric kernel
-and a functional l2-distance kernel on the raw curve values.
+Gaussian in weighted squared distances between feature rows: the
+spectral features with the fiber diameter as a last, separately weighted
+coordinate. Two baseline families share the same algebra with different
+feature rows: a four-feature parametric kernel and a functional
+l2-distance kernel on the raw curve values. Every correlation of the
+package, in fitting, prediction and inverse design, is :func:`kernel` of
+squared feature-row differences.
 
 Because the modulus spectrum is invariant under cyclic shifts of the
 curve, so is the correlation: shifted copies of a structure are perfectly
@@ -22,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor
-from scipy.spatial.distance import cdist
 
 from .exceptions import InvalidInputError, SingularMatrixError
 
 FAMILIES = ("sped", "feature_based", "l2_distance")
+#: families whose feature rows end with the diameter, weighted by theta_d
+DIAMETER_FAMILIES = ("sped", "l2_distance")
 
 #: span of the structure grid in mm; t_k = k * span / (p - 1)
 STRUCTURE_SPAN = 20.0
@@ -123,15 +127,12 @@ class KernelParams:
     "feature_based" ([d, A, omega, phi]), p weights for "l2_distance".
     theta_d scales the separable diameter factor; it is unused by the
     feature_based family, whose first feature already is the diameter.
-    ``dt`` is the curve grid spacing consumed by the l2_distance family;
-    when None it defaults to the standard 20 mm span.
     """
 
     theta: np.ndarray
     theta_d: float = 0.0
     nugget: float = 1e-8
     family: str = "sped"
-    dt: float | None = None
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
@@ -154,149 +155,127 @@ class KernelParams:
             return 4
         return p
 
-    def uses_diameter_factor(self) -> bool:
-        return self.family in ("sped", "l2_distance")
+    def weights(self, p: int) -> np.ndarray:
+        """Packed weights z = (theta, theta_d) for curves of length p.
+
+        z follows the columns of :func:`design_feature_rows`: theta_d
+        comes last, and only for the families that keep the diameter
+        separate.
+        """
+        if self.theta.size != self.theta_length(p):
+            raise InvalidInputError(
+                f"theta has length {self.theta.size}, expected "
+                f"{self.theta_length(p)} for family {self.family!r} with p={p}")
+        if self.family in DIAMETER_FAMILIES:
+            return np.append(self.theta, self.theta_d)
+        return self.theta
 
 
-def sped_correlation(a: StructureDesign, b: StructureDesign, params: KernelParams) -> float:
-    """Spectral-distance correlation between two designs.
+def design_feature_rows(designs: list[StructureDesign], family: str) -> np.ndarray:
+    """Kernel feature rows F (n x nz) of a design list.
 
-    exp(-sum_k theta_k (|a_hat_k| - |b_hat_k|)^2) * exp(-theta_d (d_a - d_b)^2)
-    over the half spectrum. Returns 1 when both exponents vanish, e.g.
-    for cyclically shifted copies of the same curve at equal diameter.
+    Rows are moduli spectra (sped), [d, A, omega, phi] provenance
+    (feature_based), or curve values scaled by sqrt(dt) with
+    dt = STRUCTURE_SPAN / (p - 1) (l2_distance, folding the Riemann
+    measure into the features). The families in DIAMETER_FAMILIES append
+    the diameter as the last column, so with the packed weights of
+    :meth:`KernelParams.weights` every family is the same kernel.
     """
-    if a.p != b.p:
-        raise InvalidInputError(f"curve lengths differ: {a.p} vs {b.p}")
-    h = half_size(a.p)
-    if params.theta.size != h:
-        raise InvalidInputError(
-            f"theta has length {params.theta.size}, expected {h} for p={a.p}")
-    da = dft_modulus(a.curve)
-    db = dft_modulus(b.curve)
-    expo = params.theta @ (da - db) ** 2
-    expo += params.theta_d * (a.diameter - b.diameter) ** 2
-    return float(np.exp(-expo))
-
-
-def feature_correlation(fa, fb, theta4) -> float:
-    """Parametric baseline correlation on feature vectors [d, A, omega, phi]."""
-    fa = np.asarray(fa, dtype=float)
-    fb = np.asarray(fb, dtype=float)
-    t = np.asarray(theta4, dtype=float)
-    if fa.shape != (4,) or fb.shape != (4,) or t.shape != (4,):
-        raise InvalidInputError("feature vectors and theta4 must have length 4")
-    if np.any(t < 0):
-        raise InvalidInputError("theta4 must be nonnegative")
-    if not (np.all(np.isfinite(fa)) and np.all(np.isfinite(fb))):
-        raise InvalidInputError("feature vectors must be finite")
-    return float(np.exp(-t @ (fa - fb) ** 2))
-
-
-def l2_correlation(a, b, theta_t, dt: float) -> float:
-    """Functional l2-distance baseline correlation between two curves.
-
-    exp(-sum_l theta_l (a_l - b_l)^2 dt), a Riemann sum over the curve
-    grid. Including dt keeps the theta scale independent of the
-    discretization.
-    """
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
-    t = np.asarray(theta_t, dtype=float)
-    if xa.shape != xb.shape or xa.shape != t.shape:
-        raise InvalidInputError("curves and theta_t must share one length")
-    if np.any(t < 0) or dt <= 0:
-        raise InvalidInputError("theta_t must be nonnegative and dt positive")
-    return float(np.exp(-dt * (t @ (xa - xb) ** 2)))
-
-
-def design_feature_rows(designs: list[StructureDesign], params: KernelParams):
-    """Kernel feature matrix F (n x K) and diameter column for a design list.
-
-    Every family reduces to exp(-sum_k theta_k (F_ik - F_jk)^2), times the
-    diameter factor exp(-theta_d (d_i - d_j)^2) for the families that keep
-    the diameter separate. Rows are moduli spectra (sped), [d, A, omega,
-    phi] provenance (feature_based), or curve values scaled by sqrt(dt)
-    (l2_distance, folding the Riemann measure into the features).
-    """
+    if family not in FAMILIES:
+        raise InvalidInputError(f"unknown kernel family {family!r}")
     if not designs:
         raise InvalidInputError("need at least one design")
     p = designs[0].p
     for i, dsn in enumerate(designs):
         if dsn.p != p:
             raise InvalidInputError(f"design {i} has p={dsn.p}, expected {p}")
-    if params.theta.size != params.theta_length(p):
-        raise InvalidInputError(
-            f"theta has length {params.theta.size}, expected "
-            f"{params.theta_length(p)} for family {params.family!r} with p={p}")
-    if params.family == "sped":
+    if family == "sped":
         F = np.array([dft_modulus(dsn.curve) for dsn in designs])
-    elif params.family == "feature_based":
+    elif family == "feature_based":
         for i, dsn in enumerate(designs):
             if dsn.features is None:
                 raise InvalidInputError(
                     f"design {i} lacks [d, A, omega, phi] provenance required "
                     "by the feature_based family")
-        F = np.array([dsn.features for dsn in designs])
+        return np.array([dsn.features for dsn in designs])
     else:
-        dt = params.dt if params.dt is not None else STRUCTURE_SPAN / (p - 1)
-        F = np.array([dsn.curve for dsn in designs]) * np.sqrt(dt)
-    dcol = None
-    if params.uses_diameter_factor():
-        dcol = np.array([dsn.diameter for dsn in designs])
-    return F, dcol
+        F = np.array([dsn.curve for dsn in designs]) * np.sqrt(STRUCTURE_SPAN / (p - 1))
+    return np.column_stack([F, [dsn.diameter for dsn in designs]])
 
 
-def correlation_from_features(F, dcol, f_new, d_new, params: KernelParams) -> np.ndarray:
-    """Correlation vector between one feature point and n stored rows.
+def sq_differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared coordinate differences between feature rows.
 
-    This is the kernel evaluated directly on feature coordinates; the
-    inverse-design optimizer uses it to score candidate spectra without
-    materializing a curve.
+    (na, nb, nz) for row sets A and B, or (na, nz) when B is one row.
     """
-    diff = F - np.asarray(f_new, dtype=float)
-    expo = diff ** 2 @ params.theta
-    if dcol is not None:
-        expo = expo + params.theta_d * (dcol - float(d_new)) ** 2
-    return np.exp(-expo)
+    if B.ndim == 1:
+        return (A - B) ** 2
+    return (A[:, None, :] - B[None, :, :]) ** 2
 
 
-def correlation_matrix(designs: list[StructureDesign], params: KernelParams) -> np.ndarray:
-    """n x n correlation matrix with ``1 + nugget`` on the diagonal."""
-    F, dcol = design_feature_rows(designs, params)
-    A = F * np.sqrt(params.theta)
-    expo = cdist(A, A, "sqeuclidean")
-    if dcol is not None and params.theta_d > 0:
-        expo += params.theta_d * (dcol[:, None] - dcol[None, :]) ** 2
-    R = np.exp(-expo)
-    np.fill_diagonal(R, 1.0 + params.nugget)
+def kernel(D: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The correlation exp(-sum_k z_k D[..., k]) on squared differences D.
+
+    This is the only place the kernel exponent is computed. D comes from
+    :func:`sq_differences` and z from :meth:`KernelParams.weights`; D is
+    flattened to one matrix-vector product over its last axis.
+    """
+    return np.exp(-(D.reshape(-1, D.shape[-1]) @ z)).reshape(D.shape[:-1])
+
+
+def correlation_with_nugget(D: np.ndarray, z: np.ndarray, nugget: float) -> np.ndarray:
+    """n x n correlation matrix on an (n, n, nz) stack, ``1 + nugget`` on the diagonal."""
+    R = kernel(D, z)
+    np.fill_diagonal(R, 1.0 + nugget)
     return R
 
 
-def cross_correlation(new: StructureDesign, designs: list[StructureDesign],
-                      params: KernelParams) -> np.ndarray:
-    """Correlations between one new design and n stored designs (no nugget)."""
-    F, dcol = design_feature_rows(designs, params)
-    f_new, d_new = design_feature_rows([new], params)
-    d_new = None if d_new is None else d_new[0]
-    return correlation_from_features(F, dcol, f_new[0], d_new, params)
-
-
-def correlation_cholesky(designs: list[StructureDesign], params: KernelParams):
-    """Assemble R and its Cholesky factorization.
+def factor_correlation(R: np.ndarray, nugget: float):
+    """Cholesky factorization (lower, as from cho_factor) of a correlation matrix.
 
     Raises a singular-matrix error naming the most correlated pair of
     designs when the factorization fails even with the nugget; that pair
     is (numerically) a duplicate modulo cyclic shift.
     """
-    R = correlation_matrix(designs, params)
     try:
-        chol = cho_factor(R, lower=True)
+        return cho_factor(R, lower=True)
     except np.linalg.LinAlgError as exc:
-        n = R.shape[0]
-        off = R - np.eye(n) * R[0, 0]
+        off = R - np.eye(R.shape[0]) * R[0, 0]
         i, j = np.unravel_index(np.argmax(off), off.shape)
         raise SingularMatrixError(
-            f"correlation matrix not factorizable with nugget {params.nugget:g}; "
+            f"correlation matrix not factorizable with nugget {nugget:g}; "
             f"designs {min(i, j)} and {max(i, j)} are near-duplicates "
             f"(correlation {R[i, j]:.12g})") from exc
-    return R, chol
+
+
+def correlation_from_features(F: np.ndarray, f_new: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Correlation vector between one feature row and n stored rows.
+
+    The inverse-design optimizer uses it to score candidate spectra
+    without materializing a curve, and prediction to correlate a new
+    design with the cached training rows.
+    """
+    return kernel(sq_differences(F, f_new), z)
+
+
+def correlation_matrix(designs: list[StructureDesign], params: KernelParams) -> np.ndarray:
+    """n x n correlation matrix with ``1 + nugget`` on the diagonal."""
+    F = design_feature_rows(designs, params.family)
+    return correlation_with_nugget(sq_differences(F, F),
+                                   params.weights(designs[0].p), params.nugget)
+
+
+def cross_correlation(new: StructureDesign, designs: list[StructureDesign],
+                      params: KernelParams) -> np.ndarray:
+    """Correlations between one new design and n stored designs (no nugget)."""
+    F = design_feature_rows(designs, params.family)
+    if new.p != designs[0].p:
+        raise InvalidInputError(f"curve lengths differ: {new.p} vs {designs[0].p}")
+    f_new = design_feature_rows([new], params.family)[0]
+    return correlation_from_features(F, f_new, params.weights(new.p))
+
+
+def correlation_cholesky(designs: list[StructureDesign], params: KernelParams):
+    """Assemble R and its Cholesky factorization (see :func:`factor_correlation`)."""
+    R = correlation_matrix(designs, params)
+    return R, factor_correlation(R, params.nugget)

@@ -296,6 +296,16 @@ def test_benchmark_fit_not_carried_by_nugget(sped_fit):
                                           for rec in records)
 
 
+def test_model_r_is_the_fit_correlation(sped_fit, feature_fit):
+    # the returned model's R is, bit for bit, the matrix the fit scored at
+    # the fitted weights
+    for model in (sped_fit.model, feature_fit):
+        data = make_fit_data(model.designs, model.Y, model.grid,
+                             family=model.params.family, nugget=model.params.nugget)
+        z = data.pack(model.params.theta, model.params.theta_d)
+        np.testing.assert_array_equal(model.R, data.correlation(z))
+
+
 def test_c07_benchmark_accuracy(bench, sped_fit, feature_fit,
                                 randomized_phase_test):
     sped_report = evaluate(sped_fit.model, bench.test)

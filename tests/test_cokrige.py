@@ -13,29 +13,35 @@ from spedgp import (
 from spedgp.cokrige import (
     TrainedEmulator,
     as_strain_grid,
-    back_transform,
     default_strain_grid,
     hpd_interval,
     log_stress,
-    log_transform,
     mean_basis,
     predict_from_point,
     unlog_stress,
 )
-from spedgp.spectral import cross_correlation, half_size
+from spedgp.spectral import FAMILIES, cross_correlation, half_size
 
 from .oracles import dense_conditional
 
 
-def random_emulator(rng, n=4, m=3, p=5, nugget=1e-8):
-    designs = [StructureDesign(rng.uniform(0.3, 1.8), rng.standard_normal(p))
-               for _ in range(n)]
+def random_design(rng, p, family):
+    if family == "feature_based":
+        return StructureDesign(rng.uniform(0.3, 1.8), rng.standard_normal(p),
+                               features=rng.uniform(0.1, 1.0, 4))
+    return StructureDesign(rng.uniform(0.3, 1.8), rng.standard_normal(p))
+
+
+def random_emulator(rng, n=4, m=3, p=5, nugget=1e-8, family="sped"):
+    designs = [random_design(rng, p, family) for _ in range(n)]
     grid = np.linspace(0.01, 0.15, m)
     Y = rng.standard_normal((n, m))
     A = rng.standard_normal((m, m))
     Sigma = A @ A.T + m * np.eye(m)
-    params = KernelParams(theta=rng.uniform(0.05, 0.3, half_size(p)),
-                          theta_d=rng.uniform(0.1, 1.0), nugget=nugget)
+    n_theta = {"sped": half_size(p), "feature_based": 4, "l2_distance": p}[family]
+    params = KernelParams(theta=rng.uniform(0.05, 0.3, n_theta),
+                          theta_d=rng.uniform(0.1, 1.0), nugget=nugget,
+                          family=family)
     beta = np.array([rng.standard_normal(), rng.uniform(0.5, 2.0)])
     return TrainedEmulator(grid=grid, designs=designs, Y=Y, params=params,
                            beta=beta, Sigma=Sigma)
@@ -45,10 +51,6 @@ class TestTransforms:
     def test_round_trip(self):
         y = np.array([0.5, 1.0, 2.5])
         np.testing.assert_allclose(unlog_stress(log_stress(y)), y, rtol=1e-15)
-
-    def test_aliases(self):
-        assert log_transform is log_stress
-        assert back_transform is unlog_stress
 
     def test_nonpositive_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -170,16 +172,17 @@ class TestHpdInterval:
 class TestSerialization:
     def test_save_load_bit_stable_predictions(self, tmp_path):
         rng = np.random.default_rng(7)
-        model = random_emulator(rng)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        new = StructureDesign(0.9, rng.standard_normal(model.p))
-        a = predict(model, new)
-        b = predict(back, new)
-        np.testing.assert_array_equal(a.mean, b.mean)
-        assert a.scale == b.scale
-        np.testing.assert_array_equal(a.Sigma, b.Sigma)
+        for family in FAMILIES:
+            model = random_emulator(rng, family=family)
+            path = tmp_path / f"{family}.json"
+            save_model(model, path)
+            back = load_model(path)
+            new = random_design(rng, model.p, family)
+            a = predict(model, new)
+            b = predict(back, new)
+            np.testing.assert_array_equal(a.mean, b.mean)
+            assert a.scale == b.scale
+            np.testing.assert_array_equal(a.Sigma, b.Sigma)
 
     def test_round_trip_fields(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spedgp import DESIGN_BOX, InvalidInputError, SinusoidSpec, gen_sinusoid, sample_designs
-from spedgp.design import specs_to_designs, structure_dt
 from spedgp.spectral import structure_times
 
 
@@ -44,10 +43,6 @@ class TestGenSinusoid:
     def test_zero_amplitude_gives_flat_curve(self):
         s = SinusoidSpec(1.0, 0.0, 0.4, 2.0)
         np.testing.assert_array_equal(gen_sinusoid(s, 9).curve, np.zeros(9))
-
-    def test_structure_dt(self):
-        assert structure_dt(81) == pytest.approx(0.25)
-
 
 class TestSampleDesigns:
     def test_deterministic(self):
@@ -96,9 +91,3 @@ class TestSampleDesigns:
         with pytest.raises(InvalidInputError):
             sample_designs(0, seed=0)
 
-
-def test_specs_to_designs_matches_gen():
-    specs = sample_designs(3, seed=7)
-    designs = specs_to_designs(specs, 21)
-    for s, d in zip(specs, designs):
-        np.testing.assert_array_equal(d.curve, gen_sinusoid(s, 21).curve)

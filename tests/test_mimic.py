@@ -135,10 +135,10 @@ class TestMseObjective:
         target = model.Y.mean(axis=0)
         got = mse_objective(model, target, 1.1, coefs)
 
-        f_new = np.zeros(half_size(model.p))
+        f_new = np.zeros(model.F.shape[1])
         f_new[active] = coefs
-        r = correlation_from_features(model.F, model.dcol, f_new, 1.1,
-                                      model.params)
+        f_new[-1] = 1.1  # the diameter is the last feature column
+        r = correlation_from_features(model.F, f_new, model.z)
         pred = predict_from_point(model, r)
         assert pred.scale > 1e-3
         draws_rng = np.random.default_rng(5)
@@ -263,7 +263,7 @@ class TestOptimize:
                              mimic_problem.coef_bounds[:, 1]])
         best = np.inf
         for j in range(model.n):
-            xj = np.clip(np.concatenate([[model.dcol[j]], model.F[j, active]]),
+            xj = np.clip(np.concatenate([[model.F[j, -1]], model.F[j, active]]),
                          lo, hi)
             best = min(best, mse_objective(model, mimic_problem.target_log,
                                            xj[0], xj[1:], active))

@@ -12,7 +12,6 @@ from spedgp import (
     correlation_matrix,
     cross_correlation,
     dft_modulus,
-    sped_correlation,
 )
 from spedgp.spectral import (
     STRUCTURE_SPAN,
@@ -21,9 +20,9 @@ from spedgp.spectral import (
     correlation_cholesky,
     correlation_from_features,
     design_feature_rows,
-    feature_correlation,
     half_size,
-    l2_correlation,
+    kernel,
+    sq_differences,
     structure_times,
 )
 
@@ -41,6 +40,16 @@ def rand_design(rng, p, d=None):
         diameter=rng.uniform(0.2, 2.0) if d is None else d,
         curve=rng.standard_normal(p),
     )
+
+
+def pair_correlation(a, b, params):
+    """The kernel between two designs, through their feature rows."""
+    return float(cross_correlation(a, [b], params)[0])
+
+
+def sped_oracle(a, b, params):
+    return sped_corr_scalar(a.diameter, a.curve, b.diameter, b.curve,
+                            params.theta, params.theta_d)
 
 
 class TestDftModulus:
@@ -98,10 +107,8 @@ class TestSpedCorrelation:
         p = 9
         a, b = rand_design(rng, p), rand_design(rng, p)
         params = KernelParams(theta=rng.uniform(0, 1, half_size(p)), theta_d=0.3)
-        got = sped_correlation(a, b, params)
-        want = sped_corr_scalar(a.diameter, a.curve, b.diameter, b.curve,
-                                params.theta, params.theta_d)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert pair_correlation(a, b, params) == pytest.approx(
+            sped_oracle(a, b, params), rel=1e-12)
 
     def test_shifted_copy_has_correlation_one(self):
         rng = np.random.default_rng(1)
@@ -109,26 +116,26 @@ class TestSpedCorrelation:
         a = rand_design(rng, p)
         b = StructureDesign(a.diameter, np.roll(a.curve, 7))
         params = KernelParams(theta=rng.uniform(0, 2, half_size(p)), theta_d=1.0)
-        assert sped_correlation(a, b, params) == pytest.approx(1.0, abs=1e-10)
+        assert pair_correlation(a, b, params) == pytest.approx(1.0, abs=1e-10)
 
     def test_diameter_factor(self):
         x = np.ones(5)
         a = StructureDesign(1.0, x)
         b = StructureDesign(1.5, x)
         params = KernelParams(theta=np.zeros(3), theta_d=2.0)
-        assert sped_correlation(a, b, params) == pytest.approx(np.exp(-2.0 * 0.25))
+        assert pair_correlation(a, b, params) == pytest.approx(np.exp(-2.0 * 0.25))
 
     def test_zero_theta_gives_one(self):
         rng = np.random.default_rng(2)
         a, b = rand_design(rng, 7, d=1.0), rand_design(rng, 7, d=1.0)
         params = KernelParams(theta=np.zeros(4), theta_d=0.0)
-        assert sped_correlation(a, b, params) == 1.0
+        assert pair_correlation(a, b, params) == 1.0
 
     def test_length_mismatch_rejected(self):
         a = StructureDesign(1.0, np.zeros(5))
         b = StructureDesign(1.0, np.zeros(7))
         with pytest.raises(InvalidInputError, match="lengths differ"):
-            sped_correlation(a, b, KernelParams(theta=np.zeros(3)))
+            pair_correlation(a, b, KernelParams(theta=np.zeros(3)))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -138,10 +145,11 @@ class TestSpedCorrelation:
         a, b = rand_design(rng, p), rand_design(rng, p)
         params = KernelParams(theta=rng.uniform(0, 3, half_size(p)),
                               theta_d=rng.uniform(0, 3))
-        r_ab = sped_correlation(a, b, params)
-        r_ba = sped_correlation(b, a, params)
+        r_ab = pair_correlation(a, b, params)
+        r_ba = pair_correlation(b, a, params)
         assert 0.0 <= r_ab <= 1.0
         assert r_ab == pytest.approx(r_ba, rel=1e-14)
+        assert r_ab == pytest.approx(sped_oracle(a, b, params), rel=1e-10)
 
 
 class TestBaselineFamilies:
@@ -149,31 +157,39 @@ class TestBaselineFamilies:
         rng = np.random.default_rng(3)
         fa, fb = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
         t = rng.uniform(0, 2, 4)
-        assert feature_correlation(fa, fb, t) == pytest.approx(
+        assert correlation_from_features(fa[None, :], fb, t)[0] == pytest.approx(
             feature_corr_scalar(fa, fb, t), rel=1e-12)
 
     def test_feature_correlation_ignores_curve(self):
+        rng = np.random.default_rng(9)
         f = np.array([1.0, 0.5, 0.3, 0.1])
-        assert feature_correlation(f, f, np.ones(4)) == 1.0
+        a = StructureDesign(1.0, rng.standard_normal(9), features=f)
+        b = StructureDesign(1.7, rng.standard_normal(9), features=f)
+        params = KernelParams(theta=np.ones(4), theta_d=5.0, family="feature_based")
+        assert pair_correlation(a, b, params) == 1.0
 
     def test_l2_not_shift_invariant(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(21)
-        y = np.roll(x, 5)
-        r = l2_correlation(x, y, np.ones(21), dt=0.25)
-        assert r < 0.999
+        a, b = StructureDesign(1.0, x), StructureDesign(1.0, np.roll(x, 5))
+        params = KernelParams(theta=np.ones(21), family="l2_distance")
+        assert pair_correlation(a, b, params) < 0.999
 
     def test_l2_riemann_scaling(self):
-        x = np.zeros(5)
-        y = np.ones(5)
-        r = l2_correlation(x, y, np.full(5, 2.0), dt=0.5)
-        assert r == pytest.approx(np.exp(-0.5 * 2.0 * 5))
+        # exp(-dt sum_l theta_l (a_l - b_l)^2) with dt = 20 mm / (p - 1)
+        a = StructureDesign(1.0, np.zeros(5))
+        b = StructureDesign(1.0, np.ones(5))
+        params = KernelParams(theta=np.full(5, 0.02), family="l2_distance")
+        dt = STRUCTURE_SPAN / 4
+        assert pair_correlation(a, b, params) == pytest.approx(np.exp(-dt * 0.02 * 5))
 
     def test_negative_theta_rejected(self):
         with pytest.raises(InvalidInputError):
-            feature_correlation(np.zeros(4), np.zeros(4), [-1, 0, 0, 0])
+            KernelParams(theta=[-1.0, 0, 0, 0], family="feature_based")
         with pytest.raises(InvalidInputError):
-            l2_correlation(np.zeros(3), np.zeros(3), [-1, 0, 0], dt=1.0)
+            KernelParams(theta=[-1.0, 0, 0], family="l2_distance")
+        with pytest.raises(InvalidInputError):
+            KernelParams(theta=np.zeros(3), theta_d=-1.0, family="l2_distance")
 
 
 class TestMatrixAssembly:
@@ -192,21 +208,24 @@ class TestMatrixAssembly:
                     assert R[i, j] == pytest.approx(1.0 + self.params.nugget)
                 else:
                     assert R[i, j] == pytest.approx(
-                        sped_correlation(a, b, self.params), rel=1e-10)
+                        sped_oracle(a, b, self.params), rel=1e-10)
 
     def test_cross_matches_scalars(self):
         rng = np.random.default_rng(6)
         new = rand_design(rng, self.p)
         r = cross_correlation(new, self.designs, self.params)
-        want = [sped_correlation(new, b, self.params) for b in self.designs]
+        want = [sped_oracle(new, b, self.params) for b in self.designs]
         np.testing.assert_allclose(r, want, rtol=1e-10)
 
     def test_correlation_from_features_consistent(self):
-        F, dcol = design_feature_rows(self.designs, self.params)
-        r = correlation_from_features(F, dcol, F[2], dcol[2], self.params)
+        F = design_feature_rows(self.designs, "sped")
+        z = self.params.weights(self.p)
+        r = correlation_from_features(F, F[2], z)
         R = correlation_matrix(self.designs, self.params)
         np.testing.assert_allclose(np.delete(r, 2), np.delete(R[2], 2), rtol=1e-10)
         assert r[2] == pytest.approx(1.0)
+        # a stack of rows is the same kernel as one row at a time
+        np.testing.assert_array_equal(kernel(sq_differences(F, F[2:3]), z)[:, 0], r)
 
     def test_psd_without_nugget(self):
         rng = np.random.default_rng(7)
@@ -232,19 +251,19 @@ class TestMatrixAssembly:
         assert R.shape == (6, 6)
 
     def test_feature_rows_require_provenance(self):
-        params = KernelParams(theta=np.ones(4), family="feature_based")
         with pytest.raises(InvalidInputError, match="provenance"):
-            design_feature_rows(self.designs, params)
+            design_feature_rows(self.designs, "feature_based")
 
     def test_l2_feature_rows_fold_dt(self):
-        params = KernelParams(theta=np.ones(self.p), family="l2_distance")
-        F, dcol = design_feature_rows(self.designs, params)
+        F = design_feature_rows(self.designs, "l2_distance")
         dt = STRUCTURE_SPAN / (self.p - 1)
         np.testing.assert_allclose(
-            F[0], self.designs[0].curve * np.sqrt(dt), rtol=1e-12)
-        assert dcol is not None
+            F[0, :-1], self.designs[0].curve * np.sqrt(dt), rtol=1e-12)
+        np.testing.assert_array_equal(F[:, -1], [d.diameter for d in self.designs])
 
     def test_theta_length_mismatch_rejected(self):
         params = KernelParams(theta=np.ones(3))
         with pytest.raises(InvalidInputError, match="expected"):
-            design_feature_rows(self.designs, params)
+            params.weights(self.p)
+        with pytest.raises(InvalidInputError, match="expected"):
+            correlation_matrix(self.designs, params)
