@@ -205,13 +205,11 @@ def neg_log_posterior(beta, theta, theta_d, Sigma, data: FitData,
     if np.any(z < 0):
         raise InvalidInputError("kernel weights must be nonnegative")
     R, choR = data.chol(z)
-    try:
-        choS = cho_factor(np.asarray(Sigma, dtype=float), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("Sigma is not positive definite") from exc
+    choS = _cholesky(np.array(Sigma, dtype=float))
+    if choS is None:
+        raise SingularMatrixError("Sigma is not positive definite")
     n, m = data.n, data.m
-    logdet_R = 2.0 * np.sum(np.log(np.diag(choR[0])))
-    logdet_S = 2.0 * np.sum(np.log(np.diag(choS[0])))
+    logdet_R, logdet_S = _logdet(choR), _logdet(choS)
     W = cho_solve(choS, np.eye(m))
     E = data.Y - np.outer(np.ones(n), data.P @ beta)
     quad = float(np.sum(cho_solve(choR, E) * (E @ W)))
@@ -226,17 +224,8 @@ def neg_log_posterior(beta, theta, theta_d, Sigma, data: FitData,
 
 def graphical_lasso(S, lam: float, tol: float = 1e-6, max_iter: int = 500,
                     precision_init=None) -> np.ndarray:
-    """Sparse precision estimate by blockwise coordinate descent.
-
-    Solves  min_W  -logdet W + tr(S W) + lam * sum_{j != k} |W_jk|
-    (diagonal unpenalized). Each pass solves one lasso per column on the
-    working covariance, per Friedman's blockwise algorithm; the return
-    certificate is the KKT residual of :func:`glasso_kkt_residual`.
-
-    The working covariance always starts at S itself (positive
-    definiteness of the sweep depends on that); a warm precision matrix
-    only seeds the per-column regression coefficients -W_12 / W_22.
-    """
+    """min_W -logdet W + tr(S W) + lam * sum_{j != k} |W_jk| by
+    :func:`glasso_newton`, certified by :func:`glasso_kkt_residual`."""
     S = np.asarray(S, dtype=float)
     m = S.shape[0]
     if S.ndim != 2 or S.shape[1] != m:
@@ -247,172 +236,195 @@ def graphical_lasso(S, lam: float, tol: float = 1e-6, max_iter: int = 500,
         raise InvalidInputError("S must have a positive diagonal")
     if lam < 0:
         raise InvalidInputError("penalty must be nonnegative")
-
-    if lam == 0.0:
-        try:
-            cho = cho_factor(S, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                "unpenalized precision requires positive-definite S") from exc
-        W = cho_solve(cho, np.eye(m))
-        return 0.5 * (W + W.T)
-    if m == 1:
-        return np.array([[1.0 / S[0, 0]]])
-
-    W, residual = _glasso_core(S, lam, tol, max_iter, precision_init)
+    W, iterations, residual = glasso_newton(S, lam, tol, max_iter, precision_init)
     if residual > tol:
         raise ConvergenceError(
-            f"graphical lasso did not reach KKT tolerance {tol:g} after "
-            f"{max_iter} sweeps (residual {residual:.3e})", residual=residual)
+            f"graphical lasso did not reach KKT tolerance {tol:g} in "
+            f"{iterations} iterations (residual {residual:.3e})", residual=residual)
     return W
 
 
-def _glasso_core(S, lam, tol, max_iter, precision_init=None):
-    """Best-effort blockwise sweep loop: returns (W, certified residual)."""
-    m = S.shape[0]
-    V = S.copy()
-    B = np.zeros((m - 1, m))
-    idx = [np.array([k for k in range(m) if k != j]) for j in range(m)]
-    if precision_init is not None:
-        Wp = np.asarray(precision_init, dtype=float)
-        if Wp.shape == S.shape and np.all(np.diag(Wp) > 0):
-            for j in range(m):
-                B[:, j] = -Wp[idx[j], j] / Wp[j, j]
+def glasso_newton(S, lam: float, tol: float, max_iter: int,
+                  precision_init=None):
+    """Projected-Newton graphical lasso; returns (W, iterations, residual).
 
-    best_W, best_res = None, np.inf
-    for _ in range(max_iter):
-        for j in range(m):
-            sub = idx[j]
-            V11 = V[np.ix_(sub, sub)]
-            B[:, j] = _lasso_exact(V11, S[sub, j], lam, B[:, j])
-            v12 = V11 @ B[:, j]
-            V[sub, j] = v12
-            V[j, sub] = v12
-        try:
-            W = _recover_precision(S, V, B, idx)
-        except NumericalError:
-            break  # working covariance went numerically indefinite
-        residual = glasso_kkt_residual(S, W, lam)
-        if residual < best_res:
-            best_W, best_res = W, residual
-        if residual <= tol:
-            break
-    if best_W is None:
-        raise NumericalError("graphical lasso produced no usable iterate")
-    return best_W, best_res
-
-
-def _lasso_quadratic(Q, b, lam, x) -> float:
-    return float(0.5 * x @ (Q @ x) - b @ x + lam * np.abs(x).sum())
-
-
-def _lasso_exact(Q, b, lam, beta0, max_steps: int = 500):
-    """Exact minimizer of 0.5 x'Qx - b'x + lam ||x||_1 for positive definite Q.
-
-    Feature-sign search: each step guesses a support and sign pattern,
-    resolves it with one dense solve, and takes the best point on the
-    segment to the solution (endpoints plus sign-change crossings), which
-    descends strictly and terminates on the exact KKT point. Much faster
-    to high accuracy than coordinate descent when Q is ill-conditioned.
+    Dual steps: Newton on  max logdet V  over diag V = diag S, |V - S| <=
+    lam, on the pairs Bertsekas' epsilon-rule leaves free, searched along
+    the projection arc with a Cholesky check; the candidate W is V^{-1}
+    with zeros on the pairs strictly inside the box. Once the dual settles,
+    primal steps run while they halve the residual: Newton for W^{-1} =
+    S + lam sign(W) on W's support and signs, exact where an ill-conditioned
+    V^{-1} is not. W is returned once its KKT residual is <= tol and its
+    duality gap <= 1e-9 of its objective (if tol > lam the residual alone
+    admits W far above the minimum); else the candidate of lowest objective.
     """
-    beta = beta0.copy()
-    active = beta != 0.0
-    theta = np.sign(beta)
-    qb = Q @ beta
-    ktol = 1e-11 * max(1.0, np.abs(b).max(), lam)
-    for _ in range(max_steps):
-        g = qb - b
-        consistent = (not active.any()
-                      or np.abs(g[active] + lam * theta[active]).max() <= ktol)
-        if consistent:
-            inactive = np.flatnonzero(~active)
-            if inactive.size == 0:
-                break
-            i = inactive[np.argmax(np.abs(g[inactive]))]
-            if abs(g[i]) <= lam + ktol:
-                break
-            active[i] = True
-            theta[i] = -np.sign(g[i])
-        A = np.flatnonzero(active)
-        QA = Q[np.ix_(A, A)]
-        target = b[A] - lam * theta[A]
-        try:
-            new = np.linalg.solve(QA, target)
-        except np.linalg.LinAlgError:
-            new = np.linalg.lstsq(QA, target, rcond=None)[0]
-        cur = beta[A]
-        step = new - cur
-        # candidate points: the solution plus every sign-change crossing
-        best_x, best_f = new, _lasso_quadratic(QA, b[A], lam, new)
-        flip = (cur != 0.0) & (np.sign(new) != np.sign(cur))
-        for k in np.flatnonzero(flip):
-            t = cur[k] / (cur[k] - new[k])
-            if not 0.0 < t <= 1.0:
-                continue
-            x = cur + t * step
-            x[k] = 0.0
-            f = _lasso_quadratic(QA, b[A], lam, x)
-            if f < best_f:
-                best_x, best_f = x, f
-        beta = np.zeros_like(beta)
-        beta[A] = best_x
-        active = beta != 0.0
-        theta = np.sign(beta)
-        qb = Q @ beta
-    return beta
-
-
-def _recover_precision(S, V, B, idx):
     m = S.shape[0]
-    W = np.zeros_like(V)
-    for j in range(m):
-        sub = idx[j]
-        gap = V[j, j] - float(V[sub, j] @ B[:, j])
-        if gap <= 0:
-            raise NumericalError("working covariance lost positive definiteness")
-        w22 = 1.0 / gap
-        W[j, j] = w22
-        W[sub, j] = -B[:, j] * w22
-    return 0.5 * (W + W.T)
+    I, J = np.triu_indices(m, 1)
+    u, cho = _dual_start(S, lam, I, J, precision_init)
+    f = -_logdet(cho)
+    W = best_W = binding = None
+    residual = best = best_f = last = np.inf
+    polish = stalled = False
+    for iteration in range(1, max(max_iter, 1) + 1):
+        W_new = None
+        if polish and residual < 0.5 * last:
+            W_new, last = _support_newton_step(S, lam, W, I, J), residual
+        if W_new is None:
+            step = _dual_newton_step(S, lam, I, J, u, cho, f)
+            if step is None:
+                if stalled:  # the dual point has not moved since it last failed
+                    break
+                polish, stalled, last = True, True, np.inf
+            else:
+                u, cho, f, full, bound = step
+                polish = full and np.array_equal(bound, binding)
+                stalled, last, binding = False, np.inf, bound
+            W_new = _snap(cho, u, lam, I, J)
+        W = W_new
+        residual = glasso_kkt_residual(S, W, lam)
+        objective = _glasso_objective(S, lam, W)
+        if objective <= best_f:
+            best_W, best, best_f = W, residual, objective
+        if residual <= tol and objective - (m - f) <= 1e-9 * max(1.0, abs(objective)):
+            return W, iteration, residual
+    return best_W, iteration, best
+
+
+def _glasso_objective(S, lam: float, W) -> float:
+    """-logdet W + tr(S W) + lam * sum_{j != k} |W_jk|; inf if W is indefinite."""
+    cho = _cholesky(np.array(W, dtype=float))
+    if cho is None:
+        return np.inf
+    off = float(np.abs(W).sum() - np.abs(np.diag(W)).sum())
+    return -_logdet(cho) + float(np.sum(S * W)) + lam * off
+
+
+def _cholesky(A):
+    """Cholesky factor of symmetric A, overwriting A; None if indefinite."""
+    try:  # A.T is A in Fortran order, which LAPACK factors in place
+        return cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _logdet(cho) -> float:
+    return 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+
+
+def _box(S, u, I, J):
+    V = S.copy()
+    V[I, J] = V[J, I] = S[I, J] + u
+    return V
+
+
+def _dual_start(S, lam, I, J, precision_init):
+    """Of V = S, S with its off-diagonal shrunk into the box toward diag S
+    (definite for semidefinite S and lam > 0), and the warm precision's
+    inverse projected into the box, the positive-definite V of largest logdet."""
+    s = S[I, J]
+    shrink = min(1.0, lam / (np.abs(s).max(initial=0.0) or 1.0))
+    starts = [np.zeros(I.size), -shrink * s]
+    if precision_init is not None and (
+            cho := _cholesky(np.array(precision_init, dtype=float))) is not None:
+        starts.append(np.clip(cho_solve(cho, np.eye(S.shape[0]))[I, J] - s, -lam, lam))
+    points = [(u, cho) for u in starts
+              if (cho := _cholesky(_box(S, u, I, J))) is not None]
+    if not points:
+        raise SingularMatrixError("no positive-definite start for the graphical lasso")
+    return max(points, key=lambda point: _logdet(point[1]))
+
+
+def _snap(cho, u, lam, I, J):
+    """V^{-1} with exact zeros on the pairs strictly inside the box."""
+    W = cho_solve(cho, np.eye(cho[0].shape[0]))
+    W = 0.5 * (W + W.T)
+    inside = np.abs(u) < lam
+    W[I[inside], J[inside]] = W[J[inside], I[inside]] = 0.0
+    return W
+
+
+def _pair_hessian(M, a, b):
+    """K[p, q] = M_ac M_bd + M_ad M_bc for index pairs p = (a, b), q = (c, d):
+    half the Hessian of -logdet M on symmetric pair perturbations."""
+    Ma, Mb = M[:, a], M[:, b]
+    K = Ma[a] * Mb[b]
+    K += Mb[a] * Ma[b]
+    return K
+
+
+def _dual_newton_step(S, lam, I, J, u, cho, f):
+    """Projected-Newton step on -logdet V; (u, cho, f, full, bound) or None."""
+    Sigma = cho_solve(cho, np.eye(S.shape[0]))
+    sig = Sigma[I, J]
+    # -logdet V has gradient -2 sig in u; bind the pairs it pushes out of the box
+    eps = min(1e-6 * lam, float(np.linalg.norm(
+        u - np.clip(u + 2.0 * sig, -lam, lam))))
+    bound = (((u <= -lam + eps) & (sig < 0.0))
+             | ((u >= lam - eps) & (sig > 0.0)))
+    free = ~bound
+    d = np.zeros_like(u)
+    if free.any():
+        choK = _cholesky(_pair_hessian(Sigma, I[free], J[free]))
+        if choK is None:
+            return None
+        d[free] = cho_solve(choK, sig[free])
+    # scaled gradient on the binding pairs; the projection clips it
+    d[bound] = sig[bound] / (Sigma[I[bound], I[bound]] * Sigma[J[bound], J[bound]]
+                             + sig[bound] ** 2)
+    newton_gain = 2.0 * float(sig[free] @ d[free])
+    for alpha in 0.5 ** np.arange(40):
+        u_new = np.clip(u + alpha * d, -lam, lam)
+        cho_new = _cholesky(_box(S, u_new, I, J))
+        if cho_new is not None:
+            f_new = -_logdet(cho_new)
+            gain = alpha * newton_gain + 2.0 * float(
+                sig[bound] @ (u_new[bound] - u[bound]))
+            if f - f_new >= 1e-4 * gain:  # Armijo
+                return u_new, cho_new, f_new, alpha == 1.0, bound
+    return None
+
+
+def _support_newton_step(S, lam, W, I, J):
+    """Newton step for W^{-1} = S + lam sign(W) on W's support and signs;
+    pairs whose sign flips are zeroed. None if not positive definite."""
+    m = S.shape[0]
+    on = W[I, J] != 0.0
+    a = np.concatenate([np.arange(m), I[on]])
+    b = np.concatenate([np.arange(m), J[on]])
+    sign = np.sign(W[a, b]) * (a != b)
+    V = cho_solve(_cholesky(W.copy()), np.eye(m))
+    choK = _cholesky(_pair_hessian(V, a, b))
+    if choK is None:
+        return None
+    dx = cho_solve(choK, V[a, b] - S[a, b] - lam * sign)
+    dx[:m] *= 2.0  # K halves the diagonal coordinates
+    x = W[a, b] + dx
+    x[m:][np.sign(x[m:]) != sign[m:]] = 0.0
+    W_new = np.zeros_like(W)
+    W_new[a, b] = W_new[b, a] = x
+    return W_new if _cholesky(W_new.copy()) is not None else None
 
 
 def glasso_kkt_residual(S, W, lam: float) -> float:
     """Max stationarity violation of the off-diagonal-penalized glasso."""
-    try:
-        cho = cho_factor(W, lower=True)
-    except np.linalg.LinAlgError:
+    cho = _cholesky(np.array(W, dtype=float))
+    if cho is None:
         return np.inf
-    V = cho_solve(cho, np.eye(W.shape[0]))
-    G = V - S
-    m = S.shape[0]
-    off = ~np.eye(m, dtype=bool)
-    active = off & (W != 0.0)
-    res = np.abs(np.diag(G)).max()
-    if active.any():
-        res = max(res, np.abs(G[active] - lam * np.sign(W[active])).max())
-    inactive = off & (W == 0.0)
-    if inactive.any():
-        res = max(res, max(0.0, np.abs(G[inactive]).max() - lam))
-    return float(res)
+    G = cho_solve(cho, np.eye(W.shape[0])) - S
+    off = ~np.eye(S.shape[0], dtype=bool)
+    active, inactive = off & (W != 0.0), off & (W == 0.0)
+    return float(max(np.abs(np.diag(G)).max(),
+                     np.abs(G[active] - lam * np.sign(W[active])).max(initial=0.0),
+                     np.abs(G[inactive]).max(initial=0.0) - lam))
 
 
 # ---------------------------------------------------------------------------
 # BCD blocks
 
 
-def _sigma_block_objective(S0, rho, W) -> float:
-    """-logdet W + tr(S0 W) + rho ||W||_1, the Sigma block of the target."""
-    try:
-        cho = cho_factor(W, lower=True)
-    except np.linalg.LinAlgError:
-        return np.inf
-    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-    return float(-logdet + np.sum(S0 * W) + rho * np.abs(W).sum())
-
-
 def sigma_step(data: FitData, choR, beta, lambda_o: float, tol: float,
                max_iter: int, precision_init=None):
-    """Sigma block update; returns (Sigma, W = Sigma^{-1}, warning).
+    """Sigma block update; returns (Sigma, W = Sigma^{-1}, stats).
 
     The Sigma block of the objective is, up to a factor n,
     -logdet W + tr(S0 W) + (lambda_o / n) ||W||_1 with
@@ -423,45 +435,30 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, tol: float,
     prescribes; the 1/n factor keeps every sweep a block minimization of
     the monitored objective.
 
-    Robustness over certification here: the glasso tolerance scales with
-    the spectral norm of the input (near-singular correlation states
-    inflate S0 by orders of magnitude), a non-certified best iterate is
-    accepted with a warning, and the incoming precision is kept whenever
-    it scores a lower block objective, so the monitored objective never
-    increases through this step.
+    The KKT tolerance scales with the spectral norm of the input (near-
+    singular correlation states inflate S0). ``stats`` holds the solver's
+    ``iterations`` and ``kkt``, W's residual over that tolerance.
     """
     n = data.n
     E = data.Y - np.outer(np.ones(n), data.P @ np.asarray(beta, dtype=float))
     S0 = E.T @ cho_solve(choR, E) / n
     S0 = 0.5 * (S0 + S0.T)
     rho = lambda_o / n
-    if rho == 0.0:
-        W = graphical_lasso(S0, 0.0)
-        return 0.5 * (S0 + S0.T), W, None
     W0 = S0 + rho * np.eye(data.m)
-    scale = max(1.0, float(np.linalg.norm(W0, 2)))
-    warn = None
-    try:
-        W, residual = _glasso_core(W0, rho, tol * scale, max_iter,
-                                   precision_init=precision_init)
-        if residual > tol * scale:
-            warn = (f"glasso stopped at KKT residual {residual:.3e} "
-                    f"(target {tol * scale:.3e})")
-    except NumericalError as exc:
-        W, warn = None, f"glasso failed: {exc}"
+    target = tol * max(1.0, float(np.linalg.norm(W0, 2)))
+    W, iterations, residual = glasso_newton(W0, rho, target, max_iter, precision_init)
     if precision_init is not None:
-        incumbent = np.asarray(precision_init, dtype=float)
-        if W is None or (_sigma_block_objective(S0, rho, incumbent)
-                         < _sigma_block_objective(S0, rho, W)):
-            W = incumbent
-    elif W is None:
-        raise SingularMatrixError("glasso produced no usable precision")
-    try:
-        choW = cho_factor(W, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("glasso returned an indefinite precision") from exc
+        # never ascend: keep the incoming W if it scores lower beyond rounding
+        incumbent = np.array(precision_init, dtype=float)
+        f_inc = _glasso_objective(W0, rho, incumbent)
+        if f_inc < _glasso_objective(W0, rho, W) - 1e-9 * max(1.0, abs(f_inc)):
+            W, residual = incumbent, glasso_kkt_residual(W0, incumbent, rho)
+    choW = _cholesky(W.copy())
+    if choW is None:
+        raise SingularMatrixError("glasso returned an indefinite precision")
     Sigma = cho_solve(choW, np.eye(data.m))
-    return 0.5 * (Sigma + Sigma.T), W, warn
+    return (0.5 * (Sigma + Sigma.T), W,
+            {"iterations": iterations, "kkt": residual / target})
 
 
 def beta_step(data: FitData, choR, W, epsilon_beta: float = 1e-6) -> np.ndarray:
@@ -512,12 +509,11 @@ def theta_objective(z, data: FitData, M, lambda_I: float):
     df/dz_k = sum_ij D_ijk [R o (G M G - m G)]_ij with G = R^{-1}.
     """
     R = data.correlation(z)
-    try:
-        cho = cho_factor(R, lower=True)
-    except np.linalg.LinAlgError:
+    cho = _cholesky(R.copy())
+    if cho is None:
         return 1e300, np.zeros_like(z)
     m = data.m
-    logdet_R = 2.0 * np.sum(np.log(np.diag(cho[0])))
+    logdet_R = _logdet(cho)
     G = cho_solve(cho, np.eye(data.n))
     H = G @ M @ G
     quad = float(np.sum(G * M))
@@ -531,9 +527,9 @@ def theta_objective(z, data: FitData, M, lambda_I: float):
 def theta_step(data: FitData, beta, W, z0, lambda_I: float, config: FitConfig):
     """Bound-constrained quasi-Newton descent on the theta block.
 
-    Returns (z, objective, warning). Weights live on the nonnegative
-    orthant, where the l1 penalty is linear and hence smooth; exact
-    zeros at the bound are what switches frequencies off.
+    Returns (z, objective, L-BFGS-B exit message). Weights live on the
+    nonnegative orthant, where the l1 penalty is linear and hence smooth;
+    exact zeros at the bound are what switches frequencies off.
     """
     n = data.n
     E = data.Y - np.outer(np.ones(n), data.P @ np.asarray(beta, dtype=float))
@@ -545,14 +541,11 @@ def theta_step(data: FitData, beta, W, z0, lambda_I: float, config: FitConfig):
         method="L-BFGS-B", bounds=[(0.0, None)] * z0.size,
         options={"maxiter": config.theta_max_iter, "gtol": config.theta_grad_tol,
                  "ftol": 1e-13, "maxcor": config.theta_memory})
-    warning = None
-    if not res.success and "ROUNDING" not in str(res.message).upper():
-        warning = f"theta optimizer stopped early: {res.message}"
     if res.fun > f0:
         # line search failed to improve; keep the incoming point
-        return z0, f0, warning or "theta step kept incoming point"
+        return z0, f0, f"kept incoming point: {res.message}"
     z, f = _truncate_inactive(res.x, float(res.fun), data, M, lambda_I)
-    return z, f, warning
+    return z, f, str(res.message)
 
 
 def _truncate_inactive(z, f, data: FitData, M, lambda_I: float):
@@ -608,21 +601,28 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray):
                                          config.lambda_I, config.lambda_o)],
         "active_theta": [int(np.count_nonzero(theta0 > 0))],
         "offdiag_nonzeros": [0],
+        "sigma_iterations": [], "sigma_kkt": [], "theta_exits": [],
         "warnings": [],
         "converged": False,
     }
     for sweep in range(1, config.max_sweeps + 1):
         R, choR = data.chol(z)
-        Sigma, W, sigma_warn = sigma_step(data, choR, beta, config.lambda_o,
-                                          config.glasso_tol,
-                                          config.glasso_max_iter,
-                                          precision_init=W)
-        if sigma_warn:
-            record["warnings"].append(f"sweep {sweep}: {sigma_warn}")
+        Sigma, W, stats = sigma_step(data, choR, beta, config.lambda_o,
+                                     config.glasso_tol, config.glasso_max_iter,
+                                     precision_init=W)
+        record["sigma_iterations"].append(stats["iterations"])
+        record["sigma_kkt"].append(stats["kkt"])
+        if stats["kkt"] > 1.0:
+            record["warnings"].append(f"sweep {sweep}: glasso stopped at "
+                                      f"{stats['kkt']:.3g}x its KKT tolerance")
         beta = beta_step(data, choR, W, config.epsilon_beta)
-        z, _, warn = theta_step(data, beta, W, z, config.lambda_I, config)
-        if warn:
-            record["warnings"].append(f"sweep {sweep}: {warn}")
+        z, _, theta_exit = theta_step(data, beta, W, z, config.lambda_I, config)
+        record["theta_exits"].append(theta_exit)
+        # stopped early: neither converged nor at the rounding-error limit
+        early = not (theta_exit.startswith("CONVERGENCE") or "ROUNDING" in theta_exit)
+        if early:
+            record["warnings"].append(
+                f"sweep {sweep}: theta optimizer stopped early: {theta_exit}")
         theta, theta_d = data.unpack(z)
         obj = neg_log_posterior(beta, theta, theta_d, Sigma, data,
                                 config.lambda_I, config.lambda_o)
@@ -637,7 +637,8 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray):
                 f"sweep {sweep}: objective increased by {obj - prev:.3e}")
             break
         if prev - obj <= slack:
-            record["converged"] = True
+            # the objective stopped falling; a stalled theta step is no minimum
+            record["converged"] = not early
             break
     record["sweeps"] = len(record["objectives"]) - 1
     record.update(nugget_carry(data, z, beta))
@@ -676,9 +677,8 @@ def nugget_carry(data: FitData, z, beta) -> dict:
     share = data.nugget * float(np.linalg.norm(cho_solve(choR, E))) / norm_E
     cut = data.nugget / NUGGET_CUT
     np.fill_diagonal(R, 1.0 + cut)
-    try:
-        cho_cut = cho_factor(R, lower=True)
-    except np.linalg.LinAlgError:
+    cho_cut = _cholesky(R)
+    if cho_cut is None:
         return {"nugget_share": share, "nugget_share_ratio": None,
                 "nugget_carried": True}
     ratio = cut * float(np.linalg.norm(cho_solve(cho_cut, E))) / norm_E / share
@@ -813,5 +813,4 @@ def _neg_predictive_loglik(pred, y_log) -> float:
     cho = cho_factor(cov + 1e-12 * np.eye(cov.shape[0]), lower=True)
     r = y_log - pred.mean
     quad = float(r @ cho_solve(cho, r))
-    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-    return 0.5 * (cov.shape[0] * np.log(2 * np.pi) + logdet + quad)
+    return 0.5 * (cov.shape[0] * np.log(2 * np.pi) + _logdet(cho) + quad)

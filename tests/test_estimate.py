@@ -13,7 +13,7 @@ from spedgp import (
     fit,
     select_penalties,
 )
-from spedgp.cokrige import log_stress, mean_basis, predict
+from spedgp.cokrige import default_strain_grid, log_stress, mean_basis, predict
 from spedgp.design import gen_sinusoid, sample_designs
 from spedgp.estimate import (
     beta_step,
@@ -77,8 +77,8 @@ class TestSigmaStep:
         z = rng.uniform(0.05, 0.3, data.nz)
         R, choR = data.chol(z)
         beta = np.array([0.5, 1.0])
-        Sigma, W, warn = sigma_step(data, choR, beta, lambda_o=0.0,
-                                    tol=1e-8, max_iter=200)
+        Sigma, W, _ = sigma_step(data, choR, beta, lambda_o=0.0,
+                                 tol=1e-8, max_iter=200)
         E = Y - np.outer(np.ones(data.n), data.P @ beta)
         S0 = np.linalg.solve(R, E).T @ E / data.n
         np.testing.assert_allclose(Sigma, (S0 + S0.T) / 2, rtol=1e-8, atol=1e-10)
@@ -93,9 +93,9 @@ class TestSigmaStep:
         R, choR = data.chol(z)
         beta = np.array([0.1, 0.8])
         lam_o = 0.9
-        Sigma, W, warn = sigma_step(data, choR, beta, lambda_o=lam_o,
-                                    tol=1e-9, max_iter=500)
-        assert warn is None
+        Sigma, W, stats = sigma_step(data, choR, beta, lambda_o=lam_o,
+                                     tol=1e-9, max_iter=500)
+        assert stats["kkt"] <= 1.0
         E = Y - np.outer(np.ones(3), data.P @ beta)
         S0 = np.linalg.solve(R, E).T @ E / 3.0
         S0 = (S0 + S0.T) / 2
@@ -116,6 +116,21 @@ class TestSigmaStep:
                                        precision_init=np.linalg.inv(Sigma0))
             f1 = neg_log_posterior(beta, theta, theta_d, Sigma1, data, 0.0, 0.4)
             assert f1 <= f0 + 1e-8 * max(1.0, abs(f0))
+
+    def test_ill_conditioned_fit_certifies_within_iteration_bound(self):
+        # 20 designs against 41 strain levels: by sweep 4 cond(W) ~ 9e5.
+        # The solver took 5, 9, 12 and 25 iterations (x86-64, OpenBLAS
+        # 0.3.31); the bound is the largest plus a margin for rounding
+        # differences between BLAS builds.
+        grid = default_strain_grid()
+        designs = [gen_sinusoid(s, 21) for s in sample_designs(20, seed=41)]
+        Y = np.array([synthetic_oracle(d, grid) for d in designs])
+        cfg = FitConfig(lambda_I=1.0, lambda_o=0.5, restarts=1, max_sweeps=4)
+        _, trace = fit(Dataset(designs=designs, responses=Y, grid=grid), cfg)
+        record = trace.restarts[0]
+        assert len(record["sigma_iterations"]) == record["sweeps"] == 4
+        assert max(record["sigma_iterations"]) <= 40
+        assert max(record["sigma_kkt"]) <= 1.0
 
 
 class TestBetaStep:

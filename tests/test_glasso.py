@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from spedgp import ConvergenceError, InvalidInputError, SingularMatrixError
-from spedgp.estimate import glasso_kkt_residual, graphical_lasso
+from spedgp.estimate import glasso_kkt_residual, glasso_newton, graphical_lasso
 
-from .oracles import glasso_objective
+from .oracles import blockwise_glasso, glasso_objective
 
 
 def random_spd(rng, m, cond=10.0):
@@ -120,3 +120,39 @@ class TestFailureModes:
             graphical_lasso(np.array([[1.0, 0.0], [0.0, -1.0]]), 0.1)
         with pytest.raises(InvalidInputError):
             graphical_lasso(np.eye(2), -0.1)
+
+
+def low_rank_covariance(seed, rank, scale, m=41, lam=0.5 / 58):
+    """Ridged covariance of 2*rank smooth random curves on m points.
+
+    The shape of the fit's Sigma block S0 + rho I: a sample covariance of
+    smooth residual curves plus the ridge rho = lambda_o / n, here at the
+    benchmark's rho = 0.5 / 58. The curves span `rank` cosines of
+    decaying amplitude, which makes it ill-conditioned.
+    """
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, m)
+    basis = np.array([np.cos(np.pi * j * t) / (1 + j) for j in range(rank)])
+    A = rng.standard_normal((2 * rank, rank)) @ basis
+    return scale * A.T @ A / (2 * rank) + lam * np.eye(m)
+
+
+class TestAgainstBlockwiseReference:
+    """The projected-Newton solver against Friedman's blockwise algorithm."""
+
+    LAM = 0.5 / 58
+
+    @pytest.mark.parametrize("seed,rank,scale", [
+        (0, 41, 10.0), (2, 36, 30.0), (3, 30, 100.0), (5, 25, 100.0)])
+    def test_same_support_no_worse_objective(self, seed, rank, scale):
+        S = low_rank_covariance(seed, rank, scale)
+        tol = 1e-8 * np.linalg.norm(S, 2)
+        W, iterations, residual = glasso_newton(S, self.LAM, tol, 500)
+        ref, _, ref_residual = blockwise_glasso(S, self.LAM, tol, 500)
+        assert ref_residual <= tol
+        assert 1e3 <= np.linalg.cond(W) <= 2e5
+        assert residual == glasso_kkt_residual(S, W, self.LAM) <= tol
+        off = ~np.eye(S.shape[0], dtype=bool)
+        np.testing.assert_array_equal(W[off] != 0.0, ref[off] != 0.0)
+        f, f_ref = glasso_objective(S, W, self.LAM), glasso_objective(S, ref, self.LAM)
+        assert f <= f_ref + 1e-8 * abs(f_ref)
