@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.stats import norm
 
 from .exceptions import InvalidInputError, NumericalError
 from .spectral import (KernelParams, StructureDesign, correlation_from_features,
                        correlation_with_nugget, design_feature_rows,
-                       factor_correlation, sq_differences)
+                       factor_correlation, solve_factored, sq_differences)
 
 #: negative v beyond this magnitude is treated as a real inconsistency
 V_TOLERANCE = 1e-8
@@ -157,7 +156,7 @@ def _clamp_scale(v: float) -> float:
 
 def predict_from_point(model: TrainedEmulator, r: np.ndarray) -> Prediction:
     """Conditional normal given a precomputed cross-correlation vector."""
-    alpha = cho_solve(model.chol_R, r)
+    alpha = solve_factored(model.chol_R, r)
     mean = model.mu + model.resid.T @ alpha
     v = _clamp_scale(1.0 - float(r @ alpha))
     return Prediction(mean=mean, scale=v, Sigma=model.Sigma)

@@ -34,7 +34,7 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
 from scipy.optimize import minimize
 
 from .cokrige import TrainedEmulator, log_stress, mean_basis, predict, unlog_stress
@@ -42,7 +42,7 @@ from .exceptions import (ConvergenceError, FitError, InvalidInputError,
                          NumericalError, SingularMatrixError)
 from .spectral import (DIAMETER_FAMILIES, FAMILIES, KernelParams,
                        correlation_with_nugget, design_feature_rows,
-                       factor_correlation, sq_differences)
+                       factor_correlation, solve_factored, sq_differences)
 
 logger = logging.getLogger(__name__)
 
@@ -182,14 +182,15 @@ def make_fit_data(designs, Y_log, grid, family: str = "sped",
 
 
 def _check_distinct(F):
-    # duplicate kernel features make R exactly singular without a nugget
-    n = F.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.allclose(F[i], F[j], rtol=1e-12, atol=1e-12):
-                raise InvalidInputError(
-                    f"designs {i} and {j} are identical up to cyclic shift; "
-                    "the training set must be distinct modulo shifts")
+    # duplicate kernel features make R exactly singular without a nugget;
+    # close[i, j] is np.allclose(F[i], F[j]), and the first pair i < j is named
+    close = np.isclose(F[:, None, :], F[None, :, :], rtol=1e-12, atol=1e-12).all(axis=2)
+    pairs = np.argwhere(np.triu(close, k=1))
+    if pairs.size:
+        i, j = pairs[0]
+        raise InvalidInputError(
+            f"designs {i} and {j} are identical up to cyclic shift; "
+            "the training set must be distinct modulo shifts")
 
 
 def neg_log_posterior(beta, theta, theta_d, Sigma, data: FitData,
@@ -210,9 +211,9 @@ def neg_log_posterior(beta, theta, theta_d, Sigma, data: FitData,
         raise SingularMatrixError("Sigma is not positive definite")
     n, m = data.n, data.m
     logdet_R, logdet_S = _logdet(choR), _logdet(choS)
-    W = cho_solve(choS, np.eye(m))
+    W = solve_factored(choS, np.eye(m))
     E = data.Y - np.outer(np.ones(n), data.P @ beta)
-    quad = float(np.sum(cho_solve(choR, E) * (E @ W)))
+    quad = float(np.sum(solve_factored(choR, E) * (E @ W)))
     penalty = lambda_I * float(np.sum(np.asarray(theta, dtype=float)))
     penalty += lambda_o * float(np.sum(np.abs(W)))
     return float(n * logdet_S + m * logdet_R + penalty + quad)
@@ -326,7 +327,7 @@ def _dual_start(S, lam, I, J, precision_init):
     starts = [np.zeros(I.size), -shrink * s]
     if precision_init is not None and (
             cho := _cholesky(np.array(precision_init, dtype=float))) is not None:
-        starts.append(np.clip(cho_solve(cho, np.eye(S.shape[0]))[I, J] - s, -lam, lam))
+        starts.append(np.clip(solve_factored(cho, np.eye(S.shape[0]))[I, J] - s, -lam, lam))
     points = [(u, cho) for u in starts
               if (cho := _cholesky(_box(S, u, I, J))) is not None]
     if not points:
@@ -336,7 +337,7 @@ def _dual_start(S, lam, I, J, precision_init):
 
 def _snap(cho, u, lam, I, J):
     """V^{-1} with exact zeros on the pairs strictly inside the box."""
-    W = cho_solve(cho, np.eye(cho[0].shape[0]))
+    W = solve_factored(cho, np.eye(cho[0].shape[0]))
     W = 0.5 * (W + W.T)
     inside = np.abs(u) < lam
     W[I[inside], J[inside]] = W[J[inside], I[inside]] = 0.0
@@ -354,7 +355,7 @@ def _pair_hessian(M, a, b):
 
 def _dual_newton_step(S, lam, I, J, u, cho, f):
     """Projected-Newton step on -logdet V; (u, cho, f, full, bound) or None."""
-    Sigma = cho_solve(cho, np.eye(S.shape[0]))
+    Sigma = solve_factored(cho, np.eye(S.shape[0]))
     sig = Sigma[I, J]
     # -logdet V has gradient -2 sig in u; bind the pairs it pushes out of the box
     eps = min(1e-6 * lam, float(np.linalg.norm(
@@ -367,7 +368,7 @@ def _dual_newton_step(S, lam, I, J, u, cho, f):
         choK = _cholesky(_pair_hessian(Sigma, I[free], J[free]))
         if choK is None:
             return None
-        d[free] = cho_solve(choK, sig[free])
+        d[free] = solve_factored(choK, sig[free])
     # scaled gradient on the binding pairs; the projection clips it
     d[bound] = sig[bound] / (Sigma[I[bound], I[bound]] * Sigma[J[bound], J[bound]]
                              + sig[bound] ** 2)
@@ -392,11 +393,11 @@ def _support_newton_step(S, lam, W, I, J):
     a = np.concatenate([np.arange(m), I[on]])
     b = np.concatenate([np.arange(m), J[on]])
     sign = np.sign(W[a, b]) * (a != b)
-    V = cho_solve(_cholesky(W.copy()), np.eye(m))
+    V = solve_factored(_cholesky(W.copy()), np.eye(m))
     choK = _cholesky(_pair_hessian(V, a, b))
     if choK is None:
         return None
-    dx = cho_solve(choK, V[a, b] - S[a, b] - lam * sign)
+    dx = solve_factored(choK, V[a, b] - S[a, b] - lam * sign)
     dx[:m] *= 2.0  # K halves the diagonal coordinates
     x = W[a, b] + dx
     x[m:][np.sign(x[m:]) != sign[m:]] = 0.0
@@ -410,7 +411,7 @@ def glasso_kkt_residual(S, W, lam: float) -> float:
     cho = _cholesky(np.array(W, dtype=float))
     if cho is None:
         return np.inf
-    G = cho_solve(cho, np.eye(W.shape[0])) - S
+    G = solve_factored(cho, np.eye(W.shape[0])) - S
     off = ~np.eye(S.shape[0], dtype=bool)
     active, inactive = off & (W != 0.0), off & (W == 0.0)
     return float(max(np.abs(np.diag(G)).max(),
@@ -441,7 +442,7 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, tol: float,
     """
     n = data.n
     E = data.Y - np.outer(np.ones(n), data.P @ np.asarray(beta, dtype=float))
-    S0 = E.T @ cho_solve(choR, E) / n
+    S0 = E.T @ solve_factored(choR, E) / n
     S0 = 0.5 * (S0 + S0.T)
     rho = lambda_o / n
     W0 = S0 + rho * np.eye(data.m)
@@ -456,7 +457,7 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, tol: float,
     choW = _cholesky(W.copy())
     if choW is None:
         raise SingularMatrixError("glasso returned an indefinite precision")
-    Sigma = cho_solve(choW, np.eye(data.m))
+    Sigma = solve_factored(choW, np.eye(data.m))
     return (0.5 * (Sigma + Sigma.T), W,
             {"iterations": iterations, "kkt": residual / target})
 
@@ -472,7 +473,7 @@ def beta_step(data: FitData, choR, W, epsilon_beta: float = 1e-6) -> np.ndarray:
     """
     n = data.n
     ones = np.ones(n)
-    u = cho_solve(choR, ones)
+    u = solve_factored(choR, ones)
     c = float(ones @ u)
     if c <= 0:
         raise SingularMatrixError("correlation matrix produced a nonpositive 1'R^{-1}1")
@@ -514,7 +515,7 @@ def theta_objective(z, data: FitData, M, lambda_I: float):
         return 1e300, np.zeros_like(z)
     m = data.m
     logdet_R = _logdet(cho)
-    G = cho_solve(cho, np.eye(data.n))
+    G = solve_factored(cho, np.eye(data.n))
     H = G @ M @ G
     quad = float(np.sum(G * M))
     pen = data.penalty_mask() * lambda_I
@@ -674,14 +675,14 @@ def nugget_carry(data: FitData, z, beta) -> dict:
     E = data.Y - np.outer(np.ones(data.n), data.P @ np.asarray(beta, dtype=float))
     norm_E = float(np.linalg.norm(E))
     R, choR = data.chol(z)
-    share = data.nugget * float(np.linalg.norm(cho_solve(choR, E))) / norm_E
+    share = data.nugget * float(np.linalg.norm(solve_factored(choR, E))) / norm_E
     cut = data.nugget / NUGGET_CUT
     np.fill_diagonal(R, 1.0 + cut)
     cho_cut = _cholesky(R)
     if cho_cut is None:
         return {"nugget_share": share, "nugget_share_ratio": None,
                 "nugget_carried": True}
-    ratio = cut * float(np.linalg.norm(cho_solve(cho_cut, E))) / norm_E / share
+    ratio = cut * float(np.linalg.norm(solve_factored(cho_cut, E))) / norm_E / share
     return {"nugget_share": share, "nugget_share_ratio": ratio,
             "nugget_carried": ratio > CARRIED_RATIO}
 
@@ -812,5 +813,5 @@ def _neg_predictive_loglik(pred, y_log) -> float:
     cov = pred.covariance()
     cho = cho_factor(cov + 1e-12 * np.eye(cov.shape[0]), lower=True)
     r = y_log - pred.mean
-    quad = float(r @ cho_solve(cho, r))
+    quad = float(r @ solve_factored(cho, r))
     return 0.5 * (cov.shape[0] * np.log(2 * np.pi) + _logdet(cho) + quad)

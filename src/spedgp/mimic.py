@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .cokrige import Prediction, TrainedEmulator, log_stress, predict_from_point
 from .exceptions import InvalidInputError
-from .spectral import correlation_from_features, half_size
+from .spectral import correlation_from_features, half_size, solve_factored
 
 DIAMETER_BOX = (0.2, 2.0)
 COEF_BOUND_FACTOR = 1.5
@@ -33,13 +32,20 @@ COEF_BOUND_FACTOR = 1.5
 
 @dataclass
 class MimicProblem:
-    """Frozen search setup: model, log-space target, active set, boxes."""
+    """Frozen search setup: model, log-space target, active set, boxes.
+
+    ``coef_bounds`` defaults to per-coordinate modulus boxes from 0 to
+    1.5x the largest training modulus of that coordinate. The constants
+    of the objective that do not depend on the candidate (tr(Sigma), the
+    gradient's weights and the training rows' searched columns) are
+    computed here, once per search.
+    """
 
     model: TrainedEmulator
     target_log: np.ndarray
     active_set: np.ndarray
-    d_bounds: tuple
-    coef_bounds: np.ndarray  # (n_active, 2) per-coordinate [lo, hi]
+    d_bounds: tuple = DIAMETER_BOX
+    coef_bounds: np.ndarray | None = None  # (n_active, 2) per-coordinate [lo, hi]
 
     def __post_init__(self):
         self.target_log = np.asarray(self.target_log, dtype=float)
@@ -50,6 +56,20 @@ class MimicProblem:
             raise InvalidInputError(
                 "every spectral weight is zero; mimicking degenerates to "
                 "diameter-only and is not supported")
+        self.d_bounds = tuple(self.d_bounds)
+        if self.coef_bounds is None:
+            top = COEF_BOUND_FACTOR * self.model.F[:, self.active_set].max(axis=0)
+            self.coef_bounds = np.column_stack([np.zeros(self.active_set.size), top])
+        self.coef_bounds = np.asarray(self.coef_bounds, dtype=float)
+        if self.coef_bounds.shape != (self.active_set.size, 2) \
+                or np.any(self.coef_bounds[:, 0] < 0) \
+                or np.any(self.coef_bounds[:, 0] > self.coef_bounds[:, 1]):
+            raise InvalidInputError("coefficient bounds must be valid nonnegative boxes")
+        # x = (d, moduli on the active set) sits in feature columns cols
+        cols = np.concatenate([[-1], self.active_set])
+        self.tr_sigma = float(np.trace(self.model.Sigma))
+        self.grad_weights = -2.0 * self.model.z[cols]
+        self.F_searched = self.model.F[:, cols].T
 
 
 def build_problem(model: TrainedEmulator, target_strain, target_stress,
@@ -59,8 +79,8 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress,
 
     The target may be tabulated on its own strain levels; it is linearly
     interpolated onto the model grid, which must lie inside the target's
-    span. Default per-coordinate modulus boxes run from 0 to 1.5x the
-    largest training modulus of that coordinate.
+    span. The active set is the fitted theta's support; ``coef_bounds``
+    defaults as in :class:`MimicProblem`.
     """
     if model.params.family != "sped":
         raise InvalidInputError(
@@ -75,17 +95,9 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress,
     if target_strain[0] > model.grid[0] or target_strain[-1] < model.grid[-1]:
         raise InvalidInputError("target strain range does not cover the model grid")
     on_grid = np.interp(model.grid, target_strain, target_stress)
-    active = np.flatnonzero(model.params.theta > 0)
-    if coef_bounds is None:
-        top = COEF_BOUND_FACTOR * model.F[:, active].max(axis=0)
-        coef_bounds = np.column_stack([np.zeros(active.size), top])
-    coef_bounds = np.asarray(coef_bounds, dtype=float)
-    if coef_bounds.shape != (active.size, 2) or np.any(coef_bounds[:, 0] < 0) \
-            or np.any(coef_bounds[:, 0] > coef_bounds[:, 1]):
-        raise InvalidInputError("coefficient bounds must be valid nonnegative boxes")
     return MimicProblem(model=model, target_log=log_stress(on_grid),
-                        active_set=active, d_bounds=tuple(d_bounds),
-                        coef_bounds=coef_bounds)
+                        active_set=np.flatnonzero(model.params.theta > 0),
+                        d_bounds=d_bounds, coef_bounds=coef_bounds)
 
 
 def _candidate_row(model, active_set, x) -> np.ndarray:
@@ -99,21 +111,21 @@ def _candidate_row(model, active_set, x) -> np.ndarray:
     return f
 
 
-def _objective_and_grad(x, model: TrainedEmulator, target_log, active_set):
+def _objective_and_grad(x, problem: MimicProblem):
     """Expected squared mismatch at x = (d, moduli on the active set), and its gradient."""
-    f_new = _candidate_row(model, active_set, x)
+    model = problem.model
+    f_new = _candidate_row(model, problem.active_set, x)
     r = correlation_from_features(model.F, f_new, model.z)
-    alpha = cho_solve(model.chol_R, r)
+    alpha = solve_factored(model.chol_R, r)
     mean = model.mu + model.resid.T @ alpha
     v = 1.0 - float(r @ alpha)
-    g_m = mean - target_log
-    tr_sigma = float(np.trace(model.Sigma))
+    g_m = mean - problem.target_log
+    tr_sigma = problem.tr_sigma
     fval = float(g_m @ g_m + max(v, 0.0) * tr_sigma)
     # d obj / d r, then chain through dr_i/dx_k = -2 z_k (x_k - F_ik) r_i
-    u = 2.0 * cho_solve(model.chol_R, model.resid @ g_m) - 2.0 * tr_sigma * alpha
+    u = 2.0 * solve_factored(model.chol_R, model.resid @ g_m) - 2.0 * tr_sigma * alpha
     t = u * r
-    cols = np.concatenate([[-1], active_set])
-    grad = -2.0 * model.z[cols] * (x * float(t.sum()) - model.F[:, cols].T @ t)
+    grad = problem.grad_weights * (x * float(t.sum()) - problem.F_searched @ t)
     return fval, grad
 
 
@@ -133,9 +145,9 @@ def mse_objective(model: TrainedEmulator, target, d: float, spectrum_active,
         raise InvalidInputError("diameter must be positive")
     if active_set is None:
         active_set = np.flatnonzero(model.params.theta > 0)
+    problem = MimicProblem(model=model, target_log=target, active_set=active_set)
     x = np.concatenate([[d], spectrum_active])
-    return _objective_and_grad(x, model, np.asarray(target, dtype=float),
-                               np.asarray(active_set, dtype=int))[0]
+    return _objective_and_grad(x, problem)[0]
 
 
 @dataclass
@@ -171,8 +183,7 @@ def _start_points(problem: MimicProblem, starts: int, seed: int) -> np.ndarray:
         xj = np.concatenate([[model.F[j, -1]],
                              model.F[j, problem.active_set]])
         xj = np.clip(xj, lo, hi)
-        fj, _ = _objective_and_grad(xj, model, problem.target_log,
-                                    problem.active_set)
+        fj, _ = _objective_and_grad(xj, problem)
         if fj < best:
             best, best_x = fj, xj
     return np.vstack([points, best_x])
@@ -188,7 +199,7 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
     if starts < 1:
         raise InvalidInputError("need at least one start")
     model = problem.model
-    args = (model, problem.target_log, problem.active_set)
+    args = (problem,)
     bounds = [problem.d_bounds] + [tuple(b) for b in problem.coef_bounds]
     trace = []
     candidates = []

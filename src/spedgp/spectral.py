@@ -22,11 +22,13 @@ factorizability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
-from .exceptions import InvalidInputError, SingularMatrixError
+from .exceptions import InvalidInputError, NumericalError, SingularMatrixError
 
 FAMILIES = ("sped", "feature_based", "l2_distance")
 #: families whose feature rows end with the diameter, weighted by theta_d
@@ -57,18 +59,25 @@ def as_structure_curve(values) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=None)
+def _dft_basis(p: int) -> np.ndarray:
+    """Read-only half-spectrum DFT matrix exp(-2i pi k l / p), k = 0 .. (p-1)/2."""
+    k = np.arange(half_size(p))
+    basis = np.exp(-2j * np.pi * np.outer(k, np.arange(p)) / p)
+    basis.flags.writeable = False
+    return basis
+
+
 def dft_modulus(curve) -> np.ndarray:
     """Half-spectrum DFT moduli |x_hat_k| of a structure curve.
 
     Uses the unnormalized forward transform
     x_hat_k = sum_l x_l exp(-2i pi l k / p) for k = 0 .. (p-1)/2,
-    computed by direct summation (p is small here).
+    computed by direct summation (p is small here) against a basis built
+    once per p.
     """
     x = as_structure_curve(curve)
-    p = x.size
-    k = np.arange(half_size(p))
-    basis = np.exp(-2j * np.pi * np.outer(k, np.arange(p)) / p)
-    return np.abs(basis @ x)
+    return np.abs(_dft_basis(x.size) @ x)
 
 
 def structure_times(p: int, span: float = STRUCTURE_SPAN) -> np.ndarray:
@@ -246,6 +255,26 @@ def factor_correlation(R: np.ndarray, nugget: float):
             f"correlation matrix not factorizable with nugget {nugget:g}; "
             f"designs {min(i, j)} and {max(i, j)} are near-duplicates "
             f"(correlation {R[i, j]:.12g})") from exc
+
+
+def solve_factored(cho, b) -> np.ndarray:
+    """Solve A x = b given ``cho = (c, lower)``, A's Cholesky factorization.
+
+    ``cho`` is as from :func:`factor_correlation` or ``cho_factor``, and b
+    is a vector or a matrix of right-hand sides. This calls LAPACK dpotrs
+    with the arguments ``scipy.linalg.cho_solve`` passes it, so the result
+    is bit for bit cho_solve's, without its per-call argument handling;
+    it is the package's one Cholesky solve. The factor is trusted to come
+    from a successful factorization; a non-finite b raises a numerical
+    error.
+    """
+    if not np.isfinite(b).all():
+        raise NumericalError("right-hand side of a Cholesky solve is not finite")
+    c, lower = cho
+    x, info = dpotrs(c, b, lower=lower)
+    if info != 0:
+        raise NumericalError(f"dpotrs rejected argument {-info}")
+    return x
 
 
 def correlation_from_features(F: np.ndarray, f_new: np.ndarray, z: np.ndarray) -> np.ndarray:

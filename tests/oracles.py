@@ -21,6 +21,19 @@ def fft_half_modulus(curve):
     return np.abs(np.fft.fft(curve))[:h]
 
 
+def dft_modulus_direct(curve):
+    """|DFT| of the half spectrum by direct summation, basis built per call.
+
+    The same formula as spectral.dft_modulus, whose basis is cached per p;
+    the two must agree bit for bit.
+    """
+    x = np.asarray(curve, dtype=float)
+    p = x.size
+    k = np.arange((p - 1) // 2 + 1)
+    basis = np.exp(-2j * np.pi * np.outer(k, np.arange(p)) / p)
+    return np.abs(basis @ x)
+
+
 def sped_corr_scalar(d1, c1, d2, c2, theta, theta_d):
     """Pairwise correlation from raw curves, all loops."""
     m1 = fft_half_modulus(c1)

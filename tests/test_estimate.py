@@ -336,6 +336,22 @@ class TestFit:
         with pytest.raises(InvalidInputError, match="0 and 1"):
             fit(ds, FitConfig(restarts=1))
 
+    def test_first_duplicate_pair_is_named(self):
+        # pairs (0, 4) and (1, 2) repeat; row-major order names (0, 4) first
+        grid = np.linspace(0.01, 0.15, 5)
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal(9), rng.standard_normal(9)
+        designs = [StructureDesign(1.0, a),
+                   StructureDesign(0.8, b),
+                   StructureDesign(0.8, np.roll(b, 4)),
+                   StructureDesign(1.3, rng.standard_normal(9)),
+                   StructureDesign(1.0, np.roll(a, 1))]
+        Y = np.exp(rng.standard_normal((5, 5)))
+        with pytest.raises(InvalidInputError,
+                           match=r"^designs 0 and 4 are identical up to cyclic shift; "
+                                 r"the training set must be distinct modulo shifts$"):
+            make_fit_data(designs, np.log(Y), grid)
+
     def test_all_restarts_failing_raises_fit_error(self, monkeypatch):
         grid = np.linspace(0.01, 0.15, 5)
         rng = np.random.default_rng(2)

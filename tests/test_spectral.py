@@ -1,18 +1,24 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_solve
 
 from spedgp import (
     InvalidInputError,
     KernelParams,
+    NumericalError,
     SingularMatrixError,
     StructureDesign,
     correlation_matrix,
     cross_correlation,
     dft_modulus,
 )
+from spedgp.estimate import _cholesky
 from spedgp.spectral import (
     STRUCTURE_SPAN,
     as_structure_curve,
@@ -20,13 +26,18 @@ from spedgp.spectral import (
     correlation_cholesky,
     correlation_from_features,
     design_feature_rows,
+    factor_correlation,
     half_size,
     kernel,
+    solve_factored,
     sq_differences,
     structure_times,
 )
 
-from .oracles import fft_half_modulus, feature_corr_scalar, sped_corr_scalar
+from .oracles import (dft_modulus_direct, fft_half_modulus, feature_corr_scalar,
+                      sped_corr_scalar)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spedgp"
 
 odd_curves = arrays(
     np.float64,
@@ -70,6 +81,16 @@ class TestDftModulus:
     @given(odd_curves)
     def test_matches_fft(self, x):
         np.testing.assert_allclose(dft_modulus(x), fft_half_modulus(x), atol=1e-8)
+
+    @given(odd_curves)
+    def test_cached_basis_is_bit_identical_to_direct_summation(self, x):
+        np.testing.assert_array_equal(dft_modulus(x), dft_modulus_direct(x))
+
+    def test_bit_identical_at_benchmark_length(self):
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            x = rng.standard_normal(81)
+            np.testing.assert_array_equal(dft_modulus(x), dft_modulus_direct(x))
 
     @given(odd_curves, st.integers(-20, 20))
     def test_cyclic_shift_invariant(self, x, s):
@@ -267,3 +288,66 @@ class TestMatrixAssembly:
             params.weights(self.p)
         with pytest.raises(InvalidInputError, match="expected"):
             correlation_matrix(self.designs, params)
+
+
+def spd_matrix(rng, n):
+    A = rng.standard_normal((n, n))
+    return A @ A.T + n * np.eye(n)
+
+
+def factor_layouts(rng, n):
+    """The two factorizations the package solves with: the Fortran-ordered
+    factor of estimate._cholesky and the cho_factor one of factor_correlation."""
+    A = spd_matrix(rng, n)
+    return {"estimate._cholesky": _cholesky(A.copy()),
+            "factor_correlation": factor_correlation(A, 0.0)}
+
+
+class TestSolveFactored:
+    @pytest.mark.parametrize("n", [1, 7, 58])
+    def test_bit_identical_to_cho_solve(self, n):
+        rng = np.random.default_rng(n)
+        for layout, cho in factor_layouts(rng, n).items():
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                      np.eye(n)):
+                got, want = solve_factored(cho, b), cho_solve(cho, b)
+                np.testing.assert_array_equal(got, want, err_msg=layout)
+                assert got.shape == want.shape
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    def test_leaves_inputs_untouched(self):
+        rng = np.random.default_rng(1)
+        cho = factor_correlation(spd_matrix(rng, 6), 0.0)
+        c, b = cho[0].copy(), rng.standard_normal((6, 2))
+        before = b.copy()
+        solve_factored(cho, b)
+        np.testing.assert_array_equal(b, before)
+        np.testing.assert_array_equal(cho[0], c)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_right_hand_side_raises_numerical_error(self, bad):
+        rng = np.random.default_rng(2)
+        for cho in factor_layouts(rng, 5).values():
+            b = rng.standard_normal(5)
+            b[3] = bad
+            with pytest.raises(NumericalError, match="not finite"):
+                solve_factored(cho, b)
+            B = rng.standard_normal((5, 4))
+            B[1, 2] = bad
+            with pytest.raises(NumericalError, match="not finite"):
+                solve_factored(cho, B)
+
+    def test_no_module_imports_cho_solve(self):
+        # every Cholesky solve of the package goes through solve_factored
+        offenders = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    continue
+                if "cho_solve" in names:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert not offenders, f"cho_solve used outside solve_factored: {offenders}"
