@@ -34,23 +34,7 @@ from .spectral import StructureDesign
 _ERRORS = (InvalidInputError, SingularMatrixError, ConvergenceError,
            NumericalError, FitError)
 
-CONFIG_KEY_MAP = {
-    "lambda_i": "lambda_I",
-    "lambda_o": "lambda_o",
-    "nugget": "nugget",
-    "restarts": "restarts",
-    "max_sweeps": "max_sweeps",
-    "sweep_tol": "sweep_tol",
-    "seed": "seed",
-    "family": "family",
-    "glasso_tol": "glasso_tol",
-    "glasso_max_iter": "glasso_max_iter",
-    "theta_max_iter": "theta_max_iter",
-    "theta_grad_tol": "theta_grad_tol",
-    "theta_memory": "theta_memory",
-    "epsilon_beta": "epsilon_beta",
-    "cv_score": "cv_score",
-}
+CONFIG_KEY_MAP = {f.name.lower(): f.name for f in dataclasses.fields(FitConfig)}
 
 
 def _cmd_gen(args) -> int:
@@ -73,18 +57,36 @@ def _cmd_gen(args) -> int:
 
 
 def _load_fit_config(path) -> tuple[FitConfig, dict | None]:
-    raw = json.loads(Path(path).read_text())
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text())
+    except FileNotFoundError as exc:
+        raise InvalidInputError(f"missing file: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path.name} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"{path.name} must hold a JSON object")
     cv = raw.pop("cv", None)
-    kwargs = {}
-    for key, value in raw.items():
+    for key in raw:
         if key not in CONFIG_KEY_MAP:
             raise InvalidInputError(f"unknown config key {key!r}")
-        kwargs[CONFIG_KEY_MAP[key]] = value
+    try:
+        config = FitConfig(**{CONFIG_KEY_MAP[key]: value for key, value in raw.items()})
+    except TypeError as exc:  # a comparison in __post_init__ met a wrong type
+        raise InvalidInputError(f"config value of the wrong type: {exc}") from exc
     if cv is not None:
+        if not isinstance(cv, dict):
+            raise InvalidInputError("cv block must be a JSON object")
         missing = {"folds", "lambda_i_grid", "lambda_o_grid"} - set(cv)
         if missing:
             raise InvalidInputError(f"cv block is missing keys: {sorted(missing)}")
-    return FitConfig(**kwargs), cv
+        try:
+            cv = {"folds": int(cv["folds"]),
+                  **{key: [float(v) for v in np.atleast_1d(cv[key])]
+                     for key in ("lambda_i_grid", "lambda_o_grid")}}
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"cv block value of the wrong type: {exc}") from exc
+    return config, cv
 
 
 def _cmd_fit(args) -> int:
@@ -93,9 +95,9 @@ def _cmd_fit(args) -> int:
     cv_record = None
     if cv is not None:
         li, lo = select_penalties(data, cv["lambda_i_grid"], cv["lambda_o_grid"],
-                                  int(cv["folds"]), config)
+                                  cv["folds"], config)
         config = dataclasses.replace(config, lambda_I=li, lambda_o=lo)
-        cv_record = {"lambda_I": li, "lambda_o": lo, "folds": int(cv["folds"])}
+        cv_record = {"lambda_I": li, "lambda_o": lo, "folds": cv["folds"]}
         print(f"cross-validation selected lambda_I={li} lambda_o={lo}")
     model, trace = fit(data, config)
     out = Path(args.out)

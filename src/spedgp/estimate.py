@@ -31,6 +31,7 @@ to a carried restart, with a warning, only when every restart is carried.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +48,15 @@ from .spectral import (DIAMETER_FAMILIES, FAMILIES, KernelParams,
 logger = logging.getLogger(__name__)
 
 
+#: relative objective change below which the sweep loop stops
+SWEEP_TOL = 1e-6
+#: KKT tolerance of the graphical lasso; sigma_step scales it by the
+#: spectral norm of its input
+GLASSO_TOL = 1e-6
+#: iteration cap of the graphical lasso
+GLASSO_MAX_ITER = 500
+
+
 @dataclass
 class FitConfig:
     """Estimation settings; lambda_I/lambda_o are the two penalty rates."""
@@ -57,29 +67,20 @@ class FitConfig:
     family: str = "sped"
     restarts: int = 5
     max_sweeps: int = 60
-    sweep_tol: float = 1e-6
     seed: int = 0
-    glasso_tol: float = 1e-6
-    glasso_max_iter: int = 500
-    theta_max_iter: int = 400
-    theta_grad_tol: float = 1e-8
-    theta_memory: int = 10
-    epsilon_beta: float = 1e-6
-    cv_score: str = "mare"
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (self.restarts, self.max_sweeps, self.seed)):
+            raise InvalidInputError("restarts, max_sweeps and seed must be integers")
         if self.lambda_I < 0 or self.lambda_o < 0:
             raise InvalidInputError("penalty rates must be nonnegative")
-        if self.sweep_tol <= 0 or self.glasso_tol <= 0 or self.theta_grad_tol <= 0:
-            raise InvalidInputError("tolerances must be positive")
         if self.restarts < 1 or self.max_sweeps < 1:
             raise InvalidInputError("restarts and max_sweeps must be at least 1")
         if self.nugget < 0:
             raise InvalidInputError("nugget must be nonnegative")
         if self.family not in FAMILIES:
             raise InvalidInputError(f"unknown kernel family {self.family!r}")
-        if self.cv_score not in ("mare", "loglik"):
-            raise InvalidInputError(f"unknown cv_score {self.cv_score!r}")
 
 
 @dataclass
@@ -223,7 +224,8 @@ def neg_log_posterior(beta, theta, theta_d, Sigma, data: FitData,
 # graphical LASSO
 
 
-def graphical_lasso(S, lam: float, tol: float = 1e-6, max_iter: int = 500,
+def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL,
+                    max_iter: int = GLASSO_MAX_ITER,
                     precision_init=None) -> np.ndarray:
     """min_W -logdet W + tr(S W) + lam * sum_{j != k} |W_jk| by
     :func:`glasso_newton`, certified by :func:`glasso_kkt_residual`."""
@@ -423,8 +425,8 @@ def glasso_kkt_residual(S, W, lam: float) -> float:
 # BCD blocks
 
 
-def sigma_step(data: FitData, choR, beta, lambda_o: float, tol: float,
-               max_iter: int, precision_init=None):
+def sigma_step(data: FitData, choR, beta, lambda_o: float, tol: float = GLASSO_TOL,
+               max_iter: int = GLASSO_MAX_ITER, precision_init=None):
     """Sigma block update; returns (Sigma, W = Sigma^{-1}, stats).
 
     The Sigma block of the objective is, up to a factor n,
@@ -525,7 +527,7 @@ def theta_objective(z, data: FitData, M, lambda_I: float):
     return f, grad
 
 
-def theta_step(data: FitData, beta, W, z0, lambda_I: float, config: FitConfig):
+def theta_step(data: FitData, beta, W, z0, lambda_I: float):
     """Bound-constrained quasi-Newton descent on the theta block.
 
     Returns (z, objective, L-BFGS-B exit message). Weights live on the
@@ -540,8 +542,7 @@ def theta_step(data: FitData, beta, W, z0, lambda_I: float, config: FitConfig):
     res = minimize(
         theta_objective, z0, args=(data, M, lambda_I), jac=True,
         method="L-BFGS-B", bounds=[(0.0, None)] * z0.size,
-        options={"maxiter": config.theta_max_iter, "gtol": config.theta_grad_tol,
-                 "ftol": 1e-13, "maxcor": config.theta_memory})
+        options={"maxiter": 400, "gtol": 1e-8, "ftol": 1e-13, "maxcor": 10})
     if res.fun > f0:
         # line search failed to improve; keep the incoming point
         return z0, f0, f"kept incoming point: {res.message}"
@@ -609,15 +610,14 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray):
     for sweep in range(1, config.max_sweeps + 1):
         R, choR = data.chol(z)
         Sigma, W, stats = sigma_step(data, choR, beta, config.lambda_o,
-                                     config.glasso_tol, config.glasso_max_iter,
                                      precision_init=W)
         record["sigma_iterations"].append(stats["iterations"])
         record["sigma_kkt"].append(stats["kkt"])
         if stats["kkt"] > 1.0:
             record["warnings"].append(f"sweep {sweep}: glasso stopped at "
                                       f"{stats['kkt']:.3g}x its KKT tolerance")
-        beta = beta_step(data, choR, W, config.epsilon_beta)
-        z, _, theta_exit = theta_step(data, beta, W, z, config.lambda_I, config)
+        beta = beta_step(data, choR, W)
+        z, _, theta_exit = theta_step(data, beta, W, z, config.lambda_I)
         record["theta_exits"].append(theta_exit)
         # stopped early: neither converged nor at the rounding-error limit
         early = not (theta_exit.startswith("CONVERGENCE") or "ROUNDING" in theta_exit)
@@ -632,7 +632,7 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray):
         off = W[~np.eye(data.m, dtype=bool)]
         record["offdiag_nonzeros"].append(int(np.count_nonzero(off)))
         prev = record["objectives"][-2]
-        slack = config.sweep_tol * max(1.0, abs(prev))
+        slack = SWEEP_TOL * max(1.0, abs(prev))
         if prev - obj < -slack:
             record["warnings"].append(
                 f"sweep {sweep}: objective increased by {obj - prev:.3e}")
@@ -760,10 +760,8 @@ def select_penalties(data, lambda_I_grid, lambda_o_grid, k: int,
                      config: FitConfig):
     """k-fold cross-validated choice of (lambda_I, lambda_o).
 
-    Scores each grid pair by the mean held-out error (back-transformed
-    MARE by default, negative predictive log-likelihood with
-    config.cv_score = "loglik") and returns the minimizing pair, ties
-    broken toward larger penalties.
+    Scores each grid pair by the mean held-out back-transformed MARE and
+    returns the minimizing pair, ties broken toward larger penalties.
     """
     from .dataio import Dataset
     from .metrics import mare
@@ -796,22 +794,9 @@ def select_penalties(data, lambda_I_grid, lambda_o_grid, k: int,
                 model, _ = fit(sub, cfg)
                 for i in fold:
                     pred = predict(model, data.designs[i])
-                    if config.cv_score == "loglik":
-                        errors.append(_neg_predictive_loglik(
-                            pred, log_stress(data.responses[i])))
-                    else:
-                        errors.append(mare(data.responses[i],
-                                           unlog_stress(pred.mean)))
+                    errors.append(mare(data.responses[i], unlog_stress(pred.mean)))
             score = float(np.mean(errors))
             logger.info("cv lambda_I=%g lambda_o=%g score=%.6f", li, lo, score)
             if best is None or score <= best[0]:
                 best = (score, li, lo)
     return best[1], best[2]
-
-
-def _neg_predictive_loglik(pred, y_log) -> float:
-    cov = pred.covariance()
-    cho = cho_factor(cov + 1e-12 * np.eye(cov.shape[0]), lower=True)
-    r = y_log - pred.mean
-    quad = float(r @ solve_factored(cho, r))
-    return 0.5 * (cov.shape[0] * np.log(2 * np.pi) + _logdet(cho) + quad)

@@ -87,16 +87,6 @@ def structure_times(p: int, span: float = STRUCTURE_SPAN) -> np.ndarray:
     return np.arange(p) * (span / (p - 1))
 
 
-def bin_frequencies(p: int, span: float = STRUCTURE_SPAN) -> np.ndarray:
-    """Frequencies (1/mm) of the half-spectrum DFT bins.
-
-    Bin k of a p-point DFT on spacing dt corresponds to k / (p * dt);
-    with the default 20 mm span and p = 81 the bins sit at k / 20.25.
-    """
-    dt = span / (p - 1)
-    return np.arange(half_size(p)) / (p * dt)
-
-
 @dataclass(frozen=True)
 class StructureDesign:
     """A functional input: fiber diameter plus discretized structure curve.

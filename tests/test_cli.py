@@ -1,12 +1,16 @@
 import csv
 import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spedgp import SinusoidSpec, gen_sinusoid, synthetic_oracle
-from spedgp.cli import main
+from spedgp.cli import CONFIG_KEY_MAP, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_target(path, spec=SinusoidSpec(1.0, 0.55, 0.3, 2.1), p=21):
@@ -102,14 +106,49 @@ class TestFit:
         assert trace["cv"] == {"lambda_I": 0.4, "lambda_o": 0.6, "folds": 2}
         assert trace["config"]["lambda_I"] == 0.4
 
-    def test_unknown_config_key_exits_2(self, ws, tmp_path, capsys):
+    @pytest.mark.parametrize("key", [
+        "lambda_eye", "sweep_tol", "glasso_tol", "glasso_max_iter",
+        "theta_max_iter", "theta_grad_tol", "theta_memory", "epsilon_beta",
+        "cv_score"])
+    def test_unknown_config_key_exits_2(self, ws, tmp_path, capsys, key):
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"lambda_eye": 1.0}))
+        config.write_text(json.dumps({key: 1.0}))
         rc = main(["fit", "--train", str(ws.data), "--config", str(config),
                    "--out", str(tmp_path / "m.json")])
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and "unknown config key" in err
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        "{lambda",
+        '{"restarts": "5"}',
+        '{"restarts": 2.5}',
+        '{"lambda_i": "1"}',
+        '{"cv": {"folds": "x", "lambda_i_grid": [1.0], "lambda_o_grid": [0.5]}}',
+    ], ids=["array", "broken_json", "string_restarts", "float_restarts",
+         "string_lambda", "string_folds"])
+    def test_malformed_config_exits_2(self, ws, tmp_path, capsys, text):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        rc = main(["fit", "--train", str(ws.data), "--config", str(config),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_missing_config_exits_2(self, ws, tmp_path, capsys):
+        rc = main(["fit", "--train", str(ws.data),
+                   "--config", str(tmp_path / "none.json"),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "missing file" in capsys.readouterr().err
+
+    def test_readme_lists_the_accepted_keys(self):
+        # the "Accepted keys: ..." sentence, without the parenthesized values
+        sentence = re.search(r"Accepted keys:(.*?)\.", README.read_text(), re.S)[1]
+        named = re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", sentence, flags=re.S))
+        assert sorted(named) == sorted([*CONFIG_KEY_MAP, "cv"])
 
     def test_incomplete_cv_block_exits_2(self, ws, tmp_path, capsys):
         config = tmp_path / "bad.json"

@@ -206,8 +206,7 @@ class TestThetaBlock:
         E = Y - np.outer(np.ones(5), data.P @ beta)
         M = E @ W @ E.T
         f0, _ = theta_objective(z0, data, M, 0.5)
-        cfg = FitConfig(lambda_I=0.5)
-        z1, f1, warn = theta_step(data, beta, W, z0, 0.5, cfg)
+        z1, f1, warn = theta_step(data, beta, W, z0, 0.5)
         assert f1 <= f0
         assert np.all(z1 >= 0)
 
@@ -234,8 +233,7 @@ class TestThetaBlock:
         best_t = ts[int(np.argmin([f_scalar(t) for t in ts]))]
         z0 = np.zeros(data.nz)
         z0[1] = 1.0
-        cfg = FitConfig()
-        z1, f1, _ = theta_step(data, beta, W, z0, 0.0, cfg)
+        z1, f1, _ = theta_step(data, beta, W, z0, 0.0)
         assert f1 <= f_scalar(best_t) + 1e-6
 
     def test_penalty_excludes_diameter_weight(self):

@@ -22,7 +22,6 @@ from spedgp.estimate import _cholesky
 from spedgp.spectral import (
     STRUCTURE_SPAN,
     as_structure_curve,
-    bin_frequencies,
     correlation_cholesky,
     correlation_from_features,
     design_feature_rows,
@@ -115,11 +114,6 @@ class TestGrids:
         assert t[0] == 0.0
         assert t[-1] == STRUCTURE_SPAN
         np.testing.assert_allclose(np.diff(t), 0.25)
-
-    def test_bin_frequencies(self):
-        f = bin_frequencies(81)
-        np.testing.assert_allclose(f[1], 1 / 20.25)
-        assert f.size == 41
 
 
 class TestSpedCorrelation:
