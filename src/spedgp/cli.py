@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import numbers
 import sys
 from pathlib import Path
 
@@ -80,6 +81,8 @@ def _load_fit_config(path) -> tuple[FitConfig, dict | None]:
         missing = {"folds", "lambda_i_grid", "lambda_o_grid"} - set(cv)
         if missing:
             raise InvalidInputError(f"cv block is missing keys: {sorted(missing)}")
+        if not isinstance(cv["folds"], numbers.Integral):
+            raise InvalidInputError(f"cv folds must be an integer, got {cv['folds']!r}")
         try:
             cv = {"folds": int(cv["folds"]),
                   **{key: [float(v) for v in np.atleast_1d(cv[key])]

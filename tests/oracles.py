@@ -123,6 +123,17 @@ def glasso_objective(S, W, lam):
     return -logdet + np.sum(S * W) + lam * off
 
 
+def pair_hessian_full(M, a, b):
+    """K[p, q] = M_ac M_bd + M_ad M_bc for pairs p = (a, b), q = (c, d), the
+    whole matrix in one gather; estimate._pair_hessian fills only the
+    triangle q >= p, block by block, and must agree with it there bit for
+    bit."""
+    Ma, Mb = M[:, a], M[:, b]
+    K = Ma[a] * Mb[b]
+    K += Mb[a] * Ma[b]
+    return K
+
+
 def blockwise_glasso(S, lam, tol, max_iter=500, precision_init=None):
     """Friedman's blockwise graphical lasso; returns (W, passes, residual).
 

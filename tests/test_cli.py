@@ -126,8 +126,14 @@ class TestFit:
         '{"restarts": 2.5}',
         '{"lambda_i": "1"}',
         '{"cv": {"folds": "x", "lambda_i_grid": [1.0], "lambda_o_grid": [0.5]}}',
+        '{"cv": {"folds": 2.7, "lambda_i_grid": [1.0], "lambda_o_grid": [0.5]}}',
+        '{"lambda_i": NaN}',
+        '{"lambda_o": NaN}',
+        '{"lambda_o": Infinity}',
+        '{"nugget": NaN}',
     ], ids=["array", "broken_json", "string_restarts", "float_restarts",
-         "string_lambda", "string_folds"])
+         "string_lambda", "string_folds", "fractional_folds", "nan_lambda_i",
+         "nan_lambda_o", "inf_lambda_o", "nan_nugget"])
     def test_malformed_config_exits_2(self, ws, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
         config.write_text(text)

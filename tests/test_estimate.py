@@ -377,6 +377,12 @@ class TestFit:
             FitConfig(family="fourier")
         with pytest.raises(InvalidInputError):
             FitConfig(nugget=-1e-9)
+        # NaN passes a bare `x < 0` test and would reach the fit, which then
+        # fails with an untyped error or returns all-NaN objectives
+        for field in ("lambda_I", "lambda_o", "nugget"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(InvalidInputError, match="finite"):
+                    FitConfig(**{field: value})
 
 
 class TestSelectPenalties:

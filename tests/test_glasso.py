@@ -1,10 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
-from spedgp import ConvergenceError, InvalidInputError, SingularMatrixError
-from spedgp.estimate import glasso_kkt_residual, glasso_newton, graphical_lasso
+from spedgp import ConvergenceError, InvalidInputError, SingularMatrixError, estimate
+from spedgp.estimate import (PAIR_BLOCK, _cholesky, _dual_start, _pair_hessian,
+                             glasso_kkt_residual, glasso_newton, graphical_lasso)
+from spedgp.spectral import solve_factored
 
-from .oracles import blockwise_glasso, glasso_objective
+from .oracles import blockwise_glasso, glasso_objective, pair_hessian_full
 
 
 def random_spd(rng, m, cond=10.0):
@@ -120,6 +126,9 @@ class TestFailureModes:
             graphical_lasso(np.array([[1.0, 0.0], [0.0, -1.0]]), 0.1)
         with pytest.raises(InvalidInputError):
             graphical_lasso(np.eye(2), -0.1)
+        for lam in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="finite"):
+                graphical_lasso(np.eye(2), lam)
 
 
 def low_rank_covariance(seed, rank, scale, m=41, lam=0.5 / 58):
@@ -156,3 +165,83 @@ class TestAgainstBlockwiseReference:
         np.testing.assert_array_equal(W[off] != 0.0, ref[off] != 0.0)
         f, f_ref = glasso_objective(S, W, self.LAM), glasso_objective(S, ref, self.LAM)
         assert f <= f_ref + 1e-8 * abs(f_ref)
+
+
+def assert_matches_full_build(M, a, b):
+    """The triangle build equals the full one where _cholesky reads it, and
+    the two factor bit for bit alike."""
+    K, ref = _pair_hessian(M, a, b), pair_hessian_full(M, a, b)
+    upper = np.triu_indices(a.size)
+    np.testing.assert_array_equal(K[upper], ref[upper])
+    cho, cho_ref = _cholesky(K), _cholesky(ref)
+    assert cho is not None and cho_ref is not None
+    np.testing.assert_array_equal(np.tril(cho[0]), np.tril(cho_ref[0]))
+
+
+class TestPairHessian:
+    """The Newton system of the glasso steps against the full-matrix build."""
+
+    @pytest.mark.parametrize("size", [1, PAIR_BLOCK - 1, PAIR_BLOCK, 2 * PAIR_BLOCK + 3])
+    def test_dual_layout(self, size):
+        rng = np.random.default_rng(size)
+        M = random_spd(rng, 20, cond=50.0)
+        I, J = np.triu_indices(20, 1)
+        pairs = np.sort(rng.choice(I.size, size, replace=False))
+        assert_matches_full_build(M, I[pairs], J[pairs])
+
+    def test_support_layout(self):
+        # the primal step's pairs: the m diagonal coordinates (a == b) first
+        rng = np.random.default_rng(7)
+        m = 20
+        M = random_spd(rng, m, cond=50.0)
+        I, J = np.triu_indices(m, 1)
+        on = rng.random(I.size) < 0.4
+        a = np.concatenate([np.arange(m), I[on]])
+        b = np.concatenate([np.arange(m), J[on]])
+        assert a.size % PAIR_BLOCK != 0
+        assert_matches_full_build(M, a, b)
+
+    def test_glasso_iterate(self):
+        # Sigma = V^-1 at the dual start of a benchmark-shaped 41 x 41 block,
+        # on all 820 pairs (not a multiple of the block size) and on half
+        S = low_rank_covariance(3, 30, 100.0)
+        I, J = np.triu_indices(41, 1)
+        _, cho = _dual_start(S, 0.5 / 58, I, J, None)
+        M = solve_factored(cho, np.eye(41))
+        assert_matches_full_build(M, I, J)
+        half = np.random.default_rng(0).random(I.size) < 0.5
+        assert_matches_full_build(M, I[half], J[half])
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 41, 58, 450])
+    def test_bit_identical_to_cho_factor(self, n, order):
+        A = np.asarray(random_spd(np.random.default_rng(n), n, cond=1e4), order=order)
+        c, lower = _cholesky(A.copy(order="K"))
+        c_ref, lower_ref = cho_factor(A.copy(order="K").T, lower=True,
+                                      check_finite=False)
+        np.testing.assert_array_equal(c, c_ref)
+        assert c.flags.f_contiguous == c_ref.flags.f_contiguous
+        assert (lower, lower_ref) == (True, True)
+
+    def test_factors_a_c_ordered_matrix_in_place(self):
+        A = random_spd(np.random.default_rng(1), 6)
+        c, _ = _cholesky(A)
+        assert np.shares_memory(c, A)
+
+    @pytest.mark.parametrize("A", [np.diag([1.0, -1.0, 2.0]),
+                                   np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                   np.zeros((3, 3))])
+    def test_indefinite_returns_none(self, A):
+        assert _cholesky(A.copy()) is None
+
+    def test_estimate_does_not_reference_cho_factor(self):
+        # every factorization in estimate goes through _cholesky's dpotrf call
+        tree = ast.parse(Path(estimate.__file__).read_text())
+        offenders = [node.lineno for node in ast.walk(tree)
+                     if (isinstance(node, ast.ImportFrom)
+                         and any(alias.name == "cho_factor" for alias in node.names))
+                     or (isinstance(node, ast.Attribute) and node.attr == "cho_factor")
+                     or (isinstance(node, ast.Name) and node.id == "cho_factor")]
+        assert not offenders, f"estimate.py references cho_factor at lines {offenders}"
