@@ -81,10 +81,11 @@ def _load_fit_config(path) -> tuple[FitConfig, dict | None]:
         missing = {"folds", "lambda_i_grid", "lambda_o_grid"} - set(cv)
         if missing:
             raise InvalidInputError(f"cv block is missing keys: {sorted(missing)}")
-        if not isinstance(cv["folds"], numbers.Integral):
-            raise InvalidInputError(f"cv folds must be an integer, got {cv['folds']!r}")
+        folds = cv["folds"]
+        if isinstance(folds, bool) or not isinstance(folds, numbers.Integral):
+            raise InvalidInputError(f"cv folds must be an integer, got {folds!r}")
         try:
-            cv = {"folds": int(cv["folds"]),
+            cv = {"folds": int(folds),
                   **{key: [float(v) for v in np.atleast_1d(cv[key])]
                      for key in ("lambda_i_grid", "lambda_o_grid")}}
         except (TypeError, ValueError) as exc:

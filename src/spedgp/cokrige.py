@@ -31,14 +31,14 @@ from .spectral import (KernelParams, StructureDesign, correlation_from_features,
 V_TOLERANCE = 1e-8
 
 
-def default_strain_grid(m: int = 41, lo: float = 0.00375, hi: float = 0.15) -> np.ndarray:
-    """Uniform strain levels on [lo, hi]; s = 0 is excluded.
+def default_strain_grid() -> np.ndarray:
+    """41 uniform strain levels on [0.375%, 15%]; s = 0 is excluded.
 
     Stress is identically zero at zero strain and the log bases are
     undefined there, so the boundary point is reported separately by
     consumers rather than modeled.
     """
-    return np.linspace(lo, hi, m)
+    return np.linspace(0.00375, 0.15, 41)
 
 
 def as_strain_grid(levels) -> np.ndarray:

@@ -60,21 +60,7 @@ def gen_sinusoid(spec: SinusoidSpec, p: int) -> StructureDesign:
     return StructureDesign(diameter=spec.d, curve=curve, features=spec.as_array())
 
 
-def _check_boxes(boxes: dict) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.empty(4)
-    hi = np.empty(4)
-    for i, key in enumerate(BOX_KEYS):
-        blo, bhi = boxes[key]
-        glo, ghi = DESIGN_BOX[key]
-        if blo > bhi or blo < glo or bhi > ghi:
-            raise InvalidInputError(
-                f"box for {key} must be inside [{glo}, {ghi}] with lo <= hi")
-        lo[i], hi[i] = blo, bhi
-    return lo, hi
-
-
-def sample_designs(n: int, seed: int = 0, scheme: str = "lhs",
-                   boxes: dict | None = None) -> list[SinusoidSpec]:
+def sample_designs(n: int, seed: int = 0, scheme: str = "lhs") -> list[SinusoidSpec]:
     """Draw n sinusoid specs from the design box, deterministically in seed.
 
     "lhs" stratifies every 1-d projection into n cells with one point
@@ -86,7 +72,7 @@ def sample_designs(n: int, seed: int = 0, scheme: str = "lhs",
         raise InvalidInputError("need n >= 1 design points")
     if scheme not in SCHEMES:
         raise InvalidInputError(f"unknown sampling scheme {scheme!r}")
-    lo, hi = _check_boxes(boxes if boxes is not None else DESIGN_BOX)
+    lo, hi = np.array([DESIGN_BOX[key] for key in BOX_KEYS]).T
     if scheme == "lhs":
         u = qmc.LatinHypercube(d=4, seed=seed).random(n)
     else:

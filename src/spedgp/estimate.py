@@ -36,15 +36,14 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize
 
 from .cokrige import TrainedEmulator, log_stress, mean_basis, predict, unlog_stress
 from .exceptions import (ConvergenceError, FitError, InvalidInputError,
                          NumericalError, SingularMatrixError)
-from .spectral import (DIAMETER_FAMILIES, FAMILIES, KernelParams,
+from .spectral import (DIAMETER_FAMILIES, FAMILIES, KernelParams, cholesky,
                        correlation_with_nugget, design_feature_rows,
-                       factor_correlation, solve_factored, sq_differences)
+                       factor_correlation, logdet, solve_factored, sq_differences)
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +55,8 @@ SWEEP_TOL = 1e-6
 GLASSO_TOL = 1e-6
 #: iteration cap of the graphical lasso
 GLASSO_MAX_ITER = 500
+#: value at which beta_step pins a nonpositive slope coefficient beta_2
+EPSILON_BETA = 1e-6
 #: rows of the glasso Newton system built per block; at the benchmark's
 #: median 450 unknowns a block's gathered factors take 0.2 MB each, so
 #: they stay in a core's L2 cache
@@ -63,8 +64,10 @@ PAIR_BLOCK = 64
 
 
 def _finite_nonnegative(*values) -> bool:
-    # NaN fails every comparison, so `x < 0` alone lets it through
-    return all(math.isfinite(v) and v >= 0 for v in values)
+    # NaN fails every comparison, so `x < 0` alone lets it through; a bool
+    # is a number to math.isfinite but is no rate
+    return all(not isinstance(v, bool) and math.isfinite(v) and v >= 0
+               for v in values)
 
 
 @dataclass
@@ -80,7 +83,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                    for v in (self.restarts, self.max_sweeps, self.seed)):
             raise InvalidInputError("restarts, max_sweeps and seed must be integers")
         if not _finite_nonnegative(self.lambda_I, self.lambda_o):
@@ -217,11 +220,11 @@ def neg_log_posterior(beta, theta, theta_d, Sigma, data: FitData,
     if np.any(z < 0):
         raise InvalidInputError("kernel weights must be nonnegative")
     R, choR = data.chol(z)
-    choS = _cholesky(np.array(Sigma, dtype=float))
+    choS = cholesky(np.array(Sigma, dtype=float))
     if choS is None:
         raise SingularMatrixError("Sigma is not positive definite")
     n, m = data.n, data.m
-    logdet_R, logdet_S = _logdet(choR), _logdet(choS)
+    logdet_R, logdet_S = logdet(choR), logdet(choS)
     W = solve_factored(choS, np.eye(m))
     E = data.Y - np.outer(np.ones(n), data.P @ beta)
     quad = float(np.sum(solve_factored(choR, E) * (E @ W)))
@@ -274,7 +277,7 @@ def glasso_newton(S, lam: float, tol: float, max_iter: int,
     m = S.shape[0]
     I, J = np.triu_indices(m, 1)
     u, cho = _dual_start(S, lam, I, J, precision_init)
-    f = -_logdet(cho)
+    f = -logdet(cho)
     W = best_W = binding = None
     residual = best = best_f = last = np.inf
     polish = stalled = False
@@ -305,32 +308,11 @@ def glasso_newton(S, lam: float, tol: float, max_iter: int,
 
 def _glasso_objective(S, lam: float, W) -> float:
     """-logdet W + tr(S W) + lam * sum_{j != k} |W_jk|; inf if W is indefinite."""
-    cho = _cholesky(np.array(W, dtype=float))
+    cho = cholesky(np.array(W, dtype=float))
     if cho is None:
         return np.inf
     off = float(np.abs(W).sum() - np.abs(np.diag(W)).sum())
-    return -_logdet(cho) + float(np.sum(S * W)) + lam * off
-
-
-def _cholesky(A):
-    """Cholesky factor ``(c, True)`` of symmetric A; None if indefinite.
-
-    Calls LAPACK dpotrf with the arguments ``cho_factor(A.T, lower=True,
-    overwrite_a=True, check_finite=False)`` passes it, so the factor is bit
-    for bit cho_factor's, without its per-call argument handling. A.T is A
-    in Fortran order, factored in place when A is C-ordered; dpotrf reads
-    only its lower triangle, the entries A[p, q] with q >= p.
-    """
-    c, info = dpotrf(A.T, lower=True, overwrite_a=True, clean=False)
-    if info > 0:
-        return None
-    if info < 0:
-        raise NumericalError(f"dpotrf rejected argument {-info}")
-    return c, True
-
-
-def _logdet(cho) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    return -logdet(cho) + float(np.sum(S * W)) + lam * off
 
 
 def _box(S, u, I, J):
@@ -347,13 +329,13 @@ def _dual_start(S, lam, I, J, precision_init):
     shrink = min(1.0, lam / (np.abs(s).max(initial=0.0) or 1.0))
     starts = [np.zeros(I.size), -shrink * s]
     if precision_init is not None and (
-            cho := _cholesky(np.array(precision_init, dtype=float))) is not None:
+            cho := cholesky(np.array(precision_init, dtype=float))) is not None:
         starts.append(np.clip(solve_factored(cho, np.eye(S.shape[0]))[I, J] - s, -lam, lam))
     points = [(u, cho) for u in starts
-              if (cho := _cholesky(_box(S, u, I, J))) is not None]
+              if (cho := cholesky(_box(S, u, I, J))) is not None]
     if not points:
         raise SingularMatrixError("no positive-definite start for the graphical lasso")
-    return max(points, key=lambda point: _logdet(point[1]))
+    return max(points, key=lambda point: logdet(point[1]))
 
 
 def _snap(cho, u, lam, I, J):
@@ -369,7 +351,7 @@ def _pair_hessian(M, a, b):
     """K[p, q] = M_ac M_bd + M_ad M_bc for index pairs p = (a, b), q = (c, d):
     half the Hessian of -logdet M on symmetric pair perturbations.
 
-    Only the entries q >= p are filled, the triangle :func:`_cholesky`
+    Only the entries q >= p are filled, the triangle :func:`cholesky`
     reads, PAIR_BLOCK rows at a time; the rest of K is left unset.
     """
     n = a.size
@@ -398,7 +380,7 @@ def _dual_newton_step(S, lam, I, J, u, cho, f):
     free = ~bound
     d = np.zeros_like(u)
     if free.any():
-        choK = _cholesky(_pair_hessian(Sigma, I[free], J[free]))
+        choK = cholesky(_pair_hessian(Sigma, I[free], J[free]))
         if choK is None:
             return None
         d[free] = solve_factored(choK, sig[free])
@@ -408,9 +390,9 @@ def _dual_newton_step(S, lam, I, J, u, cho, f):
     newton_gain = 2.0 * float(sig[free] @ d[free])
     for alpha in 0.5 ** np.arange(40):
         u_new = np.clip(u + alpha * d, -lam, lam)
-        cho_new = _cholesky(_box(S, u_new, I, J))
+        cho_new = cholesky(_box(S, u_new, I, J))
         if cho_new is not None:
-            f_new = -_logdet(cho_new)
+            f_new = -logdet(cho_new)
             gain = alpha * newton_gain + 2.0 * float(
                 sig[bound] @ (u_new[bound] - u[bound]))
             if f - f_new >= 1e-4 * gain:  # Armijo
@@ -426,8 +408,8 @@ def _support_newton_step(S, lam, W, I, J):
     a = np.concatenate([np.arange(m), I[on]])
     b = np.concatenate([np.arange(m), J[on]])
     sign = np.sign(W[a, b]) * (a != b)
-    V = solve_factored(_cholesky(W.copy()), np.eye(m))
-    choK = _cholesky(_pair_hessian(V, a, b))
+    V = solve_factored(cholesky(W.copy()), np.eye(m))
+    choK = cholesky(_pair_hessian(V, a, b))
     if choK is None:
         return None
     dx = solve_factored(choK, V[a, b] - S[a, b] - lam * sign)
@@ -436,12 +418,12 @@ def _support_newton_step(S, lam, W, I, J):
     x[m:][np.sign(x[m:]) != sign[m:]] = 0.0
     W_new = np.zeros_like(W)
     W_new[a, b] = W_new[b, a] = x
-    return W_new if _cholesky(W_new.copy()) is not None else None
+    return W_new if cholesky(W_new.copy()) is not None else None
 
 
 def glasso_kkt_residual(S, W, lam: float) -> float:
     """Max stationarity violation of the off-diagonal-penalized glasso."""
-    cho = _cholesky(np.array(W, dtype=float))
+    cho = cholesky(np.array(W, dtype=float))
     if cho is None:
         return np.inf
     G = solve_factored(cho, np.eye(W.shape[0])) - S
@@ -456,8 +438,7 @@ def glasso_kkt_residual(S, W, lam: float) -> float:
 # BCD blocks
 
 
-def sigma_step(data: FitData, choR, beta, lambda_o: float, tol: float = GLASSO_TOL,
-               max_iter: int = GLASSO_MAX_ITER, precision_init=None):
+def sigma_step(data: FitData, choR, beta, lambda_o: float, precision_init=None):
     """Sigma block update; returns (Sigma, W = Sigma^{-1}, stats).
 
     The Sigma block of the objective is, up to a factor n,
@@ -469,8 +450,8 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, tol: float = GLASSO_T
     prescribes; the 1/n factor keeps every sweep a block minimization of
     the monitored objective.
 
-    The KKT tolerance scales with the spectral norm of the input (near-
-    singular correlation states inflate S0). ``stats`` holds the solver's
+    The KKT tolerance is GLASSO_TOL times the spectral norm of the input
+    (near-singular correlation states inflate S0). ``stats`` holds the solver's
     ``iterations`` and ``kkt``, W's residual over that tolerance.
     """
     n = data.n
@@ -479,15 +460,16 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, tol: float = GLASSO_T
     S0 = 0.5 * (S0 + S0.T)
     rho = lambda_o / n
     W0 = S0 + rho * np.eye(data.m)
-    target = tol * max(1.0, float(np.linalg.norm(W0, 2)))
-    W, iterations, residual = glasso_newton(W0, rho, target, max_iter, precision_init)
+    target = GLASSO_TOL * max(1.0, float(np.linalg.norm(W0, 2)))
+    W, iterations, residual = glasso_newton(W0, rho, target, GLASSO_MAX_ITER,
+                                            precision_init)
     if precision_init is not None:
         # never ascend: keep the incoming W if it scores lower beyond rounding
         incumbent = np.array(precision_init, dtype=float)
         f_inc = _glasso_objective(W0, rho, incumbent)
         if f_inc < _glasso_objective(W0, rho, W) - 1e-9 * max(1.0, abs(f_inc)):
             W, residual = incumbent, glasso_kkt_residual(W0, incumbent, rho)
-    choW = _cholesky(W.copy())
+    choW = cholesky(W.copy())
     if choW is None:
         raise SingularMatrixError("glasso returned an indefinite precision")
     Sigma = solve_factored(choW, np.eye(data.m))
@@ -495,13 +477,13 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, tol: float = GLASSO_T
             {"iterations": iterations, "kkt": residual / target})
 
 
-def beta_step(data: FitData, choR, W, epsilon_beta: float = 1e-6) -> np.ndarray:
+def beta_step(data: FitData, choR, W) -> np.ndarray:
     """Generalized least squares update of the mean coefficients.
 
     The full GLS system ((1 (x) P)' (R^{-1} (x) W) (1 (x) P)) beta = ...
     factors into (1' R^{-1} 1) (P' W P), so beta is the basis regression
     of the R-weighted average response curve. If the slope coefficient
-    beta_2 comes out nonpositive it is pinned at epsilon_beta and the
+    beta_2 comes out nonpositive it is pinned at EPSILON_BETA and the
     remaining coordinates are re-solved (active-set projection).
     """
     n = data.n
@@ -522,7 +504,7 @@ def beta_step(data: FitData, choR, W, epsilon_beta: float = 1e-6) -> np.ndarray:
     if q >= 2 and beta[1] <= 0.0:
         keep = [k for k in range(q) if k != 1]
         P1 = data.P[:, keep]
-        target = ybar - epsilon_beta * data.P[:, 1]
+        target = ybar - EPSILON_BETA * data.P[:, 1]
         A1 = W @ P1
         try:
             b1 = np.linalg.solve(P1.T @ A1, A1.T @ target)
@@ -530,7 +512,7 @@ def beta_step(data: FitData, choR, W, epsilon_beta: float = 1e-6) -> np.ndarray:
             raise SingularMatrixError(
                 "GLS normal matrix is singular after the beta_2 projection") from exc
         beta = np.empty(q)
-        beta[1] = epsilon_beta
+        beta[1] = EPSILON_BETA
         beta[keep] = b1
     return beta
 
@@ -543,11 +525,11 @@ def theta_objective(z, data: FitData, M, lambda_I: float):
     df/dz_k = sum_ij D_ijk [R o (G M G - m G)]_ij with G = R^{-1}.
     """
     R = data.correlation(z)
-    cho = _cholesky(R.copy())
+    cho = cholesky(R.copy())
     if cho is None:
         return 1e300, np.zeros_like(z)
     m = data.m
-    logdet_R = _logdet(cho)
+    logdet_R = logdet(cho)
     G = solve_factored(cho, np.eye(data.n))
     H = G @ M @ G
     quad = float(np.sum(G * M))
@@ -713,7 +695,7 @@ def nugget_carry(data: FitData, z, beta) -> dict:
     share = data.nugget * float(np.linalg.norm(solve_factored(choR, E))) / norm_E
     cut = data.nugget / NUGGET_CUT
     np.fill_diagonal(R, 1.0 + cut)
-    cho_cut = _cholesky(R)
+    cho_cut = cholesky(R)
     if cho_cut is None:
         return {"nugget_share": share, "nugget_share_ratio": None,
                 "nugget_carried": True}

@@ -6,12 +6,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cokrige import (default_strain_grid, hpd_interval, log_stress, predict,
-                      unlog_stress)
+from .cokrige import hpd_interval, log_stress, predict, unlog_stress
 from .exceptions import InvalidInputError
 
 STIFFENING = "stiffening"
 SOFTENING = "softening"
+#: HPD band level of :func:`evaluate`'s coverage test
+LEVEL = 0.9
 
 
 def mare(truth, pred) -> float:
@@ -29,7 +30,7 @@ def mare(truth, pred) -> float:
     return float(np.sum(np.abs(truth - pred)) / denom)
 
 
-def moduli_and_kappa(curve, grid=None):
+def moduli_and_kappa(curve, grid):
     """Tangent moduli at 1% and 9% strain, curvature, and the class label.
 
     E_k is the central finite difference at the grid point nearest k%,
@@ -37,7 +38,7 @@ def moduli_and_kappa(curve, grid=None):
     "softening". Returns (E1, E9, kappa, label).
     """
     curve = np.asarray(curve, dtype=float)
-    grid = default_strain_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float)
     if curve.shape != grid.shape:
         raise InvalidInputError("curve and strain grid must have equal length")
     if grid[0] > 0.01 or grid[-1] < 0.09:
@@ -65,11 +66,11 @@ class MetricsReport:
         return {"per_case": self.per_case, "summary": self.summary}
 
 
-def evaluate(model, test, level: float = 0.9) -> MetricsReport:
+def evaluate(model, test) -> MetricsReport:
     """Score a fitted emulator against a held-out dataset.
 
     Per case: back-transformed MARE, true and predicted (E1, E9, kappa,
-    label), and whether the pointwise HPD band at ``level`` covers the
+    label), and whether the pointwise HPD band at LEVEL covers the
     whole true curve. Summary: median and mean MARE, classification
     accuracy, band coverage fraction.
     """
@@ -83,7 +84,7 @@ def evaluate(model, test, level: float = 0.9) -> MetricsReport:
         pred = predict(model, design)
         mean_stress = unlog_stress(pred.mean)
         err = mare(truth, mean_stress)
-        lo, hi = hpd_interval(pred, level)
+        lo, hi = hpd_interval(pred, LEVEL)
         y_log = log_stress(truth)
         covered = bool(np.all((y_log >= lo) & (y_log <= hi)))
         te1, te9, tk, tlabel = moduli_and_kappa(truth, model.grid)
@@ -109,6 +110,6 @@ def evaluate(model, test, level: float = 0.9) -> MetricsReport:
         "classification_correct": int(np.sum(matches)),
         "coverage_fraction": float(np.mean(covered_flags)),
         "covered_cases": int(np.sum(covered_flags)),
-        "level": float(level),
+        "level": LEVEL,
     }
     return report

@@ -23,10 +23,10 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .cokrige import Prediction, TrainedEmulator, log_stress, predict_from_point
+from .design import DESIGN_BOX
 from .exceptions import InvalidInputError
 from .spectral import correlation_from_features, half_size, solve_factored
 
-DIAMETER_BOX = (0.2, 2.0)
 COEF_BOUND_FACTOR = 1.5
 
 
@@ -34,9 +34,10 @@ COEF_BOUND_FACTOR = 1.5
 class MimicProblem:
     """Frozen search setup: model, log-space target, active set, boxes.
 
-    ``coef_bounds`` defaults to per-coordinate modulus boxes from 0 to
-    1.5x the largest training modulus of that coordinate. The constants
-    of the objective that do not depend on the candidate (tr(Sigma), the
+    The boxes are derived: the diameter searches the design box's
+    ``DESIGN_BOX["d"]``, and each active modulus coordinate runs from 0 to
+    COEF_BOUND_FACTOR x its largest training value. The constants of the
+    objective that do not depend on the candidate (tr(Sigma), the
     gradient's weights and the training rows' searched columns) are
     computed here, once per search.
     """
@@ -44,8 +45,8 @@ class MimicProblem:
     model: TrainedEmulator
     target_log: np.ndarray
     active_set: np.ndarray
-    d_bounds: tuple = DIAMETER_BOX
-    coef_bounds: np.ndarray | None = None  # (n_active, 2) per-coordinate [lo, hi]
+    d_bounds: tuple = field(init=False)
+    coef_bounds: np.ndarray = field(init=False)  # (n_active, 2) rows [lo, hi]
 
     def __post_init__(self):
         self.target_log = np.asarray(self.target_log, dtype=float)
@@ -56,15 +57,9 @@ class MimicProblem:
             raise InvalidInputError(
                 "every spectral weight is zero; mimicking degenerates to "
                 "diameter-only and is not supported")
-        self.d_bounds = tuple(self.d_bounds)
-        if self.coef_bounds is None:
-            top = COEF_BOUND_FACTOR * self.model.F[:, self.active_set].max(axis=0)
-            self.coef_bounds = np.column_stack([np.zeros(self.active_set.size), top])
-        self.coef_bounds = np.asarray(self.coef_bounds, dtype=float)
-        if self.coef_bounds.shape != (self.active_set.size, 2) \
-                or np.any(self.coef_bounds[:, 0] < 0) \
-                or np.any(self.coef_bounds[:, 0] > self.coef_bounds[:, 1]):
-            raise InvalidInputError("coefficient bounds must be valid nonnegative boxes")
+        self.d_bounds = DESIGN_BOX["d"]
+        top = COEF_BOUND_FACTOR * self.model.F[:, self.active_set].max(axis=0)
+        self.coef_bounds = np.column_stack([np.zeros(self.active_set.size), top])
         # x = (d, moduli on the active set) sits in feature columns cols
         cols = np.concatenate([[-1], self.active_set])
         self.tr_sigma = float(np.trace(self.model.Sigma))
@@ -72,15 +67,13 @@ class MimicProblem:
         self.F_searched = self.model.F[:, cols].T
 
 
-def build_problem(model: TrainedEmulator, target_strain, target_stress,
-                  d_bounds: tuple = DIAMETER_BOX,
-                  coef_bounds=None) -> MimicProblem:
+def build_problem(model: TrainedEmulator, target_strain, target_stress) -> MimicProblem:
     """Log-transform and regrid the target, freeze the active set and boxes.
 
     The target may be tabulated on its own strain levels; it is linearly
     interpolated onto the model grid, which must lie inside the target's
-    span. The active set is the fitted theta's support; ``coef_bounds``
-    defaults as in :class:`MimicProblem`.
+    span. The active set is the fitted theta's support; the boxes are
+    derived as in :class:`MimicProblem`.
     """
     if model.params.family != "sped":
         raise InvalidInputError(
@@ -96,8 +89,7 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress,
         raise InvalidInputError("target strain range does not cover the model grid")
     on_grid = np.interp(model.grid, target_strain, target_stress)
     return MimicProblem(model=model, target_log=log_stress(on_grid),
-                        active_set=np.flatnonzero(model.params.theta > 0),
-                        d_bounds=d_bounds, coef_bounds=coef_bounds)
+                        active_set=np.flatnonzero(model.params.theta > 0))
 
 
 def _candidate_row(model, active_set, x) -> np.ndarray:

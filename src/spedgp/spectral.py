@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import InvalidInputError, NumericalError, SingularMatrixError
 
@@ -80,11 +79,11 @@ def dft_modulus(curve) -> np.ndarray:
     return np.abs(_dft_basis(x.size) @ x)
 
 
-def structure_times(p: int, span: float = STRUCTURE_SPAN) -> np.ndarray:
-    """Uniform sampling grid t_k = k * span / (p - 1) of a structure curve."""
+def structure_times(p: int) -> np.ndarray:
+    """Uniform sampling grid t_k = k * STRUCTURE_SPAN / (p - 1) of a structure curve."""
     if p < 2 or p % 2 == 0:
         raise InvalidInputError(f"curve length must be odd and >= 3, got {p}")
-    return np.arange(p) * (span / (p - 1))
+    return np.arange(p) * (STRUCTURE_SPAN / (p - 1))
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,8 @@ class KernelParams:
             raise InvalidInputError("theta must be finite and nonnegative")
         if not np.isfinite(self.theta_d) or self.theta_d < 0:
             raise InvalidInputError("theta_d must be finite and nonnegative")
-        if self.nugget < 0:
-            raise InvalidInputError("nugget must be nonnegative")
+        if not np.isfinite(self.nugget) or self.nugget < 0:
+            raise InvalidInputError("nugget must be finite and nonnegative")
         if self.family not in FAMILIES:
             raise InvalidInputError(f"unknown kernel family {self.family!r}")
 
@@ -229,34 +228,61 @@ def correlation_with_nugget(D: np.ndarray, z: np.ndarray, nugget: float) -> np.n
     return R
 
 
-def factor_correlation(R: np.ndarray, nugget: float):
-    """Cholesky factorization (lower, as from cho_factor) of a correlation matrix.
+def cholesky(A):
+    """Cholesky factor ``(c, True)`` of symmetric A; None if indefinite.
 
-    Raises a singular-matrix error naming the most correlated pair of
-    designs when the factorization fails even with the nugget; that pair
-    is (numerically) a duplicate modulo cyclic shift.
+    The package's one factorization. It calls LAPACK dpotrf with the
+    arguments scipy.linalg's lower Cholesky factorization of A.T passes it
+    (in place, without a finiteness check), so the factor is bit for bit
+    scipy's, without its per-call argument handling. A.T is A in Fortran
+    order, factored in place when A is C-ordered; dpotrf reads only its
+    lower triangle, the entries A[p, q] with q >= p.
     """
-    try:
-        return cho_factor(R, lower=True)
-    except np.linalg.LinAlgError as exc:
+    c, info = dpotrf(A.T, lower=True, overwrite_a=True, clean=False)
+    if info > 0:
+        return None
+    if info < 0:
+        raise NumericalError(f"dpotrf rejected argument {-info}")
+    return c, True
+
+
+def logdet(cho) -> float:
+    """log det A from A's factor ``cho`` as returned by :func:`cholesky`."""
+    return 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+
+
+def factor_correlation(R: np.ndarray, nugget: float):
+    """Cholesky factorization (see :func:`cholesky`) of a correlation matrix.
+
+    R is left as it is. A non-finite R raises a numerical error (dpotrf
+    would pass its NaNs into the factor). Raises a singular-matrix error
+    naming the most correlated pair of designs when the factorization
+    fails even with the nugget; that pair is (numerically) a duplicate
+    modulo cyclic shift.
+    """
+    if not np.isfinite(R).all():
+        raise NumericalError("correlation matrix is not finite")
+    # R.T.copy() is R in Fortran order, so dpotrf reads R's lower triangle
+    cho = cholesky(R.T.copy())
+    if cho is None:
         off = R - np.eye(R.shape[0]) * R[0, 0]
         i, j = np.unravel_index(np.argmax(off), off.shape)
         raise SingularMatrixError(
             f"correlation matrix not factorizable with nugget {nugget:g}; "
             f"designs {min(i, j)} and {max(i, j)} are near-duplicates "
-            f"(correlation {R[i, j]:.12g})") from exc
+            f"(correlation {R[i, j]:.12g})")
+    return cho
 
 
 def solve_factored(cho, b) -> np.ndarray:
-    """Solve A x = b given ``cho = (c, lower)``, A's Cholesky factorization.
+    """Solve A x = b given ``cho = (c, True)``, A's factor from :func:`cholesky`.
 
-    ``cho`` is as from :func:`factor_correlation` or ``cho_factor``, and b
-    is a vector or a matrix of right-hand sides. This calls LAPACK dpotrs
-    with the arguments ``scipy.linalg.cho_solve`` passes it, so the result
-    is bit for bit cho_solve's, without its per-call argument handling;
-    it is the package's one Cholesky solve. The factor is trusted to come
-    from a successful factorization; a non-finite b raises a numerical
-    error.
+    b is a vector or a matrix of right-hand sides. This calls LAPACK
+    dpotrs with the arguments ``scipy.linalg.cho_solve`` passes it, so the
+    result is bit for bit cho_solve's, without its per-call argument
+    handling; it is the package's one Cholesky solve. The factor is
+    trusted to come from a successful factorization; a non-finite b
+    raises a numerical error.
     """
     if not np.isfinite(b).all():
         raise NumericalError("right-hand side of a Cholesky solve is not finite")

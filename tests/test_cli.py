@@ -131,9 +131,18 @@ class TestFit:
         '{"lambda_o": NaN}',
         '{"lambda_o": Infinity}',
         '{"nugget": NaN}',
+        '{"restarts": true}',
+        '{"max_sweeps": true}',
+        '{"seed": false}',
+        '{"lambda_i": true}',
+        '{"lambda_o": true}',
+        '{"nugget": false}',
+        '{"cv": {"folds": true, "lambda_i_grid": [1.0], "lambda_o_grid": [0.5]}}',
     ], ids=["array", "broken_json", "string_restarts", "float_restarts",
          "string_lambda", "string_folds", "fractional_folds", "nan_lambda_i",
-         "nan_lambda_o", "inf_lambda_o", "nan_nugget"])
+         "nan_lambda_o", "inf_lambda_o", "nan_nugget", "bool_restarts",
+         "bool_max_sweeps", "bool_seed", "bool_lambda_i", "bool_lambda_o",
+         "bool_nugget", "bool_folds"])
     def test_malformed_config_exits_2(self, ws, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
         config.write_text(text)
@@ -142,6 +151,16 @@ class TestFit:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_bool_folds_rejected_as_not_an_integer(self, ws, tmp_path, capsys):
+        # true would otherwise load as 1 fold and fail later for another reason
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"cv": {"folds": True, "lambda_i_grid": [1.0],
+                                             "lambda_o_grid": [0.5]}}))
+        rc = main(["fit", "--train", str(ws.data), "--config", str(config),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "cv folds must be an integer, got True" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, ws, tmp_path, capsys):
         rc = main(["fit", "--train", str(ws.data),
@@ -184,6 +203,19 @@ class TestPredict:
         body = np.array([[float(v) for v in row[1:]] for row in rows[2:grid_len + 2]])
         assert np.all(body[:, 1] > 0)  # stresses are back-transformed
         assert np.all(body[:, 2] <= body[:, 1]) and np.all(body[:, 1] <= body[:, 3])
+
+    def test_nan_nugget_model_exits_2(self, ws, tmp_path, capsys):
+        doc = json.loads(ws.model.read_text())
+        doc["nugget"] = float("nan")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert '"nugget": NaN' in model.read_text()
+        rc = main(["predict", "--model", str(model),
+                   "--designs", str(ws.data / "test_designs.csv"),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert "error: nugget must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_missing_designs_file_exits_2(self, ws, tmp_path, capsys):
         rc = main(["predict", "--model", str(ws.model),

@@ -71,18 +71,6 @@ class TestSampleDesigns:
             assert DESIGN_BOX["d"][0] <= s.d <= DESIGN_BOX["d"][1]
             assert DESIGN_BOX["omega"][0] <= s.omega <= DESIGN_BOX["omega"][1]
 
-    def test_collapsed_box_pins_coordinate(self):
-        boxes = dict(DESIGN_BOX)
-        boxes["A"] = (0.5, 0.5)
-        specs = sample_designs(8, seed=1, boxes=boxes)
-        assert all(s.A == 0.5 for s in specs)
-
-    def test_box_outside_global_rejected(self):
-        boxes = dict(DESIGN_BOX)
-        boxes["d"] = (0.05, 1.0)
-        with pytest.raises(InvalidInputError):
-            sample_designs(4, seed=0, boxes=boxes)
-
     def test_unknown_scheme_rejected(self):
         with pytest.raises(InvalidInputError, match="scheme"):
             sample_designs(4, seed=0, scheme="halton")

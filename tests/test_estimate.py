@@ -2,7 +2,6 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
 
 from spedgp import (
     Dataset,
@@ -16,6 +15,7 @@ from spedgp import (
 from spedgp.cokrige import default_strain_grid, log_stress, mean_basis, predict
 from spedgp.design import gen_sinusoid, sample_designs
 from spedgp.estimate import (
+    EPSILON_BETA,
     beta_step,
     glasso_kkt_residual,
     make_fit_data,
@@ -77,8 +77,7 @@ class TestSigmaStep:
         z = rng.uniform(0.05, 0.3, data.nz)
         R, choR = data.chol(z)
         beta = np.array([0.5, 1.0])
-        Sigma, W, _ = sigma_step(data, choR, beta, lambda_o=0.0,
-                                 tol=1e-8, max_iter=200)
+        Sigma, W, _ = sigma_step(data, choR, beta, lambda_o=0.0)
         E = Y - np.outer(np.ones(data.n), data.P @ beta)
         S0 = np.linalg.solve(R, E).T @ E / data.n
         np.testing.assert_allclose(Sigma, (S0 + S0.T) / 2, rtol=1e-8, atol=1e-10)
@@ -93,8 +92,7 @@ class TestSigmaStep:
         R, choR = data.chol(z)
         beta = np.array([0.1, 0.8])
         lam_o = 0.9
-        Sigma, W, stats = sigma_step(data, choR, beta, lambda_o=lam_o,
-                                     tol=1e-9, max_iter=500)
+        Sigma, W, stats = sigma_step(data, choR, beta, lambda_o=lam_o)
         assert stats["kkt"] <= 1.0
         E = Y - np.outer(np.ones(3), data.P @ beta)
         S0 = np.linalg.solve(R, E).T @ E / 3.0
@@ -112,7 +110,6 @@ class TestSigmaStep:
             R, choR = data.chol(z)
             f0 = neg_log_posterior(beta, theta, theta_d, Sigma0, data, 0.0, 0.4)
             Sigma1, W1, _ = sigma_step(data, choR, beta, lambda_o=0.4,
-                                       tol=1e-8, max_iter=500,
                                        precision_init=np.linalg.inv(Sigma0))
             f1 = neg_log_posterior(beta, theta, theta_d, Sigma1, data, 0.0, 0.4)
             assert f1 <= f0 + 1e-8 * max(1.0, abs(f0))
@@ -174,8 +171,8 @@ class TestBetaStep:
         data = make_fit_data(designs, Y, grid)
         z = rng.uniform(0.1, 0.4, data.nz)
         R, choR = data.chol(z)
-        eps = 1e-6
-        beta = beta_step(data, choR, np.eye(m), epsilon_beta=eps)
+        eps = EPSILON_BETA
+        beta = beta_step(data, choR, np.eye(m))
         assert beta[1] == eps
         P = data.P
         ybar = np.linalg.solve(R, Y).sum(axis=0) / np.linalg.solve(

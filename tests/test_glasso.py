@@ -6,9 +6,9 @@ import pytest
 from scipy.linalg import cho_factor
 
 from spedgp import ConvergenceError, InvalidInputError, SingularMatrixError, estimate
-from spedgp.estimate import (PAIR_BLOCK, _cholesky, _dual_start, _pair_hessian,
+from spedgp.estimate import (PAIR_BLOCK, _dual_start, _pair_hessian,
                              glasso_kkt_residual, glasso_newton, graphical_lasso)
-from spedgp.spectral import solve_factored
+from spedgp.spectral import cholesky, solve_factored
 
 from .oracles import blockwise_glasso, glasso_objective, pair_hessian_full
 
@@ -168,12 +168,12 @@ class TestAgainstBlockwiseReference:
 
 
 def assert_matches_full_build(M, a, b):
-    """The triangle build equals the full one where _cholesky reads it, and
+    """The triangle build equals the full one where cholesky reads it, and
     the two factor bit for bit alike."""
     K, ref = _pair_hessian(M, a, b), pair_hessian_full(M, a, b)
     upper = np.triu_indices(a.size)
     np.testing.assert_array_equal(K[upper], ref[upper])
-    cho, cho_ref = _cholesky(K), _cholesky(ref)
+    cho, cho_ref = cholesky(K), cholesky(ref)
     assert cho is not None and cho_ref is not None
     np.testing.assert_array_equal(np.tril(cho[0]), np.tril(cho_ref[0]))
 
@@ -218,7 +218,7 @@ class TestCholesky:
     @pytest.mark.parametrize("n", [1, 41, 58, 450])
     def test_bit_identical_to_cho_factor(self, n, order):
         A = np.asarray(random_spd(np.random.default_rng(n), n, cond=1e4), order=order)
-        c, lower = _cholesky(A.copy(order="K"))
+        c, lower = cholesky(A.copy(order="K"))
         c_ref, lower_ref = cho_factor(A.copy(order="K").T, lower=True,
                                       check_finite=False)
         np.testing.assert_array_equal(c, c_ref)
@@ -227,17 +227,17 @@ class TestCholesky:
 
     def test_factors_a_c_ordered_matrix_in_place(self):
         A = random_spd(np.random.default_rng(1), 6)
-        c, _ = _cholesky(A)
+        c, _ = cholesky(A)
         assert np.shares_memory(c, A)
 
     @pytest.mark.parametrize("A", [np.diag([1.0, -1.0, 2.0]),
                                    np.array([[1.0, 2.0], [2.0, 1.0]]),
                                    np.zeros((3, 3))])
     def test_indefinite_returns_none(self, A):
-        assert _cholesky(A.copy()) is None
+        assert cholesky(A.copy()) is None
 
     def test_estimate_does_not_reference_cho_factor(self):
-        # every factorization in estimate goes through _cholesky's dpotrf call
+        # every factorization in estimate goes through spectral.cholesky's dpotrf call
         tree = ast.parse(Path(estimate.__file__).read_text())
         offenders = [node.lineno for node in ast.walk(tree)
                      if (isinstance(node, ast.ImportFrom)

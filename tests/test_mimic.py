@@ -217,31 +217,17 @@ class TestBuildProblem:
         with pytest.raises(InvalidInputError):
             build_problem(mimic_model, TARGET_STRAIN[:-1], target_stress)
 
-    def test_rejects_bad_coef_bounds(self, mimic_model, target_stress):
-        k = np.count_nonzero(mimic_model.params.theta)
-        flipped = np.column_stack([np.ones(k), np.zeros(k)])
-        with pytest.raises(InvalidInputError):
-            build_problem(mimic_model, TARGET_STRAIN, target_stress,
-                          coef_bounds=flipped)
-        with pytest.raises(InvalidInputError):
-            build_problem(mimic_model, TARGET_STRAIN, target_stress,
-                          coef_bounds=np.zeros((k + 1, 2)))
-
     def test_rejects_empty_active_set(self, mimic_model, mimic_problem):
         with pytest.raises(InvalidInputError):
             MimicProblem(model=mimic_model,
                          target_log=mimic_problem.target_log,
-                         active_set=np.array([], dtype=int),
-                         d_bounds=(0.2, 2.0),
-                         coef_bounds=np.zeros((0, 2)))
+                         active_set=np.array([], dtype=int))
 
     def test_rejects_target_length_mismatch(self, mimic_model, mimic_problem):
         with pytest.raises(InvalidInputError):
             MimicProblem(model=mimic_model,
                          target_log=mimic_problem.target_log[:-1],
-                         active_set=mimic_problem.active_set,
-                         d_bounds=(0.2, 2.0),
-                         coef_bounds=mimic_problem.coef_bounds)
+                         active_set=mimic_problem.active_set)
 
 
 class TestOptimize:
@@ -297,12 +283,6 @@ class TestOptimize:
         b = _start_points(mimic_problem, 4, seed=1)
         assert not np.array_equal(a[:-1], b[:-1])
         np.testing.assert_array_equal(a[-1], b[-1])  # incumbent is seed-free
-
-    def test_collapsed_diameter_box(self, mimic_model, target_stress):
-        problem = build_problem(mimic_model, TARGET_STRAIN, target_stress,
-                                d_bounds=(0.8, 0.8))
-        res = optimize(problem, starts=3, seed=0)
-        assert res.diameter == 0.8
 
     def test_starts_validation(self, mimic_problem):
         with pytest.raises(InvalidInputError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from spedgp import (
     InvalidInputError,
@@ -18,10 +18,11 @@ from spedgp import (
     cross_correlation,
     dft_modulus,
 )
-from spedgp.estimate import _cholesky
+from spedgp.design import gen_sinusoid, sample_designs
 from spedgp.spectral import (
     STRUCTURE_SPAN,
     as_structure_curve,
+    cholesky,
     correlation_cholesky,
     correlation_from_features,
     design_feature_rows,
@@ -289,29 +290,66 @@ def spd_matrix(rng, n):
     return A @ A.T + n * np.eye(n)
 
 
-def factor_layouts(rng, n):
-    """The two factorizations the package solves with: the Fortran-ordered
-    factor of estimate._cholesky and the cho_factor one of factor_correlation."""
-    A = spd_matrix(rng, n)
-    return {"estimate._cholesky": _cholesky(A.copy()),
-            "factor_correlation": factor_correlation(A, 0.0)}
+def spd_factor(rng, n):
+    """The package's one factor layout, cholesky's, of a random SPD matrix."""
+    return cholesky(spd_matrix(rng, n))
+
+
+class TestFactorCorrelation:
+    """factor_correlation against the lower triangle of scipy's cho_factor."""
+
+    @staticmethod
+    def assert_matches_cho_factor(R):
+        before = R.copy()
+        c, lower = factor_correlation(R, 1e-8)
+        c_ref, _ = cho_factor(R, lower=True)
+        assert lower
+        np.testing.assert_array_equal(np.tril(c), np.tril(c_ref))
+        np.testing.assert_array_equal(R, before)
+
+    def test_kernel_matrix_at_benchmark_size(self):
+        designs = [gen_sinusoid(s, 81) for s in sample_designs(58, seed=0)]
+        F = design_feature_rows(designs, "sped")
+        # weights that put the mean kernel exponent near 1, as a fit starts
+        z = 1.0 / (F.shape[1] * sq_differences(F, F).mean(axis=(0, 1)))
+        params = KernelParams(theta=z[:-1], theta_d=z[-1], nugget=1e-8)
+        R = correlation_matrix(designs, params)
+        assert R.shape == (58, 58)
+        self.assert_matches_cho_factor(R)
+
+    @pytest.mark.parametrize("n", [1, 7, 58])
+    def test_spd_matrices(self, n):
+        self.assert_matches_cho_factor(spd_matrix(np.random.default_rng(n), n))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_numerical_error(self, bad):
+        R = spd_matrix(np.random.default_rng(4), 5)
+        R[3, 1] = R[1, 3] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            factor_correlation(R, 1e-8)
+
+    def test_reads_the_lower_triangle(self):
+        # an upper triangle off by rounding changes neither factor
+        R = spd_matrix(np.random.default_rng(3), 9)
+        upper = np.triu_indices(9, 1)
+        R[upper] *= 1.0 + 1e-15
+        self.assert_matches_cho_factor(R)
 
 
 class TestSolveFactored:
     @pytest.mark.parametrize("n", [1, 7, 58])
     def test_bit_identical_to_cho_solve(self, n):
         rng = np.random.default_rng(n)
-        for layout, cho in factor_layouts(rng, n).items():
-            for b in (rng.standard_normal(n), rng.standard_normal((n, 3)),
-                      np.eye(n)):
-                got, want = solve_factored(cho, b), cho_solve(cho, b)
-                np.testing.assert_array_equal(got, want, err_msg=layout)
-                assert got.shape == want.shape
-                assert got.flags.f_contiguous == want.flags.f_contiguous
+        cho = spd_factor(rng, n)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3)), np.eye(n)):
+            got, want = solve_factored(cho, b), cho_solve(cho, b)
+            np.testing.assert_array_equal(got, want)
+            assert got.shape == want.shape
+            assert got.flags.f_contiguous == want.flags.f_contiguous
 
     def test_leaves_inputs_untouched(self):
         rng = np.random.default_rng(1)
-        cho = factor_correlation(spd_matrix(rng, 6), 0.0)
+        cho = spd_factor(rng, 6)
         c, b = cho[0].copy(), rng.standard_normal((6, 2))
         before = b.copy()
         solve_factored(cho, b)
@@ -321,27 +359,41 @@ class TestSolveFactored:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_right_hand_side_raises_numerical_error(self, bad):
         rng = np.random.default_rng(2)
-        for cho in factor_layouts(rng, 5).values():
-            b = rng.standard_normal(5)
-            b[3] = bad
-            with pytest.raises(NumericalError, match="not finite"):
-                solve_factored(cho, b)
-            B = rng.standard_normal((5, 4))
-            B[1, 2] = bad
-            with pytest.raises(NumericalError, match="not finite"):
-                solve_factored(cho, B)
+        cho = spd_factor(rng, 5)
+        b = rng.standard_normal(5)
+        b[3] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            solve_factored(cho, b)
+        B = rng.standard_normal((5, 4))
+        B[1, 2] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            solve_factored(cho, B)
 
     def test_no_module_imports_cho_solve(self):
         # every Cholesky solve of the package goes through solve_factored
-        offenders = []
-        for path in sorted(SRC.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.Attribute):
-                    names = [node.attr]
-                else:
-                    continue
-                if "cho_solve" in names:
-                    offenders.append(f"{path.name}:{node.lineno}")
+        offenders = scipy_cholesky_references({"cho_solve"})
         assert not offenders, f"cho_solve used outside solve_factored: {offenders}"
+
+
+def scipy_cholesky_references(banned):
+    """'path:line name' for each reference to a name in banned under src/spedgp."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}"
+                          for name in sorted(names & banned)]
+    return offenders
+
+
+def test_no_module_references_cho_factor():
+    # every factorization of the package goes through spectral.cholesky
+    offenders = scipy_cholesky_references({"cho_factor"})
+    assert not offenders, f"cho_factor used outside cholesky: {offenders}"
