@@ -39,6 +39,8 @@ CONFIG_KEY_MAP = {f.name.lower(): f.name for f in dataclasses.fields(FitConfig)}
 
 
 def _cmd_gen(args) -> int:
+    if args.test_n < 0:
+        raise InvalidInputError(f"--test-n must be nonnegative, got {args.test_n}")
     specs = sample_designs(args.n, seed=args.seed, scheme="lhs")
     grid = default_strain_grid()
     designs = [gen_sinusoid(s, args.p) for s in specs]

@@ -23,9 +23,10 @@ import numpy as np
 from scipy.stats import norm
 
 from .exceptions import InvalidInputError, NumericalError
-from .spectral import (KernelParams, StructureDesign, correlation_from_features,
-                       correlation_with_nugget, design_feature_rows,
-                       factor_correlation, solve_factored, sq_differences)
+from .spectral import (DIAMETER_FAMILIES, KernelParams, StructureDesign,
+                       correlation_from_features, correlation_with_nugget,
+                       design_feature_rows, factor_correlation, solve_factored,
+                       sq_differences)
 
 #: negative v beyond this magnitude is treated as a real inconsistency
 V_TOLERANCE = 1e-8
@@ -79,53 +80,25 @@ def unlog_stress(values) -> np.ndarray:
 
 
 @dataclass
-class TrainedEmulator:
-    """Fitted co-kriging model plus cached factorizations.
+class FitData:
+    """Training state shared by estimation, prediction and inverse design.
 
-    Y holds log-stress rows. The feature rows F, packed kernel weights z,
-    correlation matrix R with its factorization, and centered responses
-    are derived in __post_init__ and never mutated; predict and
-    downstream consumers treat instances as read-only.
+    Y holds log-stress rows and P the mean basis of the grid. F holds the
+    kernel feature rows of :func:`design_feature_rows`, with the diameter
+    as the (unpenalized) last column for the families that keep it
+    separate, and D = sq_differences(F, F) stacks one n x n matrix of
+    squared differences per column. The packed weight vector z follows
+    the same layout. Built and validated by :func:`make_fit_data` only.
     """
 
-    grid: np.ndarray
-    designs: list[StructureDesign]
+    designs: list
     Y: np.ndarray
-    params: KernelParams
-    beta: np.ndarray
-    Sigma: np.ndarray
-    fit_metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.grid = as_strain_grid(self.grid)
-        self.Y = np.asarray(self.Y, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.Sigma = np.asarray(self.Sigma, dtype=float)
-        n, m = self.Y.shape
-        if len(self.designs) != n:
-            raise InvalidInputError("design count does not match response rows")
-        if m != self.grid.size:
-            raise InvalidInputError("response columns do not match the strain grid")
-        if self.Sigma.shape != (m, m):
-            raise InvalidInputError("Sigma shape does not match the strain grid")
-        if not np.allclose(self.Sigma, self.Sigma.T, atol=1e-10):
-            raise InvalidInputError("Sigma must be symmetric")
-        self.P = mean_basis(self.grid)
-        if self.beta.size != self.P.shape[1]:
-            raise InvalidInputError("beta length does not match the mean basis")
-        if self.beta.size >= 2 and self.beta[1] <= 0:
-            raise InvalidInputError("beta_2 must be positive (monotone mean constraint)")
-        self.F = design_feature_rows(self.designs, self.params.family)
-        self.z = self.params.weights(self.p)
-        self.R = correlation_with_nugget(sq_differences(self.F, self.F), self.z,
-                                         self.params.nugget)
-        self.chol_R = factor_correlation(self.R, self.params.nugget)
-        self.mu = self.P @ self.beta
-        self.resid = self.Y - self.mu
-
-    @property
-    def p(self) -> int:
-        return self.designs[0].p
+    grid: np.ndarray
+    P: np.ndarray
+    F: np.ndarray
+    D: np.ndarray
+    nugget: float
+    family: str
 
     @property
     def n(self) -> int:
@@ -134,6 +107,111 @@ class TrainedEmulator:
     @property
     def m(self) -> int:
         return self.Y.shape[1]
+
+    @property
+    def nz(self) -> int:
+        return self.D.shape[2]
+
+    @property
+    def has_diameter(self) -> bool:
+        return self.family in DIAMETER_FAMILIES
+
+    def unpack(self, z: np.ndarray):
+        """(theta, theta_d) of packed weights z; theta_d is 0 without a diameter column."""
+        if z.shape != (self.nz,):
+            raise InvalidInputError(
+                f"kernel weights have shape {z.shape}, expected ({self.nz},)")
+        if not self.has_diameter:
+            return z.copy(), 0.0
+        return z[:-1].copy(), float(z[-1])
+
+    def penalty_mask(self) -> np.ndarray:
+        """1 for coordinates inside the lambda_I penalty, 0 for theta_d."""
+        mask = np.ones(self.nz)
+        if self.has_diameter:
+            mask[-1] = 0.0
+        return mask
+
+    def residuals(self, beta) -> np.ndarray:
+        """Residual matrix E = Y - 1 (P beta)' of mean coefficients beta."""
+        return self.Y - self.P @ np.asarray(beta, dtype=float)
+
+    def correlation(self, z: np.ndarray) -> np.ndarray:
+        return correlation_with_nugget(self.D, z, self.nugget)
+
+    def chol(self, z: np.ndarray):
+        R = self.correlation(z)
+        return R, factor_correlation(R, self.nugget)
+
+
+def make_fit_data(designs, Y_log, grid, family: str = "sped",
+                  nugget: float = 1e-8) -> FitData:
+    """Assemble and validate the training state from log responses."""
+    Y = np.asarray(Y_log, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != len(designs) or Y.shape[1] != grid.size:
+        raise InvalidInputError("response matrix shape does not match designs and grid")
+    if not np.all(np.isfinite(Y)):
+        raise InvalidInputError("responses must be finite")
+    if len(designs) < 2:
+        raise InvalidInputError("need at least 2 designs to fit")
+    F = design_feature_rows(designs, family)
+    _check_distinct(F)
+    return FitData(designs=list(designs), Y=Y, grid=grid, P=mean_basis(grid),
+                   F=F, D=sq_differences(F, F), nugget=nugget, family=family)
+
+
+def _check_distinct(F):
+    # duplicate kernel features make R exactly singular without a nugget;
+    # close[i, j] is np.allclose(F[i], F[j]), and the first pair i < j is named
+    close = np.isclose(F[:, None, :], F[None, :, :], rtol=1e-12, atol=1e-12).all(axis=2)
+    pairs = np.argwhere(np.triu(close, k=1))
+    if pairs.size:
+        i, j = pairs[0]
+        raise InvalidInputError(
+            f"designs {i} and {j} are identical up to cyclic shift; "
+            "the training set must be distinct modulo shifts")
+
+
+@dataclass
+class TrainedEmulator:
+    """Fitted co-kriging model plus cached factorizations.
+
+    Built on the fit's training state ``data`` and the fitted packed
+    weights z, mean coefficients beta and covariance Sigma. The kernel
+    parameters, the correlation matrix R with its factorization and the
+    residuals are derived in __post_init__ and never mutated; predict and
+    downstream consumers treat instances as read-only.
+    """
+
+    data: FitData
+    z: np.ndarray
+    beta: np.ndarray
+    Sigma: np.ndarray
+    fit_metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        data = self.data
+        self.z = np.asarray(self.z, dtype=float)
+        self.beta = np.asarray(self.beta, dtype=float)
+        self.Sigma = np.asarray(self.Sigma, dtype=float)
+        self.grid, self.designs, self.Y = data.grid, data.designs, data.Y
+        self.P, self.F = data.P, data.F
+        self.p, self.n, self.m = data.designs[0].p, data.n, data.m
+        if self.Sigma.shape != (self.m, self.m):
+            raise InvalidInputError("Sigma shape does not match the strain grid")
+        if not np.allclose(self.Sigma, self.Sigma.T, atol=1e-10):
+            raise InvalidInputError("Sigma must be symmetric")
+        if self.beta.size != self.P.shape[1]:
+            raise InvalidInputError("beta length does not match the mean basis")
+        if self.beta.size >= 2 and self.beta[1] <= 0:
+            raise InvalidInputError("beta_2 must be positive (monotone mean constraint)")
+        theta, theta_d = data.unpack(self.z)
+        self.params = KernelParams(theta=theta, theta_d=theta_d,
+                                   nugget=data.nugget, family=data.family)
+        self.R, self.chol_R = data.chol(self.z)
+        self.mu = self.P @ self.beta
+        self.resid = data.residuals(self.beta)
 
 
 @dataclass
@@ -220,6 +298,8 @@ def save_model(model: TrainedEmulator, path) -> None:
 
 
 def load_model(path) -> TrainedEmulator:
+    """Read a model written by :func:`save_model`; training rows are
+    validated by :func:`make_fit_data`, as a fit's are."""
     doc = json.loads(Path(path).read_text())
     designs = [
         StructureDesign(
@@ -229,17 +309,12 @@ def load_model(path) -> TrainedEmulator:
         )
         for entry in doc["designs"]
     ]
-    params = KernelParams(
-        theta=np.array(doc["theta"], dtype=float),
-        theta_d=float(doc["theta_d"]),
-        nugget=float(doc["nugget"]),
-        family=doc["family"],
-    )
+    data = make_fit_data(designs, doc["Y"], doc["strain_grid"],
+                         family=doc["family"], nugget=float(doc["nugget"]))
+    z = KernelParams(theta=doc["theta"], theta_d=float(doc["theta_d"]),
+                     family=data.family).weights(designs[0].p)
     return TrainedEmulator(
-        grid=np.array(doc["strain_grid"], dtype=float),
-        designs=designs,
-        Y=np.array(doc["Y"], dtype=float),
-        params=params,
+        data=data, z=z,
         beta=np.array(doc["beta"], dtype=float),
         Sigma=np.array(doc["Sigma"], dtype=float),
         fit_metadata=doc.get("fit_metadata", {}),

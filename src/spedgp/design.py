@@ -70,6 +70,8 @@ def sample_designs(n: int, seed: int = 0, scheme: str = "lhs") -> list[SinusoidS
     """
     if n < 1:
         raise InvalidInputError("need n >= 1 design points")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     if scheme not in SCHEMES:
         raise InvalidInputError(f"unknown sampling scheme {scheme!r}")
     lo, hi = np.array([DESIGN_BOX[key] for key in BOX_KEYS]).T

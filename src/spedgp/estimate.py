@@ -38,12 +38,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .cokrige import TrainedEmulator, log_stress, mean_basis, predict, unlog_stress
+from .cokrige import (FitData, TrainedEmulator, log_stress, make_fit_data, predict,
+                      unlog_stress)
 from .exceptions import (ConvergenceError, FitError, InvalidInputError,
                          NumericalError, SingularMatrixError)
-from .spectral import (DIAMETER_FAMILIES, FAMILIES, KernelParams, cholesky,
-                       correlation_with_nugget, design_feature_rows,
-                       factor_correlation, logdet, solve_factored, sq_differences)
+from .spectral import FAMILIES, cholesky, logdet, solve_factored
 
 logger = logging.getLogger(__name__)
 
@@ -90,6 +89,8 @@ class FitConfig:
             raise InvalidInputError("penalty rates must be finite and nonnegative")
         if self.restarts < 1 or self.max_sweeps < 1:
             raise InvalidInputError("restarts and max_sweeps must be at least 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         if not _finite_nonnegative(self.nugget):
             raise InvalidInputError("nugget must be finite and nonnegative")
         if self.family not in FAMILIES:
@@ -109,126 +110,28 @@ class FitTrace:
                 "restarts": self.restarts}
 
 
-@dataclass
-class FitData:
-    """Responses, basis and kernel features shared by all estimation steps.
-
-    F holds the kernel feature rows of :func:`design_feature_rows`, with
-    the diameter as the (unpenalized) last column for the families that
-    keep it separate, and D = sq_differences(F, F) stacks one n x n matrix
-    of squared differences per column. The packed weight vector z follows
-    the same layout.
-    """
-
-    designs: list
-    Y: np.ndarray
-    grid: np.ndarray
-    P: np.ndarray
-    F: np.ndarray
-    D: np.ndarray
-    nugget: float
-    family: str
-
-    @property
-    def n(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.Y.shape[1]
-
-    @property
-    def nz(self) -> int:
-        return self.D.shape[2]
-
-    @property
-    def has_diameter(self) -> bool:
-        return self.family in DIAMETER_FAMILIES
-
-    @property
-    def n_theta(self) -> int:
-        return self.nz - self.has_diameter
-
-    def pack(self, theta, theta_d: float) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.size != self.n_theta:
-            raise InvalidInputError(
-                f"theta has length {theta.size}, expected {self.n_theta}")
-        if not self.has_diameter:
-            return theta.copy()
-        return np.append(theta, float(theta_d))
-
-    def unpack(self, z: np.ndarray):
-        if not self.has_diameter:
-            return z.copy(), 0.0
-        return z[:-1].copy(), float(z[-1])
-
-    def penalty_mask(self) -> np.ndarray:
-        """1 for coordinates inside the lambda_I penalty, 0 for theta_d."""
-        mask = np.ones(self.nz)
-        if self.has_diameter:
-            mask[-1] = 0.0
-        return mask
-
-    def correlation(self, z: np.ndarray) -> np.ndarray:
-        return correlation_with_nugget(self.D, z, self.nugget)
-
-    def chol(self, z: np.ndarray):
-        R = self.correlation(z)
-        return R, factor_correlation(R, self.nugget)
-
-
-def make_fit_data(designs, Y_log, grid, family: str = "sped",
-                  nugget: float = 1e-8) -> FitData:
-    """Assemble the shared estimation state from log responses."""
-    Y = np.asarray(Y_log, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != len(designs) or Y.shape[1] != grid.size:
-        raise InvalidInputError("response matrix shape does not match designs and grid")
-    if not np.all(np.isfinite(Y)):
-        raise InvalidInputError("responses must be finite")
-    if len(designs) < 2:
-        raise InvalidInputError("need at least 2 designs to fit")
-    F = design_feature_rows(designs, family)
-    _check_distinct(F)
-    return FitData(designs=list(designs), Y=Y, grid=grid, P=mean_basis(grid),
-                   F=F, D=sq_differences(F, F), nugget=nugget, family=family)
-
-
-def _check_distinct(F):
-    # duplicate kernel features make R exactly singular without a nugget;
-    # close[i, j] is np.allclose(F[i], F[j]), and the first pair i < j is named
-    close = np.isclose(F[:, None, :], F[None, :, :], rtol=1e-12, atol=1e-12).all(axis=2)
-    pairs = np.argwhere(np.triu(close, k=1))
-    if pairs.size:
-        i, j = pairs[0]
-        raise InvalidInputError(
-            f"designs {i} and {j} are identical up to cyclic shift; "
-            "the training set must be distinct modulo shifts")
-
-
-def neg_log_posterior(beta, theta, theta_d, Sigma, data: FitData,
+def neg_log_posterior(beta, z, Sigma, data: FitData,
                       lambda_I: float, lambda_o: float) -> float:
-    """Penalized negative log-posterior of Eq-(19) form.
+    """Penalized negative log-posterior of Eq-(19) form at packed weights z.
 
     n logdet Sigma + m logdet R + lambda_I ||theta||_1
     + lambda_o ||Sigma^{-1}||_1 + tr(R^{-1} E Sigma^{-1} E') with
     E = Y - 1 (P beta)'. Kronecker structure is exploited throughout.
     """
-    beta = np.asarray(beta, dtype=float)
-    z = data.pack(theta, theta_d)
+    z = np.asarray(z, dtype=float)
+    theta, _ = data.unpack(z)
     if np.any(z < 0):
         raise InvalidInputError("kernel weights must be nonnegative")
-    R, choR = data.chol(z)
+    _, choR = data.chol(z)
     choS = cholesky(np.array(Sigma, dtype=float))
     if choS is None:
         raise SingularMatrixError("Sigma is not positive definite")
     n, m = data.n, data.m
     logdet_R, logdet_S = logdet(choR), logdet(choS)
     W = solve_factored(choS, np.eye(m))
-    E = data.Y - np.outer(np.ones(n), data.P @ beta)
+    E = data.residuals(beta)
     quad = float(np.sum(solve_factored(choR, E) * (E @ W)))
-    penalty = lambda_I * float(np.sum(np.asarray(theta, dtype=float)))
+    penalty = lambda_I * float(np.sum(theta))
     penalty += lambda_o * float(np.sum(np.abs(W)))
     return float(n * logdet_S + m * logdet_R + penalty + quad)
 
@@ -455,7 +358,7 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, precision_init=None):
     ``iterations`` and ``kkt``, W's residual over that tolerance.
     """
     n = data.n
-    E = data.Y - np.outer(np.ones(n), data.P @ np.asarray(beta, dtype=float))
+    E = data.residuals(beta)
     S0 = E.T @ solve_factored(choR, E) / n
     S0 = 0.5 * (S0 + S0.T)
     rho = lambda_o / n
@@ -548,8 +451,7 @@ def theta_step(data: FitData, beta, W, z0, lambda_I: float):
     orthant, where the l1 penalty is linear and hence smooth; exact zeros
     at the bound are what switches frequencies off.
     """
-    n = data.n
-    E = data.Y - np.outer(np.ones(n), data.P @ np.asarray(beta, dtype=float))
+    E = data.residuals(beta)
     M = E @ W @ E.T
     z0 = np.asarray(z0, dtype=float)
     f0, _ = theta_objective(z0, data, M, lambda_I)
@@ -607,14 +509,14 @@ def _initial_z(data: FitData, u: np.ndarray) -> np.ndarray:
 
 
 def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray):
-    theta0, theta_d0 = data.unpack(z0)
+    theta0, _ = data.unpack(z0)
     beta = np.zeros(data.P.shape[1])
     Sigma = np.eye(data.m)
     W = np.eye(data.m)
     z = z0.copy()
     record = {
         "init_theta_scale": float(z0.sum()),
-        "objectives": [neg_log_posterior(beta, theta0, theta_d0, Sigma, data,
+        "objectives": [neg_log_posterior(beta, z0, Sigma, data,
                                          config.lambda_I, config.lambda_o)],
         "active_theta": [int(np.count_nonzero(theta0 > 0))],
         "offdiag_nonzeros": [0],
@@ -641,8 +543,8 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray):
         if early:
             record["warnings"].append(
                 f"sweep {sweep}: theta optimizer stopped early: {theta_exit}")
-        theta, theta_d = data.unpack(z)
-        obj = neg_log_posterior(beta, theta, theta_d, Sigma, data,
+        theta, _ = data.unpack(z)
+        obj = neg_log_posterior(beta, z, Sigma, data,
                                 config.lambda_I, config.lambda_o)
         record["objectives"].append(obj)
         record["active_theta"].append(int(np.count_nonzero(theta > 0)))
@@ -689,7 +591,7 @@ def nugget_carry(data: FitData, z, beta) -> dict:
     if data.nugget == 0.0:
         return {"nugget_share": 0.0, "nugget_share_ratio": None,
                 "nugget_carried": False}
-    E = data.Y - np.outer(np.ones(data.n), data.P @ np.asarray(beta, dtype=float))
+    E = data.residuals(beta)
     norm_E = float(np.linalg.norm(E))
     R, choR = data.chol(z)
     share = data.nugget * float(np.linalg.norm(solve_factored(choR, E))) / norm_E
@@ -758,12 +660,8 @@ def fit(data, config: FitConfig):
             "restarts %s reach lower objectives only because the nugget "
             "carries them; chose restart %d, which the kernel determines",
             passed_over, best_r)
-    theta, theta_d = fd.unpack(z)
-    params = KernelParams(theta=theta, theta_d=theta_d, nugget=config.nugget,
-                          family=config.family)
     model = TrainedEmulator(
-        grid=fd.grid, designs=fd.designs, Y=fd.Y, params=params, beta=beta,
-        Sigma=Sigma,
+        data=fd, z=z, beta=beta, Sigma=Sigma,
         fit_metadata={
             "lambda_I": config.lambda_I,
             "lambda_o": config.lambda_o,

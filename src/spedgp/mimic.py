@@ -190,6 +190,8 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
     """
     if starts < 1:
         raise InvalidInputError("need at least one start")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     model = problem.model
     args = (problem,)
     bounds = [problem.d_bounds] + [tuple(b) for b in problem.coef_bounds]

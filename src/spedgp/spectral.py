@@ -237,12 +237,18 @@ def cholesky(A):
     scipy's, without its per-call argument handling. A.T is A in Fortran
     order, factored in place when A is C-ordered; dpotrf reads only its
     lower triangle, the entries A[p, q] with q >= p.
+
+    dpotrf does not report a NaN or inf in that triangle: it fails on it
+    (None) or carries it into the factor, where it reaches the diagonal. A
+    factor with a non-finite diagonal raises a numerical error.
     """
     c, info = dpotrf(A.T, lower=True, overwrite_a=True, clean=False)
     if info > 0:
         return None
     if info < 0:
         raise NumericalError(f"dpotrf rejected argument {-info}")
+    if not np.isfinite(np.diagonal(c)).all():
+        raise NumericalError("Cholesky factor is not finite; the matrix holds a NaN or inf")
     return c, True
 
 

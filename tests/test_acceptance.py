@@ -145,8 +145,9 @@ def test_c02_factorized_algebra_matches_dense():
         beta = np.array([b0, b1])
         P = mean_basis(grid)
 
-        model = TrainedEmulator(grid=grid, designs=designs, Y=Y, params=params,
-                                beta=beta, Sigma=Sigma)
+        data = make_fit_data(designs, Y, grid)
+        z = np.concatenate([params.theta, [params.theta_d]])
+        model = TrainedEmulator(data=data, z=z, beta=beta, Sigma=Sigma)
         new = random_designs(rng, 1, p)[0]
         pred = predict(model, new)
         r = cross_correlation(new, designs, params)
@@ -157,13 +158,10 @@ def test_c02_factorized_algebra_matches_dense():
         worst_cov = max(worst_cov, float(
             np.linalg.norm(pred.covariance() - cov_d) / np.linalg.norm(cov_d)))
 
-        data = make_fit_data(designs, Y, grid)
-        got = neg_log_posterior(beta, params.theta, params.theta_d, Sigma,
-                                data, lambda_I=0.7, lambda_o=0.3)
+        got = neg_log_posterior(beta, z, Sigma, data, lambda_I=0.7, lambda_o=0.3)
         want = penalized_objective(Y, R, Sigma, beta, P, 0.7, 0.3, params.theta)
         worst_obj = max(worst_obj, abs(got - want) / abs(want))
 
-        z = np.concatenate([params.theta, [params.theta_d]])
         _, choR = data.chol(z)
         got_beta = beta_step(data, choR, np.linalg.inv(Sigma))
         want_beta = dense_gls_beta(Y, R, Sigma, grid)
@@ -249,10 +247,8 @@ def test_c05_benchmark_fit_descends(sped_fit):
 def test_c06_interpolation_and_calibration(bench, sped_fit):
     model = sped_fit.model
     exact = TrainedEmulator(
-        grid=model.grid, designs=model.designs, Y=model.Y,
-        params=KernelParams(theta=model.params.theta,
-                            theta_d=model.params.theta_d, nugget=0.0),
-        beta=model.beta, Sigma=model.Sigma)
+        data=make_fit_data(model.designs, model.Y, model.grid, nugget=0.0),
+        z=model.z, beta=model.beta, Sigma=model.Sigma)
     worst_v, worst_fit = 0.0, 0.0
     for j, design in enumerate(exact.designs):
         pred = predict(exact, design)
@@ -302,8 +298,7 @@ def test_model_r_is_the_fit_correlation(sped_fit, feature_fit):
     for model in (sped_fit.model, feature_fit):
         data = make_fit_data(model.designs, model.Y, model.grid,
                              family=model.params.family, nugget=model.params.nugget)
-        z = data.pack(model.params.theta, model.params.theta_d)
-        np.testing.assert_array_equal(model.R, data.correlation(z))
+        np.testing.assert_array_equal(model.R, data.correlation(model.z))
 
 
 def test_c07_benchmark_accuracy(bench, sped_fit, feature_fit,

@@ -71,6 +71,19 @@ class TestGen:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("flag,message", [
+        (["--seed", "-1"], "error: seed must be nonnegative"),
+        (["--test-n", "-3"], "error: --test-n must be nonnegative"),
+    ], ids=["negative_seed", "negative_test_n"])
+    def test_negative_value_exits_2(self, tmp_path, capsys, flag, message):
+        rc = main(["gen", "--n", "4", "--p", "17", "--out", str(tmp_path / "a"),
+                   *flag])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "wrote" not in captured.out
+        assert not (tmp_path / "a").exists()
+
     def test_seed_changes_data(self, tmp_path):
         assert main(["gen", "--n", "4", "--test-n", "0", "--seed", "5",
                      "--p", "17", "--out", str(tmp_path / "a")]) == 0
@@ -138,11 +151,12 @@ class TestFit:
         '{"lambda_o": true}',
         '{"nugget": false}',
         '{"cv": {"folds": true, "lambda_i_grid": [1.0], "lambda_o_grid": [0.5]}}',
+        '{"seed": -1}',
     ], ids=["array", "broken_json", "string_restarts", "float_restarts",
          "string_lambda", "string_folds", "fractional_folds", "nan_lambda_i",
          "nan_lambda_o", "inf_lambda_o", "nan_nugget", "bool_restarts",
          "bool_max_sweeps", "bool_seed", "bool_lambda_i", "bool_lambda_o",
-         "bool_nugget", "bool_folds"])
+         "bool_nugget", "bool_folds", "negative_seed"])
     def test_malformed_config_exits_2(self, ws, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
         config.write_text(text)
@@ -251,6 +265,15 @@ class TestMimic:
             rows = list(csv.reader(fh))
         assert len(rows) == 2  # header plus the one reconstructed design
         assert len(rows[1]) == 1 + 21  # diameter column plus curve values
+
+    def test_negative_seed_exits_2(self, ws, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        write_target(target)
+        rc = main(["mimic", "--model", str(ws.model), "--target", str(target),
+                   "--starts", "2", "--seed", "-1", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "error: seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_target_exits_2(self, ws, tmp_path, capsys):
         rc = main(["mimic", "--model", str(ws.model),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from spedgp.cokrige import (
     default_strain_grid,
     hpd_interval,
     log_stress,
+    make_fit_data,
     mean_basis,
     predict_from_point,
     unlog_stress,
@@ -43,8 +46,8 @@ def random_emulator(rng, n=4, m=3, p=5, nugget=1e-8, family="sped"):
                           theta_d=rng.uniform(0.1, 1.0), nugget=nugget,
                           family=family)
     beta = np.array([rng.standard_normal(), rng.uniform(0.5, 2.0)])
-    return TrainedEmulator(grid=grid, designs=designs, Y=Y, params=params,
-                           beta=beta, Sigma=Sigma)
+    data = make_fit_data(designs, Y, grid, family=family, nugget=nugget)
+    return TrainedEmulator(data=data, z=params.weights(p), beta=beta, Sigma=Sigma)
 
 
 class TestTransforms:
@@ -82,8 +85,7 @@ class TestEmulatorValidation:
         rng = np.random.default_rng(0)
         good = random_emulator(rng)
         with pytest.raises(InvalidInputError, match="beta_2"):
-            TrainedEmulator(grid=good.grid, designs=good.designs, Y=good.Y,
-                            params=good.params,
+            TrainedEmulator(data=good.data, z=good.z,
                             beta=np.array([good.beta[0], -0.5]),
                             Sigma=good.Sigma)
 
@@ -93,8 +95,22 @@ class TestEmulatorValidation:
         bad = good.Sigma.copy()
         bad[0, 1] += 1.0
         with pytest.raises(InvalidInputError, match="symmetric"):
-            TrainedEmulator(grid=good.grid, designs=good.designs, Y=good.Y,
-                            params=good.params, beta=good.beta, Sigma=bad)
+            TrainedEmulator(data=good.data, z=good.z, beta=good.beta, Sigma=bad)
+
+    def test_weight_length_must_match_features(self):
+        rng = np.random.default_rng(1)
+        good = random_emulator(rng)
+        with pytest.raises(InvalidInputError, match="kernel weights have shape"):
+            TrainedEmulator(data=good.data, z=good.z[:-1], beta=good.beta,
+                            Sigma=good.Sigma)
+
+    def test_built_on_the_training_state(self):
+        rng = np.random.default_rng(1)
+        model = random_emulator(rng, nugget=1e-6)
+        assert model.F is model.data.F and model.Y is model.data.Y
+        assert model.params.nugget == model.data.nugget == 1e-6
+        np.testing.assert_array_equal(model.params.weights(model.p), model.z)
+        np.testing.assert_array_equal(model.R, model.data.correlation(model.z))
 
 
 class TestPredictAgainstDenseOracle:
@@ -196,6 +212,21 @@ class TestSerialization:
         np.testing.assert_array_equal(back.params.theta, model.params.theta)
         np.testing.assert_array_equal(back.Y, model.Y)
         assert back.fit_metadata["lambda_I"] == 1.0
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["Y"][1].__setitem__(0, float("nan")), "responses must be finite"),
+        (lambda doc: doc["designs"].__setitem__(2, doc["designs"][0]),
+         "designs 0 and 2 are identical up to cyclic shift"),
+    ], ids=["nan_response", "duplicate_design"])
+    def test_load_validates_training_rows_as_fit_does(self, tmp_path, edit, message):
+        rng = np.random.default_rng(10)
+        path = tmp_path / "model.json"
+        save_model(random_emulator(rng), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=message):
+            load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -79,3 +79,8 @@ class TestSampleDesigns:
         with pytest.raises(InvalidInputError):
             sample_designs(0, seed=0)
 
+    @pytest.mark.parametrize("scheme", ["lhs", "sobol"])
+    def test_negative_seed_rejected(self, scheme):
+        with pytest.raises(InvalidInputError, match="seed must be nonnegative"):
+            sample_designs(4, seed=-1, scheme=scheme)
+

@@ -8,9 +8,11 @@ from spedgp import (
     FitConfig,
     FitError,
     InvalidInputError,
+    NumericalError,
     StructureDesign,
     fit,
     select_penalties,
+    spectral,
 )
 from spedgp.cokrige import default_strain_grid, log_stress, mean_basis, predict
 from spedgp.design import gen_sinusoid, sample_designs
@@ -51,8 +53,8 @@ class TestNegLogPosterior:
         for _ in range(20):
             data, designs, Y, grid = random_fit_data(rng)
             beta, z, Sigma = random_state(rng, data)
-            theta, theta_d = data.unpack(z)
-            got = neg_log_posterior(beta, theta, theta_d, Sigma, data,
+            theta, _ = data.unpack(z)
+            got = neg_log_posterior(beta, z, Sigma, data,
                                     lambda_I=0.7, lambda_o=0.3)
             R = data.correlation(z)
             want = penalized_objective(Y, R, Sigma, beta, mean_basis(grid),
@@ -63,10 +65,25 @@ class TestNegLogPosterior:
         rng = np.random.default_rng(1)
         data, *_ = random_fit_data(rng)
         beta, z, Sigma = random_state(rng, data)
-        theta, _ = data.unpack(z)
-        theta[0] = -0.1
+        z[0] = -0.1
         with pytest.raises(InvalidInputError):
-            neg_log_posterior(beta, theta, 0.1, Sigma, data, 0.0, 0.0)
+            neg_log_posterior(beta, z, Sigma, data, 0.0, 0.0)
+
+    def test_wrong_weight_length_rejected(self):
+        rng = np.random.default_rng(1)
+        data, *_ = random_fit_data(rng)
+        beta, z, Sigma = random_state(rng, data)
+        with pytest.raises(InvalidInputError, match="kernel weights have shape"):
+            neg_log_posterior(beta, z[:-1], Sigma, data, 0.0, 0.0)
+
+    def test_nan_sigma_raises(self):
+        # dpotrf factors a NaN Sigma without complaint; the objective would be NaN
+        rng = np.random.default_rng(1)
+        data, *_ = random_fit_data(rng)
+        beta, z, Sigma = random_state(rng, data)
+        Sigma[1, 0] = Sigma[0, 1] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            neg_log_posterior(beta, z, Sigma, data, 0.0, 0.0)
 
 
 class TestSigmaStep:
@@ -106,12 +123,11 @@ class TestSigmaStep:
         for _ in range(5):
             data, designs, Y, grid = random_fit_data(rng, n=5, m=4)
             beta, z, Sigma0 = random_state(rng, data)
-            theta, theta_d = data.unpack(z)
             R, choR = data.chol(z)
-            f0 = neg_log_posterior(beta, theta, theta_d, Sigma0, data, 0.0, 0.4)
+            f0 = neg_log_posterior(beta, z, Sigma0, data, 0.0, 0.4)
             Sigma1, W1, _ = sigma_step(data, choR, beta, lambda_o=0.4,
                                        precision_init=np.linalg.inv(Sigma0))
-            f1 = neg_log_posterior(beta, theta, theta_d, Sigma1, data, 0.0, 0.4)
+            f1 = neg_log_posterior(beta, z, Sigma1, data, 0.0, 0.4)
             assert f1 <= f0 + 1e-8 * max(1.0, abs(f0))
 
     def test_ill_conditioned_fit_certifies_within_iteration_bound(self):
@@ -299,8 +315,7 @@ class TestFit:
         data = make_fit_data(small_training_set.designs,
                              log_stress(small_training_set.responses),
                              small_training_set.grid)
-        obj = neg_log_posterior(model.beta, model.params.theta,
-                                model.params.theta_d, model.Sigma, data,
+        obj = neg_log_posterior(model.beta, model.z, model.Sigma, data,
                                 cfg.lambda_I, cfg.lambda_o)
         assert obj == pytest.approx(model.fit_metadata["objective"],
                                     rel=1e-9, abs=1e-6)
@@ -380,6 +395,23 @@ class TestFit:
             for value in (np.nan, np.inf, -np.inf):
                 with pytest.raises(InvalidInputError, match="finite"):
                     FitConfig(**{field: value})
+        # numpy's seeding would reject it later, with an untyped ValueError
+        with pytest.raises(InvalidInputError, match="seed must be nonnegative"):
+            FitConfig(seed=-1)
+
+    def test_features_each_training_design_once(self, small_training_set,
+                                                monkeypatch):
+        # the emulator is built on the fit's own feature rows
+        calls = []
+        inner = spectral.dft_modulus
+
+        def counted(curve):
+            calls.append(1)
+            return inner(curve)
+
+        monkeypatch.setattr(spectral, "dft_modulus", counted)
+        fit(small_training_set, FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=1, seed=0))
+        assert len(calls) == len(small_training_set.designs) == 10
 
 
 class TestSelectPenalties:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor
 
-from spedgp import ConvergenceError, InvalidInputError, SingularMatrixError, estimate
+from spedgp import (ConvergenceError, InvalidInputError, NumericalError,
+                    SingularMatrixError, estimate)
 from spedgp.estimate import (PAIR_BLOCK, _dual_start, _pair_hessian,
                              glasso_kkt_residual, glasso_newton, graphical_lasso)
 from spedgp.spectral import cholesky, solve_factored
@@ -235,6 +236,17 @@ class TestCholesky:
                                    np.zeros((3, 3))])
     def test_indefinite_returns_none(self, A):
         assert cholesky(A.copy()) is None
+
+    @pytest.mark.parametrize("entry,value", [((1, 0), np.nan), ((1, 1), np.nan),
+                                             ((2, 0), np.inf)],
+                             ids=["nan_off_diagonal", "nan_diagonal",
+                                  "inf_off_diagonal"])
+    def test_non_finite_input_raises(self, entry, value):
+        # dpotrf returns these with info 0 and NaN on the factor's diagonal
+        A = np.eye(3)
+        A[entry] = A[entry[::-1]] = value
+        with pytest.raises(NumericalError, match="not finite"):
+            cholesky(A)
 
     def test_estimate_does_not_reference_cho_factor(self):
         # every factorization in estimate goes through spectral.cholesky's dpotrf call

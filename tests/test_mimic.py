@@ -19,7 +19,8 @@ from spedgp import (
     sample_designs,
     synthetic_oracle,
 )
-from spedgp.cokrige import TrainedEmulator, log_stress, predict_from_point
+from spedgp.cokrige import (TrainedEmulator, log_stress, make_fit_data,
+                            predict_from_point)
 from spedgp.mimic import MimicProblem, _start_points
 from spedgp.spectral import correlation_from_features, half_size
 
@@ -35,8 +36,9 @@ def toy_emulator(rng, theta, theta_d=0.6, n=5, m=4, p=9, nugget=1e-8):
     Sigma = A @ A.T + m * np.eye(m)
     params = KernelParams(theta=np.asarray(theta, dtype=float),
                           theta_d=theta_d, nugget=nugget)
-    return TrainedEmulator(grid=grid, designs=designs, Y=Y, params=params,
-                           beta=np.array([0.2, 1.0]), Sigma=Sigma)
+    return TrainedEmulator(data=make_fit_data(designs, Y, grid, nugget=nugget),
+                           z=params.weights(p), beta=np.array([0.2, 1.0]),
+                           Sigma=Sigma)
 
 
 @pytest.fixture(scope="module")
@@ -196,9 +198,9 @@ class TestBuildProblem:
         rng = np.random.default_rng(8)
         designs = [gen_sinusoid(s, 21) for s in sample_designs(5, seed=8)]
         params = KernelParams(theta=np.full(4, 0.2), family="feature_based")
-        model = TrainedEmulator(grid=np.linspace(0.01, 0.15, 4),
-                                designs=designs,
-                                Y=rng.standard_normal((5, 4)), params=params,
+        data = make_fit_data(designs, rng.standard_normal((5, 4)),
+                             np.linspace(0.01, 0.15, 4), family="feature_based")
+        model = TrainedEmulator(data=data, z=params.weights(21),
                                 beta=np.array([0.2, 1.0]), Sigma=np.eye(4))
         with pytest.raises(InvalidInputError):
             build_problem(model, TARGET_STRAIN, target_stress)
@@ -287,6 +289,8 @@ class TestOptimize:
     def test_starts_validation(self, mimic_problem):
         with pytest.raises(InvalidInputError):
             optimize(mimic_problem, starts=0)
+        with pytest.raises(InvalidInputError, match="seed must be nonnegative"):
+            optimize(mimic_problem, starts=2, seed=-1)
 
     def test_to_dict_is_json_ready(self, mimic_result):
         blob = mimic_result.to_dict()
