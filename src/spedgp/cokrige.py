@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .exceptions import InvalidInputError, NumericalError
 from .spectral import (DIAMETER_FAMILIES, KernelParams, StructureDesign,
                        correlation_from_features, correlation_with_nugget,
-                       design_feature_rows, factor_correlation, solve_factored,
-                       sq_differences)
+                       design_feature_row, design_feature_rows, factor_correlation,
+                       solve_factored, sq_differences)
 
 #: negative v beyond this magnitude is treated as a real inconsistency
 V_TOLERANCE = 1e-8
@@ -248,7 +248,7 @@ def predict(model: TrainedEmulator, new: StructureDesign) -> Prediction:
     """
     if new.p != model.p:
         raise InvalidInputError(f"new design has p={new.p}, model expects {model.p}")
-    f_new = design_feature_rows([new], model.params.family)[0]
+    f_new = design_feature_row(new, model.params.family)
     r = correlation_from_features(model.F, f_new, model.z)
     return predict_from_point(model, r)
 
@@ -257,13 +257,15 @@ def hpd_interval(pred: Prediction, level: float):
     """Pointwise HPD interval endpoints (log space) at the given level.
 
     Gaussian marginals make the HPD interval the symmetric one:
-    mean_j +/- z_(1+level)/2 sqrt(v Sigma_jj).
+    mean_j +/- z_(1+level)/2 sqrt(v Sigma_jj). The quantile comes from
+    scipy.special.ndtri, the function scipy.stats.norm.ppf evaluates, with
+    the same bits and without norm.ppf's per-call argument handling.
     """
     if not 0.0 < level < 1.0:
         raise InvalidInputError(f"level must be in (0,1), got {level}")
     if pred.scale < -V_TOLERANCE:
         raise NumericalError(f"negative predictive scale {pred.scale:.3e}")
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     half = z * np.sqrt(max(pred.scale, 0.0) * np.diag(pred.Sigma))
     return pred.mean - half, pred.mean + half
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -508,7 +509,13 @@ def _initial_z(data: FitData, u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray):
+def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int):
+    """One restart of the sweep loop from weights z0; (z, beta, Sigma, record).
+
+    Each sweep logs one INFO line on this module's logger with its block
+    times. The times go only to the log, so the record stays
+    byte-identical between reruns.
+    """
     theta0, _ = data.unpack(z0)
     beta = np.zeros(data.P.shape[1])
     Sigma = np.eye(data.m)
@@ -525,16 +532,20 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray):
         "converged": False,
     }
     for sweep in range(1, config.max_sweeps + 1):
+        t0 = time.perf_counter()
         R, choR = data.chol(z)
         Sigma, W, stats = sigma_step(data, choR, beta, config.lambda_o,
                                      precision_init=W)
+        t1 = time.perf_counter()
         record["sigma_iterations"].append(stats["iterations"])
         record["sigma_kkt"].append(stats["kkt"])
         if stats["kkt"] > 1.0:
             record["warnings"].append(f"sweep {sweep}: glasso stopped at "
                                       f"{stats['kkt']:.3g}x its KKT tolerance")
         beta = beta_step(data, choR, W)
+        t2 = time.perf_counter()
         z, _, theta_stats = theta_step(data, beta, W, z, config.lambda_I)
+        t3 = time.perf_counter()
         theta_exit = theta_stats["exit"]
         record["theta_exits"].append(theta_exit)
         record["theta_iterations"].append(theta_stats["iterations"])
@@ -550,6 +561,13 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray):
         record["active_theta"].append(int(np.count_nonzero(theta > 0)))
         off = W[~np.eye(data.m, dtype=bool)]
         record["offdiag_nonzeros"].append(int(np.count_nonzero(off)))
+        logger.info(
+            "restart=%d sweep=%d objective=%.6f sigma_s=%.4f beta_s=%.4f "
+            "theta_s=%.4f glasso_iterations=%d sigma_kkt=%.3g "
+            "theta_iterations=%d theta_exit=%r active=%d offdiag_nonzeros=%d",
+            restart, sweep, obj, t1 - t0, t2 - t1, t3 - t2, stats["iterations"],
+            stats["kkt"], theta_stats["iterations"], theta_exit,
+            record["active_theta"][-1], record["offdiag_nonzeros"][-1])
         prev = record["objectives"][-2]
         slack = SWEEP_TOL * max(1.0, abs(prev))
         if prev - obj < -slack:
@@ -630,7 +648,7 @@ def fit(data, config: FitConfig):
             u = np.random.default_rng(children[r]).exponential(1.0, fd.nz)
         z0 = _initial_z(fd, u)
         try:
-            z, beta, Sigma, record = _run_restart(fd, config, z0)
+            z, beta, Sigma, record = _run_restart(fd, config, z0, r)
         except (SingularMatrixError, ConvergenceError, NumericalError) as exc:
             trace.restarts.append({"failed": str(exc)})
             logger.warning("restart %d failed: %s", r, exc)

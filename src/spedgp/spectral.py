@@ -53,7 +53,7 @@ def as_structure_curve(values) -> np.ndarray:
         raise InvalidInputError("structure curve must be a 1-d vector")
     if x.size % 2 == 0:
         raise InvalidInputError(f"curve length must be odd, got {x.size}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError("structure curve contains non-finite values")
     return x
 
@@ -169,36 +169,47 @@ class KernelParams:
         return self.theta
 
 
-def design_feature_rows(designs: list[StructureDesign], family: str) -> np.ndarray:
-    """Kernel feature rows F (n x nz) of a design list.
+def design_feature_row(design: StructureDesign, family: str) -> np.ndarray:
+    """Kernel feature row of one design.
 
-    Rows are moduli spectra (sped), [d, A, omega, phi] provenance
-    (feature_based), or curve values scaled by sqrt(dt) with
-    dt = STRUCTURE_SPAN / (p - 1) (l2_distance, folding the Riemann
-    measure into the features). The families in DIAMETER_FAMILIES append
-    the diameter as the last column, so with the packed weights of
-    :meth:`KernelParams.weights` every family is the same kernel.
+    The row is the design's moduli spectrum (sped), its
+    [d, A, omega, phi] provenance (feature_based), or its curve values
+    scaled by sqrt(dt) with dt = STRUCTURE_SPAN / (p - 1) (l2_distance,
+    folding the Riemann measure into the features). The families in
+    DIAMETER_FAMILIES append the diameter as the last coordinate, so with
+    the packed weights of :meth:`KernelParams.weights` every family is the
+    same kernel.
     """
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown kernel family {family!r}")
+    if family == "feature_based":
+        if design.features is None:
+            raise InvalidInputError(
+                "a design lacks the [d, A, omega, phi] provenance required "
+                "by the feature_based family")
+        return design.features.copy()
+    if family == "sped":
+        head = dft_modulus(design.curve)
+    else:
+        head = design.curve * np.sqrt(STRUCTURE_SPAN / (design.p - 1))
+    return np.concatenate((head, (design.diameter,)))
+
+
+def design_feature_rows(designs: list[StructureDesign], family: str) -> np.ndarray:
+    """Kernel feature rows F (n x nz) of a design list: one
+    :func:`design_feature_row` per design, all of one curve length."""
     if not designs:
         raise InvalidInputError("need at least one design")
     p = designs[0].p
+    rows = []
     for i, dsn in enumerate(designs):
         if dsn.p != p:
             raise InvalidInputError(f"design {i} has p={dsn.p}, expected {p}")
-    if family == "sped":
-        F = np.array([dft_modulus(dsn.curve) for dsn in designs])
-    elif family == "feature_based":
-        for i, dsn in enumerate(designs):
-            if dsn.features is None:
-                raise InvalidInputError(
-                    f"design {i} lacks [d, A, omega, phi] provenance required "
-                    "by the feature_based family")
-        return np.array([dsn.features for dsn in designs])
-    else:
-        F = np.array([dsn.curve for dsn in designs]) * np.sqrt(STRUCTURE_SPAN / (p - 1))
-    return np.column_stack([F, [dsn.diameter for dsn in designs]])
+        try:
+            rows.append(design_feature_row(dsn, family))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{exc} (design {i})") from None
+    return np.array(rows)
 
 
 def sq_differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -239,11 +250,18 @@ def cholesky(A):
     lower triangle, the entries A[p, q] with q >= p.
 
     dpotrf does not report a NaN or inf in that triangle: it fails on it
-    (None) or carries it into the factor, where it reaches the diagonal. A
-    factor with a non-finite diagonal raises a numerical error.
+    or carries it into the factor, where it reaches the diagonal. Both
+    raise a numerical error: a failed factorization whose triangle (as
+    dpotrf left it) holds a non-finite entry, and a factor with a
+    non-finite diagonal. Only a finite indefinite matrix returns None, and
+    the triangle is scanned only when dpotrf fails.
     """
     c, info = dpotrf(A.T, lower=True, overwrite_a=True, clean=False)
     if info > 0:
+        # scanning the whole array is 5x cheaper than its triangle; the
+        # triangle decides only when the array holds a NaN or inf
+        if not np.isfinite(c).all() and not np.isfinite(np.tril(c)).all():
+            raise NumericalError("matrix is not finite; its Cholesky factorization failed")
         return None
     if info < 0:
         raise NumericalError(f"dpotrf rejected argument {-info}")
@@ -322,7 +340,7 @@ def cross_correlation(new: StructureDesign, designs: list[StructureDesign],
     F = design_feature_rows(designs, params.family)
     if new.p != designs[0].p:
         raise InvalidInputError(f"curve lengths differ: {new.p} vs {designs[0].p}")
-    f_new = design_feature_rows([new], params.family)[0]
+    f_new = design_feature_row(new, params.family)
     return correlation_from_features(F, f_new, params.weights(new.p))
 
 

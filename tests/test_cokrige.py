@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from spedgp import (
     InvalidInputError,
@@ -23,7 +24,8 @@ from spedgp.cokrige import (
     predict_from_point,
     unlog_stress,
 )
-from spedgp.spectral import FAMILIES, cross_correlation, half_size
+from spedgp.spectral import (FAMILIES, correlation_from_features, cross_correlation,
+                             design_feature_rows, half_size)
 
 from .oracles import dense_conditional
 
@@ -170,6 +172,14 @@ class TestHpdInterval:
         np.testing.assert_allclose(hi, 1.6448536269514722, rtol=1e-12)
         np.testing.assert_allclose(lo, -hi, rtol=1e-12)
 
+    @pytest.mark.parametrize("level", [1e-6, 0.5, 0.8, 0.9, 0.95, 0.99, 1 - 1e-9])
+    def test_half_width_is_norm_ppf_bit_for_bit(self, level):
+        from spedgp.cokrige import Prediction
+        pr = Prediction(mean=np.zeros(3), scale=1.0, Sigma=np.eye(3))
+        lo, hi = hpd_interval(pr, level)
+        assert np.array_equal(hi, np.full(3, norm.ppf(0.5 * (1 + level))))
+        assert np.array_equal(lo, -hi)
+
     def test_level_validation(self):
         from spedgp.cokrige import Prediction
         pr = Prediction(mean=np.zeros(2), scale=0.5, Sigma=np.eye(2))
@@ -183,6 +193,25 @@ class TestHpdInterval:
         lo1, hi1 = hpd_interval(pr1, 0.9)
         lo2, hi2 = hpd_interval(pr2, 0.9)
         np.testing.assert_allclose(hi2, 2 * hi1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_predict_and_band_match_the_list_path_bit_for_bit(family):
+    # the request path: the design's own feature row and scipy.special's
+    # quantile, against a one-design list of rows and scipy.stats' norm.ppf
+    rng = np.random.default_rng(5)
+    model = random_emulator(rng, n=6, m=4, p=9, family=family)
+    for _ in range(5):
+        new = random_design(rng, model.p, family)
+        pred = predict(model, new)
+        f_new = design_feature_rows([new], family)[0]
+        ref = predict_from_point(model, correlation_from_features(model.F, f_new, model.z))
+        assert np.array_equal(pred.mean, ref.mean)
+        assert pred.scale == ref.scale
+        lo, hi = hpd_interval(pred, 0.9)
+        half = norm.ppf(0.95) * np.sqrt(ref.scale * np.diag(ref.Sigma))
+        assert np.array_equal(lo, ref.mean - half)
+        assert np.array_equal(hi, ref.mean + half)
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ class TestNegLogPosterior:
         data, *_ = random_fit_data(rng)
         beta, z, Sigma = random_state(rng, data)
         Sigma[1, 0] = Sigma[0, 1] = np.nan
+        with pytest.raises(NumericalError, match="not finite"):
+            neg_log_posterior(beta, z, Sigma, data, 0.0, 0.0)
+
+    def test_inf_sigma_is_not_reported_as_indefinite(self):
+        # dpotrf fails on an inf next to the diagonal instead of factoring it
+        rng = np.random.default_rng(1)
+        data, *_ = random_fit_data(rng)
+        beta, z, Sigma = random_state(rng, data)
+        Sigma[1, 0] = Sigma[0, 1] = np.inf
         with pytest.raises(NumericalError, match="not finite"):
             neg_log_posterior(beta, z, Sigma, data, 0.0, 0.0)
 
@@ -333,6 +343,20 @@ class TestFit:
         carried = [rec for rec in caplog.records
                    if "as is every restart" in rec.getMessage()]
         assert len(carried) == 1
+
+    def test_one_info_line_per_sweep(self, small_training_set, caplog):
+        cfg = FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=2, max_sweeps=4, seed=0)
+        with caplog.at_level(logging.INFO, logger="spedgp.estimate"):
+            _, trace = fit(small_training_set, cfg)
+        lines = [rec.getMessage() for rec in caplog.records
+                 if rec.levelno == logging.INFO and " sweep=" in rec.getMessage()]
+        assert len(lines) == sum(rec["sweeps"] for rec in trace.restarts)
+        fields = re.findall(r"(?:^| )(\w+)=", lines[0])
+        assert fields == ["restart", "sweep", "objective", "sigma_s", "beta_s",
+                          "theta_s", "glasso_iterations", "sigma_kkt",
+                          "theta_iterations", "theta_exit", "active",
+                          "offdiag_nonzeros"]
+        assert lines[0].startswith("restart=0 sweep=1 ")
 
     def test_duplicate_designs_rejected(self):
         grid = np.linspace(0.01, 0.15, 5)

@@ -238,15 +238,25 @@ class TestCholesky:
         assert cholesky(A.copy()) is None
 
     @pytest.mark.parametrize("entry,value", [((1, 0), np.nan), ((1, 1), np.nan),
-                                             ((2, 0), np.inf)],
+                                             ((2, 0), np.inf), ((1, 0), np.inf),
+                                             ((0, 0), -np.inf)],
                              ids=["nan_off_diagonal", "nan_diagonal",
-                                  "inf_off_diagonal"])
+                                  "inf_off_diagonal", "inf_next_to_diagonal",
+                                  "minus_inf_diagonal"])
     def test_non_finite_input_raises(self, entry, value):
-        # dpotrf returns these with info 0 and NaN on the factor's diagonal
+        # dpotrf returns the first three with info 0 and NaN on the factor's
+        # diagonal, and fails on the last two
         A = np.eye(3)
         A[entry] = A[entry[::-1]] = value
         with pytest.raises(NumericalError, match="not finite"):
             cholesky(A)
+
+    def test_failure_ignores_the_unread_triangle(self):
+        # dpotrf reads A[p, q] for q >= p only; a NaN below the diagonal of an
+        # indefinite matrix is not the matrix it factored
+        A = np.diag([1.0, -1.0, 2.0])
+        A[2, 0] = np.nan
+        assert cholesky(A) is None
 
     def test_estimate_does_not_reference_cho_factor(self):
         # every factorization in estimate goes through spectral.cholesky's dpotrf call

@@ -20,11 +20,13 @@ from spedgp import (
 )
 from spedgp.design import gen_sinusoid, sample_designs
 from spedgp.spectral import (
+    FAMILIES,
     STRUCTURE_SPAN,
     as_structure_curve,
     cholesky,
     correlation_cholesky,
     correlation_from_features,
+    design_feature_row,
     design_feature_rows,
     factor_correlation,
     half_size,
@@ -269,6 +271,12 @@ class TestMatrixAssembly:
     def test_feature_rows_require_provenance(self):
         with pytest.raises(InvalidInputError, match="provenance"):
             design_feature_rows(self.designs, "feature_based")
+        with pytest.raises(InvalidInputError, match="provenance"):
+            design_feature_row(self.designs[0], "feature_based")
+        designs = [StructureDesign(1.0, np.ones(self.p), features=np.ones(4)),
+                   self.designs[0]]
+        with pytest.raises(InvalidInputError, match=r"provenance.*\(design 1\)"):
+            design_feature_rows(designs, "feature_based")
 
     def test_l2_feature_rows_fold_dt(self):
         F = design_feature_rows(self.designs, "l2_distance")
@@ -276,6 +284,12 @@ class TestMatrixAssembly:
         np.testing.assert_allclose(
             F[0, :-1], self.designs[0].curve * np.sqrt(dt), rtol=1e-12)
         np.testing.assert_array_equal(F[:, -1], [d.diameter for d in self.designs])
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown kernel family"):
+            design_feature_row(self.designs[0], "cosine")
+        with pytest.raises(InvalidInputError, match="unknown kernel family"):
+            design_feature_rows(self.designs, "cosine")
 
     def test_theta_length_mismatch_rejected(self):
         params = KernelParams(theta=np.ones(3))
@@ -397,3 +411,28 @@ def test_no_module_references_cho_factor():
     # every factorization of the package goes through spectral.cholesky
     offenders = scipy_cholesky_references({"cho_factor"})
     assert not offenders, f"cho_factor used outside cholesky: {offenders}"
+
+
+def column_stacked_rows(designs, family):
+    """Feature rows built a whole list at a time, as one array per column."""
+    if family == "feature_based":
+        return np.array([dsn.features for dsn in designs])
+    if family == "sped":
+        F = np.array([dft_modulus(dsn.curve) for dsn in designs])
+    else:
+        p = designs[0].p
+        F = np.array([dsn.curve for dsn in designs]) * np.sqrt(STRUCTURE_SPAN / (p - 1))
+    return np.column_stack([F, [dsn.diameter for dsn in designs]])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_single_design_row_is_its_list_row_bit_for_bit(family):
+    rng = np.random.default_rng(11)
+    designs = [StructureDesign(rng.uniform(0.2, 2.0), rng.standard_normal(81),
+                               features=rng.uniform(0.1, 1.0, 4)) for _ in range(7)]
+    F = design_feature_rows(designs, family)
+    np.testing.assert_array_equal(F, column_stacked_rows(designs, family))
+    for i, dsn in enumerate(designs):
+        row = design_feature_row(dsn, family)
+        assert row.shape == F[i].shape
+        np.testing.assert_array_equal(row, F[i])
