@@ -21,17 +21,17 @@ from .metrics import MetricsReport, evaluate, mare, moduli_and_kappa
 from .mimic import (MimicProblem, MimicResult, build_problem, mse_objective,
                     optimize, reconstruct_structure)
 from .oracle import synthetic_oracle
-from .spectral import (KernelParams, StructureDesign, correlation_matrix,
-                       cross_correlation, dft_modulus)
+from .spectral import (StructureDesign, correlation_matrix, cross_correlation,
+                       dft_modulus)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DESIGN_BOX", "Dataset", "FitConfig", "FitError",
-    "FitTrace", "InvalidInputError", "KernelParams", "MetricsReport",
-    "MimicProblem", "MimicResult", "NumericalError", "Prediction",
-    "SingularMatrixError", "SinusoidSpec", "StructureDesign", "TrainedEmulator",
-    "beta_step", "build_problem", "correlation_matrix", "cross_correlation",
+    "FitTrace", "InvalidInputError", "MetricsReport", "MimicProblem",
+    "MimicResult", "NumericalError", "Prediction", "SingularMatrixError",
+    "SinusoidSpec", "StructureDesign", "TrainedEmulator", "beta_step",
+    "build_problem", "correlation_matrix", "cross_correlation",
     "default_strain_grid", "dft_modulus", "evaluate", "fit", "gen_sinusoid",
     "glasso_kkt_residual", "graphical_lasso", "hpd_interval", "load_dataset",
     "load_model", "log_stress", "mare", "mean_basis", "moduli_and_kappa",

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import InvalidInputError, NumericalError
-from .spectral import (DIAMETER_FAMILIES, KernelParams, StructureDesign,
+from .spectral import (DIAMETER_FAMILIES, StructureDesign, check_weights,
                        correlation_from_features, correlation_with_nugget,
                        design_feature_row, design_feature_rows, factor_correlation,
                        solve_factored, sq_differences)
@@ -87,8 +87,10 @@ class FitData:
     kernel feature rows of :func:`design_feature_rows`, with the diameter
     as the (unpenalized) last column for the families that keep it
     separate, and D = sq_differences(F, F) stacks one n x n matrix of
-    squared differences per column. The packed weight vector z follows
-    the same layout. Built and validated by :func:`make_fit_data` only.
+    squared differences per column. The packed weight vector z of
+    :func:`check_weights` follows the same layout; it is the package's one
+    form of the kernel parameters, and :meth:`unpack` reads (theta,
+    theta_d) off it. Built and validated by :func:`make_fit_data` only.
     """
 
     designs: list
@@ -116,11 +118,10 @@ class FitData:
     def has_diameter(self) -> bool:
         return self.family in DIAMETER_FAMILIES
 
-    def unpack(self, z: np.ndarray):
-        """(theta, theta_d) of packed weights z; theta_d is 0 without a diameter column."""
-        if z.shape != (self.nz,):
-            raise InvalidInputError(
-                f"kernel weights have shape {z.shape}, expected ({self.nz},)")
+    def unpack(self, z):
+        """(theta, theta_d) of packed weights z, validated by :func:`check_weights`;
+        theta_d is 0 without a diameter column."""
+        z = check_weights(z, self.nz)
         if not self.has_diameter:
             return z.copy(), 0.0
         return z[:-1].copy(), float(z[-1])
@@ -147,6 +148,8 @@ class FitData:
 def make_fit_data(designs, Y_log, grid, family: str = "sped",
                   nugget: float = 1e-8) -> FitData:
     """Assemble and validate the training state from log responses."""
+    if not np.isfinite(nugget) or nugget < 0:
+        raise InvalidInputError("nugget must be finite and nonnegative")
     Y = np.asarray(Y_log, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != len(designs) or Y.shape[1] != grid.size:
@@ -178,10 +181,11 @@ class TrainedEmulator:
     """Fitted co-kriging model plus cached factorizations.
 
     Built on the fit's training state ``data`` and the fitted packed
-    weights z, mean coefficients beta and covariance Sigma. The kernel
-    parameters, the correlation matrix R with its factorization and the
-    residuals are derived in __post_init__ and never mutated; predict and
-    downstream consumers treat instances as read-only.
+    weights z, mean coefficients beta and covariance Sigma. z is validated
+    by :func:`check_weights`; the correlation matrix R with its
+    factorization and the residuals are derived in __post_init__ and
+    never mutated; predict and downstream consumers treat instances as
+    read-only.
     """
 
     data: FitData
@@ -192,7 +196,7 @@ class TrainedEmulator:
 
     def __post_init__(self):
         data = self.data
-        self.z = np.asarray(self.z, dtype=float)
+        self.z = check_weights(self.z, data.nz)
         self.beta = np.asarray(self.beta, dtype=float)
         self.Sigma = np.asarray(self.Sigma, dtype=float)
         self.grid, self.designs, self.Y = data.grid, data.designs, data.Y
@@ -206,9 +210,6 @@ class TrainedEmulator:
             raise InvalidInputError("beta length does not match the mean basis")
         if self.beta.size >= 2 and self.beta[1] <= 0:
             raise InvalidInputError("beta_2 must be positive (monotone mean constraint)")
-        theta, theta_d = data.unpack(self.z)
-        self.params = KernelParams(theta=theta, theta_d=theta_d,
-                                   nugget=data.nugget, family=data.family)
         self.R, self.chol_R = data.chol(self.z)
         self.mu = self.P @ self.beta
         self.resid = data.residuals(self.beta)
@@ -248,7 +249,7 @@ def predict(model: TrainedEmulator, new: StructureDesign) -> Prediction:
     """
     if new.p != model.p:
         raise InvalidInputError(f"new design has p={new.p}, model expects {model.p}")
-    f_new = design_feature_row(new, model.params.family)
+    f_new = design_feature_row(new, model.data.family)
     r = correlation_from_features(model.F, f_new, model.z)
     return predict_from_point(model, r)
 
@@ -274,8 +275,10 @@ def save_model(model: TrainedEmulator, path) -> None:
     """Serialize the emulator to a JSON document.
 
     Sigma is stored densely; the correlation factorization is recomputed
-    on load so the file stays self-describing and consistent.
+    on load so the file stays self-describing and consistent. The
+    weights are written unpacked, as theta and theta_d.
     """
+    theta, theta_d = model.data.unpack(model.z)
     doc = {
         "p": model.p,
         "strain_grid": model.grid.tolist(),
@@ -288,21 +291,45 @@ def save_model(model: TrainedEmulator, path) -> None:
             for dsn in model.designs
         ],
         "Y": model.Y.tolist(),
-        "theta": model.params.theta.tolist(),
-        "theta_d": model.params.theta_d,
-        "nugget": model.params.nugget,
+        "theta": theta.tolist(),
+        "theta_d": theta_d,
+        "nugget": model.data.nugget,
         "beta": model.beta.tolist(),
         "Sigma": model.Sigma.tolist(),
-        "family": model.params.family,
+        "family": model.data.family,
         "fit_metadata": model.fit_metadata,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path) -> TrainedEmulator:
-    """Read a model written by :func:`save_model`; training rows are
-    validated by :func:`make_fit_data`, as a fit's are."""
-    doc = json.loads(Path(path).read_text())
+    """Read a model written by :func:`save_model`.
+
+    Training rows are validated by :func:`make_fit_data`, as a fit's are,
+    and theta and theta_d, packed into z, by :func:`check_weights`. A
+    missing file, invalid JSON, a missing key or a value of the wrong type
+    raises an invalid-input error naming the file.
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except FileNotFoundError as exc:
+        raise InvalidInputError(f"missing file: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path.name} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path.name} must hold a JSON object")
+    try:
+        return _model_from_doc(doc)
+    except KeyError as exc:
+        raise InvalidInputError(f"{path.name} lacks the key {exc}") from exc
+    except InvalidInputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path.name} holds a value of the wrong type: {exc}") from exc
+
+
+def _model_from_doc(doc: dict) -> TrainedEmulator:
     designs = [
         StructureDesign(
             diameter=entry["d"],
@@ -313,10 +340,13 @@ def load_model(path) -> TrainedEmulator:
     ]
     data = make_fit_data(designs, doc["Y"], doc["strain_grid"],
                          family=doc["family"], nugget=float(doc["nugget"]))
-    z = KernelParams(theta=doc["theta"], theta_d=float(doc["theta_d"]),
-                     family=data.family).weights(designs[0].p)
+    theta = np.asarray(doc["theta"], dtype=float)
+    if theta.ndim != 1:
+        raise InvalidInputError("theta must be a 1-d vector")
+    # theta_d is checked for every family and kept where the diameter has a column
+    z = check_weights(np.append(theta, doc["theta_d"]), theta.size + 1)
     return TrainedEmulator(
-        data=data, z=z,
+        data=data, z=z if data.has_diameter else z[:-1],
         beta=np.array(doc["beta"], dtype=float),
         Sigma=np.array(doc["Sigma"], dtype=float),
         fit_metadata=doc.get("fit_metadata", {}),

@@ -41,8 +41,10 @@ from scipy.optimize import minimize
 
 from .cokrige import (FitData, TrainedEmulator, log_stress, make_fit_data, predict,
                       unlog_stress)
+from .dataio import Dataset
 from .exceptions import (ConvergenceError, FitError, InvalidInputError,
                          NumericalError, SingularMatrixError)
+from .metrics import mare
 from .spectral import FAMILIES, cholesky, logdet, solve_factored
 
 logger = logging.getLogger(__name__)
@@ -121,8 +123,6 @@ def neg_log_posterior(beta, z, Sigma, data: FitData,
     """
     z = np.asarray(z, dtype=float)
     theta, _ = data.unpack(z)
-    if np.any(z < 0):
-        raise InvalidInputError("kernel weights must be nonnegative")
     _, choR = data.chol(z)
     choS = cholesky(np.array(Sigma, dtype=float))
     if choS is None:
@@ -696,9 +696,6 @@ def select_penalties(data, lambda_I_grid, lambda_o_grid, k: int,
     Scores each grid pair by the mean held-out back-transformed MARE and
     returns the minimizing pair, ties broken toward larger penalties.
     """
-    from .dataio import Dataset
-    from .metrics import mare
-
     li_grid = sorted(set(float(v) for v in np.atleast_1d(lambda_I_grid)))
     lo_grid = sorted(set(float(v) for v in np.atleast_1d(lambda_o_grid)))
     if not li_grid or not lo_grid:

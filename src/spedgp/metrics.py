@@ -74,8 +74,9 @@ def evaluate(model, test) -> MetricsReport:
     whole true curve. Summary: median and mean MARE, classification
     accuracy, band coverage fraction.
     """
-    if not np.allclose(np.asarray(test.grid, dtype=float), model.grid,
-                       rtol=1e-12, atol=0.0):
+    test_grid = np.asarray(test.grid, dtype=float)
+    if (test_grid.shape != model.grid.shape
+            or not np.allclose(test_grid, model.grid, rtol=1e-12, atol=0.0)):
         raise InvalidInputError("test grid does not match the model's strain grid")
     report = MetricsReport()
     mares, matches, covered_flags = [], [], []

@@ -75,10 +75,10 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress) -> Mimic
     span. The active set is the fitted theta's support; the boxes are
     derived as in :class:`MimicProblem`.
     """
-    if model.params.family != "sped":
+    if model.data.family != "sped":
         raise InvalidInputError(
             "inverse design searches modulus spectra and needs a model "
-            f"with the sped kernel family, not {model.params.family!r}")
+            f"with the sped kernel family, not {model.data.family!r}")
     target_strain = np.asarray(target_strain, dtype=float)
     target_stress = np.asarray(target_stress, dtype=float)
     if target_strain.shape != target_stress.shape or target_strain.ndim != 1:
@@ -89,7 +89,7 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress) -> Mimic
         raise InvalidInputError("target strain range does not cover the model grid")
     on_grid = np.interp(model.grid, target_strain, target_stress)
     return MimicProblem(model=model, target_log=log_stress(on_grid),
-                        active_set=np.flatnonzero(model.params.theta > 0))
+                        active_set=np.flatnonzero(model.data.unpack(model.z)[0] > 0))
 
 
 def _candidate_row(model, active_set, x) -> np.ndarray:
@@ -136,7 +136,7 @@ def mse_objective(model: TrainedEmulator, target, d: float, spectrum_active,
     if not np.isfinite(d) or d <= 0:
         raise InvalidInputError("diameter must be positive")
     if active_set is None:
-        active_set = np.flatnonzero(model.params.theta > 0)
+        active_set = np.flatnonzero(model.data.unpack(model.z)[0] > 0)
     problem = MimicProblem(model=model, target_log=target, active_set=active_set)
     x = np.concatenate([[d], spectrum_active])
     return _objective_and_grad(x, problem)[0]

@@ -116,57 +116,21 @@ class StructureDesign:
         return self.curve.size
 
 
-@dataclass
-class KernelParams:
-    """Correlation parameters: frequency weights, diameter scale, nugget, family.
+def check_weights(z, nz: int) -> np.ndarray:
+    """Validate packed kernel weights z and return them as a float array.
 
-    theta has one entry per feature coordinate of the chosen family:
-    (p-1)/2 + 1 spectral weights for "sped", 4 weights for
-    "feature_based" ([d, A, omega, phi]), p weights for "l2_distance".
-    theta_d scales the separable diameter factor; it is unused by the
-    feature_based family, whose first feature already is the diameter.
+    z is the package's one form of the kernel parameters: one weight per
+    column of :func:`design_feature_rows`, the spectral (or feature, or
+    curve-value) weights theta followed, for the DIAMETER_FAMILIES, by the
+    diameter weight theta_d. It must have shape (nz,) and be finite and
+    nonnegative.
     """
-
-    theta: np.ndarray
-    theta_d: float = 0.0
-    nugget: float = 1e-8
-    family: str = "sped"
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.ndim != 1:
-            raise InvalidInputError("theta must be a 1-d vector")
-        if not np.all(np.isfinite(self.theta)) or np.any(self.theta < 0):
-            raise InvalidInputError("theta must be finite and nonnegative")
-        if not np.isfinite(self.theta_d) or self.theta_d < 0:
-            raise InvalidInputError("theta_d must be finite and nonnegative")
-        if not np.isfinite(self.nugget) or self.nugget < 0:
-            raise InvalidInputError("nugget must be finite and nonnegative")
-        if self.family not in FAMILIES:
-            raise InvalidInputError(f"unknown kernel family {self.family!r}")
-
-    def theta_length(self, p: int) -> int:
-        """Required theta length for curves of length p."""
-        if self.family == "sped":
-            return half_size(p)
-        if self.family == "feature_based":
-            return 4
-        return p
-
-    def weights(self, p: int) -> np.ndarray:
-        """Packed weights z = (theta, theta_d) for curves of length p.
-
-        z follows the columns of :func:`design_feature_rows`: theta_d
-        comes last, and only for the families that keep the diameter
-        separate.
-        """
-        if self.theta.size != self.theta_length(p):
-            raise InvalidInputError(
-                f"theta has length {self.theta.size}, expected "
-                f"{self.theta_length(p)} for family {self.family!r} with p={p}")
-        if self.family in DIAMETER_FAMILIES:
-            return np.append(self.theta, self.theta_d)
-        return self.theta
+    z = np.asarray(z, dtype=float)
+    if z.shape != (nz,):
+        raise InvalidInputError(f"kernel weights have shape {z.shape}, expected ({nz},)")
+    if not np.isfinite(z).all() or (z < 0).any():
+        raise InvalidInputError("kernel weights must be finite and nonnegative")
+    return z
 
 
 def design_feature_row(design: StructureDesign, family: str) -> np.ndarray:
@@ -177,8 +141,8 @@ def design_feature_row(design: StructureDesign, family: str) -> np.ndarray:
     scaled by sqrt(dt) with dt = STRUCTURE_SPAN / (p - 1) (l2_distance,
     folding the Riemann measure into the features). The families in
     DIAMETER_FAMILIES append the diameter as the last coordinate, so with
-    the packed weights of :meth:`KernelParams.weights` every family is the
-    same kernel.
+    the packed weights of :func:`check_weights` every family is the same
+    kernel.
     """
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown kernel family {family!r}")
@@ -226,7 +190,7 @@ def kernel(D: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The correlation exp(-sum_k z_k D[..., k]) on squared differences D.
 
     This is the only place the kernel exponent is computed. D comes from
-    :func:`sq_differences` and z from :meth:`KernelParams.weights`; D is
+    :func:`sq_differences` and z from :func:`check_weights`; D is
     flattened to one matrix-vector product over its last axis.
     """
     return np.exp(-(D.reshape(-1, D.shape[-1]) @ z)).reshape(D.shape[:-1])
@@ -327,24 +291,26 @@ def correlation_from_features(F: np.ndarray, f_new: np.ndarray, z: np.ndarray) -
     return kernel(sq_differences(F, f_new), z)
 
 
-def correlation_matrix(designs: list[StructureDesign], params: KernelParams) -> np.ndarray:
-    """n x n correlation matrix with ``1 + nugget`` on the diagonal."""
-    F = design_feature_rows(designs, params.family)
+def correlation_matrix(designs: list[StructureDesign], z, family: str,
+                       nugget: float) -> np.ndarray:
+    """n x n correlation matrix at packed weights z, ``1 + nugget`` on the diagonal."""
+    F = design_feature_rows(designs, family)
     return correlation_with_nugget(sq_differences(F, F),
-                                   params.weights(designs[0].p), params.nugget)
+                                   check_weights(z, F.shape[1]), nugget)
 
 
 def cross_correlation(new: StructureDesign, designs: list[StructureDesign],
-                      params: KernelParams) -> np.ndarray:
+                      z, family: str) -> np.ndarray:
     """Correlations between one new design and n stored designs (no nugget)."""
-    F = design_feature_rows(designs, params.family)
+    F = design_feature_rows(designs, family)
     if new.p != designs[0].p:
         raise InvalidInputError(f"curve lengths differ: {new.p} vs {designs[0].p}")
-    f_new = design_feature_row(new, params.family)
-    return correlation_from_features(F, f_new, params.weights(new.p))
+    f_new = design_feature_row(new, family)
+    return correlation_from_features(F, f_new, check_weights(z, F.shape[1]))
 
 
-def correlation_cholesky(designs: list[StructureDesign], params: KernelParams):
+def correlation_cholesky(designs: list[StructureDesign], z, family: str,
+                         nugget: float):
     """Assemble R and its Cholesky factorization (see :func:`factor_correlation`)."""
-    R = correlation_matrix(designs, params)
-    return R, factor_correlation(R, params.nugget)
+    R = correlation_matrix(designs, z, family, nugget)
+    return R, factor_correlation(R, nugget)

@@ -20,7 +20,6 @@ import pytest
 from spedgp import (
     Dataset,
     FitConfig,
-    KernelParams,
     SinusoidSpec,
     StructureDesign,
     beta_step,
@@ -107,15 +106,14 @@ def test_c01_kernel_admissibility():
     for _ in range(200):
         p = int(rng.choice([5, 21, 81]))
         n = int(rng.integers(2, 16))
-        params = KernelParams(theta=rng.uniform(0.0, 0.6, half_size(p)),
-                              theta_d=rng.uniform(0.0, 1.0), nugget=0.0)
+        z = np.append(rng.uniform(0.0, 0.6, half_size(p)), rng.uniform(0.0, 1.0))
         designs = random_designs(rng, n, p)
-        R = correlation_matrix(designs, params)
+        R = correlation_matrix(designs, z, "sped", 0.0)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(R).min()))
         base = designs[0]
         shifted = StructureDesign(base.diameter,
                                   np.roll(base.curve, int(rng.integers(1, p))))
-        rho = cross_correlation(shifted, [base], params)[0]
+        rho = cross_correlation(shifted, [base], z, "sped")[0]
         worst_shift = max(worst_shift, abs(rho - 1.0))
     seconds = time.perf_counter() - t0
     report(1, "kernel admissibility", [
@@ -138,20 +136,20 @@ def test_c02_factorized_algebra_matches_dense():
         grid = np.linspace(0.01, 0.15, m)
         b0, b1 = rng.standard_normal(), rng.uniform(0.5, 2.0)
         Y = b0 + b1 * np.log(grid) + 0.3 * rng.standard_normal((n, m))
-        params = KernelParams(theta=rng.uniform(0.05, 0.4, half_size(p)),
-                              theta_d=rng.uniform(0.1, 1.0))
+        theta = rng.uniform(0.05, 0.4, half_size(p))
+        theta_d = rng.uniform(0.1, 1.0)
         A = rng.standard_normal((m, m))
         Sigma = A @ A.T + m * np.eye(m)
         beta = np.array([b0, b1])
         P = mean_basis(grid)
 
         data = make_fit_data(designs, Y, grid)
-        z = np.concatenate([params.theta, [params.theta_d]])
+        z = np.concatenate([theta, [theta_d]])
         model = TrainedEmulator(data=data, z=z, beta=beta, Sigma=Sigma)
         new = random_designs(rng, 1, p)[0]
         pred = predict(model, new)
-        r = cross_correlation(new, designs, params)
-        R = correlation_matrix(designs, params)
+        r = cross_correlation(new, designs, z, "sped")
+        R = correlation_matrix(designs, z, "sped", data.nugget)
         mean_d, cov_d = dense_conditional(Y, R, r, 1.0, Sigma, beta, P)
         worst_mean = max(worst_mean, float(
             np.linalg.norm(pred.mean - mean_d) / np.linalg.norm(mean_d)))
@@ -159,7 +157,7 @@ def test_c02_factorized_algebra_matches_dense():
             np.linalg.norm(pred.covariance() - cov_d) / np.linalg.norm(cov_d)))
 
         got = neg_log_posterior(beta, z, Sigma, data, lambda_I=0.7, lambda_o=0.3)
-        want = penalized_objective(Y, R, Sigma, beta, P, 0.7, 0.3, params.theta)
+        want = penalized_objective(Y, R, Sigma, beta, P, 0.7, 0.3, theta)
         worst_obj = max(worst_obj, abs(got - want) / abs(want))
 
         _, choR = data.chol(z)
@@ -297,7 +295,7 @@ def test_model_r_is_the_fit_correlation(sped_fit, feature_fit):
     # the fitted weights
     for model in (sped_fit.model, feature_fit):
         data = make_fit_data(model.designs, model.Y, model.grid,
-                             family=model.params.family, nugget=model.params.nugget)
+                             family=model.data.family, nugget=model.data.nugget)
         np.testing.assert_array_equal(model.R, data.correlation(model.z))
 
 
@@ -326,7 +324,7 @@ def test_c08_sparsity_recovery(bench):
                               [0.5], k=5, config=BENCH_CONFIG)
     config = dataclasses.replace(BENCH_CONFIG, lambda_I=li, lambda_o=lo)
     model, _ = fit(bench.train, config)
-    theta = model.params.theta
+    theta, _ = model.data.unpack(model.z)
     inert = np.setdiff1d(np.arange(theta.size), ACTIVE_BAND)
     zero_inert = int(np.count_nonzero(theta[inert] == 0.0))
     active_hit = int(np.count_nonzero(theta[ACTIVE_BAND] > 0.0))

@@ -281,3 +281,29 @@ class TestMimic:
                    "--out", str(tmp_path / "m.json")])
         assert rc == 2
         assert "missing file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "mimic"])
+@pytest.mark.parametrize("case,message", [
+    ("missing_file", "missing file"),
+    ("invalid_json", "model.json is not valid JSON"),
+    ("missing_key", "model.json lacks the key 'theta'"),
+], ids=["missing_file", "invalid_json", "missing_key"])
+def test_unreadable_model_exits_2(ws, tmp_path, capsys, command, case, message):
+    model = tmp_path / "model.json"
+    if case == "invalid_json":
+        model.write_text(ws.model.read_text()[:200])
+    elif case == "missing_key":
+        doc = json.loads(ws.model.read_text())
+        del doc["theta"]
+        model.write_text(json.dumps(doc))
+    target = tmp_path / "target.csv"
+    write_target(target)
+    inputs = {"predict": ["--designs", str(ws.data / "test_designs.csv")],
+              "eval": ["--test", str(ws.data)],
+              "mimic": ["--target", str(target)]}
+    out = tmp_path / "out"
+    rc = main([command, "--model", str(model), *inputs[command], "--out", str(out)])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

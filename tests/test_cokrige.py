@@ -6,7 +6,6 @@ from scipy.stats import norm
 
 from spedgp import (
     InvalidInputError,
-    KernelParams,
     NumericalError,
     StructureDesign,
     load_model,
@@ -24,8 +23,8 @@ from spedgp.cokrige import (
     predict_from_point,
     unlog_stress,
 )
-from spedgp.spectral import (FAMILIES, correlation_from_features, cross_correlation,
-                             design_feature_rows, half_size)
+from spedgp.spectral import (DIAMETER_FAMILIES, FAMILIES, correlation_from_features,
+                             cross_correlation, design_feature_rows, half_size)
 
 from .oracles import dense_conditional
 
@@ -44,12 +43,12 @@ def random_emulator(rng, n=4, m=3, p=5, nugget=1e-8, family="sped"):
     A = rng.standard_normal((m, m))
     Sigma = A @ A.T + m * np.eye(m)
     n_theta = {"sped": half_size(p), "feature_based": 4, "l2_distance": p}[family]
-    params = KernelParams(theta=rng.uniform(0.05, 0.3, n_theta),
-                          theta_d=rng.uniform(0.1, 1.0), nugget=nugget,
-                          family=family)
+    theta = rng.uniform(0.05, 0.3, n_theta)
+    theta_d = rng.uniform(0.1, 1.0)
+    z = np.append(theta, theta_d) if family in DIAMETER_FAMILIES else theta
     beta = np.array([rng.standard_normal(), rng.uniform(0.5, 2.0)])
     data = make_fit_data(designs, Y, grid, family=family, nugget=nugget)
-    return TrainedEmulator(data=data, z=params.weights(p), beta=beta, Sigma=Sigma)
+    return TrainedEmulator(data=data, z=z, beta=beta, Sigma=Sigma)
 
 
 class TestTransforms:
@@ -99,6 +98,16 @@ class TestEmulatorValidation:
         with pytest.raises(InvalidInputError, match="symmetric"):
             TrainedEmulator(data=good.data, z=good.z, beta=good.beta, Sigma=bad)
 
+    @pytest.mark.parametrize("bad", [-0.1, np.nan])
+    @pytest.mark.parametrize("k", [0, -1], ids=["theta", "theta_d"])
+    def test_negative_or_nan_weights_rejected(self, bad, k):
+        rng = np.random.default_rng(1)
+        good = random_emulator(rng)
+        z = good.z.copy()
+        z[k] = bad
+        with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+            TrainedEmulator(data=good.data, z=z, beta=good.beta, Sigma=good.Sigma)
+
     def test_weight_length_must_match_features(self):
         rng = np.random.default_rng(1)
         good = random_emulator(rng)
@@ -110,8 +119,10 @@ class TestEmulatorValidation:
         rng = np.random.default_rng(1)
         model = random_emulator(rng, nugget=1e-6)
         assert model.F is model.data.F and model.Y is model.data.Y
-        assert model.params.nugget == model.data.nugget == 1e-6
-        np.testing.assert_array_equal(model.params.weights(model.p), model.z)
+        assert model.data.nugget == 1e-6
+        theta, theta_d = model.data.unpack(model.z)
+        np.testing.assert_array_equal(np.append(theta, theta_d), model.z)
+        assert not hasattr(model, "params")
         np.testing.assert_array_equal(model.R, model.data.correlation(model.z))
 
 
@@ -123,7 +134,7 @@ class TestPredictAgainstDenseOracle:
             new = StructureDesign(rng.uniform(0.3, 1.8),
                                   rng.standard_normal(model.p))
             pred = predict(model, new)
-            r = cross_correlation(new, model.designs, model.params)
+            r = cross_correlation(new, model.designs, model.z, model.data.family)
             mean, cov = dense_conditional(model.Y, model.R, r, 1.0, model.Sigma,
                                           model.beta, model.P)
             np.testing.assert_allclose(pred.mean, mean, rtol=1e-9, atol=1e-12)
@@ -150,7 +161,8 @@ class TestPredictAgainstDenseOracle:
         model = random_emulator(rng)
         r = np.zeros(len(model.designs))
         assert predict_from_point(model, r).scale == 1.0
-        r_over = cross_correlation(model.designs[0], model.designs, model.params)
+        r_over = cross_correlation(model.designs[0], model.designs, model.z,
+                                   model.data.family)
         # tiny overshoot inside tolerance clamps to zero
         pred = predict_from_point(model, r_over * (1 + 1e-12))
         assert pred.scale >= 0.0
@@ -236,9 +248,9 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
-        assert back.params.family == model.params.family
-        assert back.params.nugget == model.params.nugget
-        np.testing.assert_array_equal(back.params.theta, model.params.theta)
+        assert back.data.family == model.data.family
+        assert back.data.nugget == model.data.nugget
+        np.testing.assert_array_equal(back.z, model.z)
         np.testing.assert_array_equal(back.Y, model.Y)
         assert back.fit_metadata["lambda_I"] == 1.0
 
@@ -246,7 +258,21 @@ class TestSerialization:
         (lambda doc: doc["Y"][1].__setitem__(0, float("nan")), "responses must be finite"),
         (lambda doc: doc["designs"].__setitem__(2, doc["designs"][0]),
          "designs 0 and 2 are identical up to cyclic shift"),
-    ], ids=["nan_response", "duplicate_design"])
+        (lambda doc: doc["theta"].__setitem__(1, -0.5), "finite and nonnegative"),
+        (lambda doc: doc["theta"].__setitem__(1, float("nan")), "finite and nonnegative"),
+        (lambda doc: doc["theta"].pop(), "kernel weights have shape"),
+        (lambda doc: doc["theta"].append([0.1]), "holds a value of the wrong type"),
+        (lambda doc: doc.__setitem__("theta_d", float("nan")), "finite and nonnegative"),
+        (lambda doc: doc.__setitem__("theta_d", -1.0), "finite and nonnegative"),
+        (lambda doc: doc.__setitem__("nugget", float("nan")),
+         "nugget must be finite and nonnegative"),
+        (lambda doc: doc.__setitem__("nugget", -1e-8),
+         "nugget must be finite and nonnegative"),
+        (lambda doc: doc.__setitem__("family", "cosine"), "unknown kernel family"),
+        (lambda doc: doc.__setitem__("theta", [[0.1, 0.2], [0.1, 0.2]]), "1-d vector"),
+    ], ids=["nan_response", "duplicate_design", "negative_theta", "nan_theta",
+            "short_theta", "ragged_theta", "nan_theta_d", "negative_theta_d",
+            "nan_nugget", "negative_nugget", "unknown_family", "matrix_theta"])
     def test_load_validates_training_rows_as_fit_does(self, tmp_path, edit, message):
         rng = np.random.default_rng(10)
         path = tmp_path / "model.json"
@@ -254,6 +280,31 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("family", ["sped", "feature_based"])
+    def test_theta_d_checked_for_every_family(self, tmp_path, family):
+        # the feature_based z has no theta_d entry, but its file's theta_d is checked
+        rng = np.random.default_rng(11)
+        path = tmp_path / "model.json"
+        save_model(random_emulator(rng, family=family), path)
+        doc = json.loads(path.read_text())
+        doc["theta_d"] = -1.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+            load_model(path)
+
+    @pytest.mark.parametrize("write,message", [
+        (None, "missing file"),
+        ("{not json", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        (json.dumps({"p": 5}), "lacks the key 'designs'"),
+    ], ids=["missing_file", "invalid_json", "not_an_object", "missing_key"])
+    def test_unreadable_file_raises_invalid_input(self, tmp_path, write, message):
+        path = tmp_path / "model.json"
+        if write is not None:
+            path.write_text(write)
         with pytest.raises(InvalidInputError, match=message):
             load_model(path)
 

@@ -305,7 +305,7 @@ class TestFit:
         cfg = FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=2, seed=3)
         m1, t1 = fit(small_training_set, cfg)
         m2, t2 = fit(small_training_set, cfg)
-        np.testing.assert_array_equal(m1.params.theta, m2.params.theta)
+        np.testing.assert_array_equal(m1.z, m2.z)
         np.testing.assert_array_equal(m1.Sigma, m2.Sigma)
         np.testing.assert_array_equal(m1.beta, m2.beta)
         assert t1.to_dict() == t2.to_dict()

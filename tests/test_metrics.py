@@ -149,6 +149,14 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError, match="grid"):
             evaluate(model, bad)
 
+    def test_grid_of_another_length_rejected(self, model_and_test):
+        model, test = model_and_test
+        short = Dataset(designs=test.designs, responses=test.responses[:, :-1],
+                        grid=test.grid[:-1])
+        with pytest.raises(InvalidInputError,
+                           match="test grid does not match the model's strain grid"):
+            evaluate(model, short)
+
     def test_to_dict_round_trip(self, model_and_test):
         model, test = model_and_test
         doc = evaluate(model, test).to_dict()

@@ -7,7 +7,6 @@ from spedgp import (
     Dataset,
     FitConfig,
     InvalidInputError,
-    KernelParams,
     SinusoidSpec,
     StructureDesign,
     build_problem,
@@ -34,10 +33,9 @@ def toy_emulator(rng, theta, theta_d=0.6, n=5, m=4, p=9, nugget=1e-8):
     Y = rng.standard_normal((n, m))
     A = rng.standard_normal((m, m))
     Sigma = A @ A.T + m * np.eye(m)
-    params = KernelParams(theta=np.asarray(theta, dtype=float),
-                          theta_d=theta_d, nugget=nugget)
+    z = np.append(np.asarray(theta, dtype=float), theta_d)
     return TrainedEmulator(data=make_fit_data(designs, Y, grid, nugget=nugget),
-                           z=params.weights(p), beta=np.array([0.2, 1.0]),
+                           z=z, beta=np.array([0.2, 1.0]),
                            Sigma=Sigma)
 
 
@@ -49,7 +47,7 @@ def mimic_model():
     Y = np.array([synthetic_oracle(d, grid) for d in designs])
     model, _ = fit(Dataset(designs=designs, responses=Y, grid=grid),
                    FitConfig(lambda_I=0.3, lambda_o=0.5, restarts=2, seed=0))
-    assert np.count_nonzero(model.params.theta) >= 1
+    assert np.count_nonzero(model.data.unpack(model.z)[0]) >= 1
     return model
 
 
@@ -123,7 +121,7 @@ class TestMseObjective:
     def test_training_point_with_own_row_is_tiny(self):
         rng = np.random.default_rng(3)
         model = toy_emulator(rng, [0.1, 0.4, 0.0, 0.2, 0.15])
-        active = np.flatnonzero(model.params.theta > 0)
+        active = np.flatnonzero(model.data.unpack(model.z)[0] > 0)
         j = 2
         got = mse_objective(model, model.Y[j], d=model.designs[j].diameter,
                             spectrum_active=model.F[j, active])
@@ -132,7 +130,7 @@ class TestMseObjective:
     def test_matches_monte_carlo_expectation(self):
         rng = np.random.default_rng(4)
         model = toy_emulator(rng, [0.1, 0.4, 0.0, 0.2, 0.15])
-        active = np.flatnonzero(model.params.theta > 0)
+        active = np.flatnonzero(model.data.unpack(model.z)[0] > 0)
         coefs = model.F[:, active].mean(axis=0)
         target = model.Y.mean(axis=0)
         got = mse_objective(model, target, 1.1, coefs)
@@ -184,7 +182,7 @@ class TestBuildProblem:
     def test_active_set_is_theta_support(self, mimic_model, mimic_problem):
         np.testing.assert_array_equal(
             mimic_problem.active_set,
-            np.flatnonzero(mimic_model.params.theta > 0))
+            np.flatnonzero(mimic_model.data.unpack(mimic_model.z)[0] > 0))
 
     def test_default_boxes(self, mimic_model, mimic_problem):
         active = mimic_problem.active_set
@@ -197,10 +195,9 @@ class TestBuildProblem:
     def test_rejects_non_spectral_kernel(self, target_stress):
         rng = np.random.default_rng(8)
         designs = [gen_sinusoid(s, 21) for s in sample_designs(5, seed=8)]
-        params = KernelParams(theta=np.full(4, 0.2), family="feature_based")
         data = make_fit_data(designs, rng.standard_normal((5, 4)),
                              np.linspace(0.01, 0.15, 4), family="feature_based")
-        model = TrainedEmulator(data=data, z=params.weights(21),
+        model = TrainedEmulator(data=data, z=np.full(4, 0.2),
                                 beta=np.array([0.2, 1.0]), Sigma=np.eye(4))
         with pytest.raises(InvalidInputError):
             build_problem(model, TARGET_STRAIN, target_stress)

@@ -10,7 +10,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from spedgp import (
     InvalidInputError,
-    KernelParams,
     NumericalError,
     SingularMatrixError,
     StructureDesign,
@@ -23,6 +22,7 @@ from spedgp.spectral import (
     FAMILIES,
     STRUCTURE_SPAN,
     as_structure_curve,
+    check_weights,
     cholesky,
     correlation_cholesky,
     correlation_from_features,
@@ -55,14 +55,13 @@ def rand_design(rng, p, d=None):
     )
 
 
-def pair_correlation(a, b, params):
-    """The kernel between two designs, through their feature rows."""
-    return float(cross_correlation(a, [b], params)[0])
+def pair_correlation(a, b, z, family):
+    """The kernel between two designs at packed weights z, through their feature rows."""
+    return float(cross_correlation(a, [b], z, family)[0])
 
 
-def sped_oracle(a, b, params):
-    return sped_corr_scalar(a.diameter, a.curve, b.diameter, b.curve,
-                            params.theta, params.theta_d)
+def sped_oracle(a, b, z):
+    return sped_corr_scalar(a.diameter, a.curve, b.diameter, b.curve, z[:-1], z[-1])
 
 
 class TestDftModulus:
@@ -124,36 +123,35 @@ class TestSpedCorrelation:
         rng = np.random.default_rng(0)
         p = 9
         a, b = rand_design(rng, p), rand_design(rng, p)
-        params = KernelParams(theta=rng.uniform(0, 1, half_size(p)), theta_d=0.3)
-        assert pair_correlation(a, b, params) == pytest.approx(
-            sped_oracle(a, b, params), rel=1e-12)
+        z = np.append(rng.uniform(0, 1, half_size(p)), 0.3)
+        assert pair_correlation(a, b, z, "sped") == pytest.approx(
+            sped_oracle(a, b, z), rel=1e-12)
 
     def test_shifted_copy_has_correlation_one(self):
         rng = np.random.default_rng(1)
         p = 21
         a = rand_design(rng, p)
         b = StructureDesign(a.diameter, np.roll(a.curve, 7))
-        params = KernelParams(theta=rng.uniform(0, 2, half_size(p)), theta_d=1.0)
-        assert pair_correlation(a, b, params) == pytest.approx(1.0, abs=1e-10)
+        z = np.append(rng.uniform(0, 2, half_size(p)), 1.0)
+        assert pair_correlation(a, b, z, "sped") == pytest.approx(1.0, abs=1e-10)
 
     def test_diameter_factor(self):
         x = np.ones(5)
         a = StructureDesign(1.0, x)
         b = StructureDesign(1.5, x)
-        params = KernelParams(theta=np.zeros(3), theta_d=2.0)
-        assert pair_correlation(a, b, params) == pytest.approx(np.exp(-2.0 * 0.25))
+        z = np.append(np.zeros(3), 2.0)
+        assert pair_correlation(a, b, z, "sped") == pytest.approx(np.exp(-2.0 * 0.25))
 
     def test_zero_theta_gives_one(self):
         rng = np.random.default_rng(2)
         a, b = rand_design(rng, 7, d=1.0), rand_design(rng, 7, d=1.0)
-        params = KernelParams(theta=np.zeros(4), theta_d=0.0)
-        assert pair_correlation(a, b, params) == 1.0
+        assert pair_correlation(a, b, np.zeros(5), "sped") == 1.0
 
     def test_length_mismatch_rejected(self):
         a = StructureDesign(1.0, np.zeros(5))
         b = StructureDesign(1.0, np.zeros(7))
         with pytest.raises(InvalidInputError, match="lengths differ"):
-            pair_correlation(a, b, KernelParams(theta=np.zeros(3)))
+            pair_correlation(a, b, np.zeros(4), "sped")
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -161,13 +159,12 @@ class TestSpedCorrelation:
         rng = np.random.default_rng(seed)
         p = 11
         a, b = rand_design(rng, p), rand_design(rng, p)
-        params = KernelParams(theta=rng.uniform(0, 3, half_size(p)),
-                              theta_d=rng.uniform(0, 3))
-        r_ab = pair_correlation(a, b, params)
-        r_ba = pair_correlation(b, a, params)
+        z = np.append(rng.uniform(0, 3, half_size(p)), rng.uniform(0, 3))
+        r_ab = pair_correlation(a, b, z, "sped")
+        r_ba = pair_correlation(b, a, z, "sped")
         assert 0.0 <= r_ab <= 1.0
         assert r_ab == pytest.approx(r_ba, rel=1e-14)
-        assert r_ab == pytest.approx(sped_oracle(a, b, params), rel=1e-10)
+        assert r_ab == pytest.approx(sped_oracle(a, b, z), rel=1e-10)
 
 
 class TestBaselineFamilies:
@@ -183,31 +180,33 @@ class TestBaselineFamilies:
         f = np.array([1.0, 0.5, 0.3, 0.1])
         a = StructureDesign(1.0, rng.standard_normal(9), features=f)
         b = StructureDesign(1.7, rng.standard_normal(9), features=f)
-        params = KernelParams(theta=np.ones(4), theta_d=5.0, family="feature_based")
-        assert pair_correlation(a, b, params) == 1.0
+        # the diameters differ, but the feature row has no separate diameter column
+        assert pair_correlation(a, b, np.ones(4), "feature_based") == 1.0
 
     def test_l2_not_shift_invariant(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(21)
         a, b = StructureDesign(1.0, x), StructureDesign(1.0, np.roll(x, 5))
-        params = KernelParams(theta=np.ones(21), family="l2_distance")
-        assert pair_correlation(a, b, params) < 0.999
+        z = np.append(np.ones(21), 0.0)
+        assert pair_correlation(a, b, z, "l2_distance") < 0.999
 
     def test_l2_riemann_scaling(self):
         # exp(-dt sum_l theta_l (a_l - b_l)^2) with dt = 20 mm / (p - 1)
         a = StructureDesign(1.0, np.zeros(5))
         b = StructureDesign(1.0, np.ones(5))
-        params = KernelParams(theta=np.full(5, 0.02), family="l2_distance")
+        z = np.append(np.full(5, 0.02), 0.0)
         dt = STRUCTURE_SPAN / 4
-        assert pair_correlation(a, b, params) == pytest.approx(np.exp(-dt * 0.02 * 5))
+        assert pair_correlation(a, b, z, "l2_distance") == pytest.approx(
+            np.exp(-dt * 0.02 * 5))
 
     def test_negative_theta_rejected(self):
-        with pytest.raises(InvalidInputError):
-            KernelParams(theta=[-1.0, 0, 0, 0], family="feature_based")
-        with pytest.raises(InvalidInputError):
-            KernelParams(theta=[-1.0, 0, 0], family="l2_distance")
-        with pytest.raises(InvalidInputError):
-            KernelParams(theta=np.zeros(3), theta_d=-1.0, family="l2_distance")
+        a = StructureDesign(1.0, np.zeros(3), features=np.ones(4))
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            pair_correlation(a, a, [-1.0, 0, 0, 0], "feature_based")
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            pair_correlation(a, a, [-1.0, 0, 0, 0], "l2_distance")
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            pair_correlation(a, a, [0, 0, 0, -1.0], "l2_distance")
 
 
 class TestMatrixAssembly:
@@ -215,31 +214,31 @@ class TestMatrixAssembly:
         rng = np.random.default_rng(5)
         self.p = 9
         self.designs = [rand_design(rng, self.p) for _ in range(6)]
-        self.params = KernelParams(theta=rng.uniform(0, 1, half_size(self.p)),
-                                   theta_d=0.7, nugget=1e-8)
+        self.z = np.append(rng.uniform(0, 1, half_size(self.p)), 0.7)
+        self.nugget = 1e-8
 
     def test_matrix_matches_pairwise_scalars(self):
-        R = correlation_matrix(self.designs, self.params)
+        R = correlation_matrix(self.designs, self.z, "sped", self.nugget)
         for i, a in enumerate(self.designs):
             for j, b in enumerate(self.designs):
                 if i == j:
-                    assert R[i, j] == pytest.approx(1.0 + self.params.nugget)
+                    assert R[i, j] == pytest.approx(1.0 + self.nugget)
                 else:
                     assert R[i, j] == pytest.approx(
-                        sped_oracle(a, b, self.params), rel=1e-10)
+                        sped_oracle(a, b, self.z), rel=1e-10)
 
     def test_cross_matches_scalars(self):
         rng = np.random.default_rng(6)
         new = rand_design(rng, self.p)
-        r = cross_correlation(new, self.designs, self.params)
-        want = [sped_oracle(new, b, self.params) for b in self.designs]
+        r = cross_correlation(new, self.designs, self.z, "sped")
+        want = [sped_oracle(new, b, self.z) for b in self.designs]
         np.testing.assert_allclose(r, want, rtol=1e-10)
 
     def test_correlation_from_features_consistent(self):
         F = design_feature_rows(self.designs, "sped")
-        z = self.params.weights(self.p)
+        z = self.z
         r = correlation_from_features(F, F[2], z)
-        R = correlation_matrix(self.designs, self.params)
+        R = correlation_matrix(self.designs, z, "sped", self.nugget)
         np.testing.assert_allclose(np.delete(r, 2), np.delete(R[2], 2), rtol=1e-10)
         assert r[2] == pytest.approx(1.0)
         # a stack of rows is the same kernel as one row at a time
@@ -249,9 +248,8 @@ class TestMatrixAssembly:
         rng = np.random.default_rng(7)
         for p in (5, 21):
             designs = [rand_design(rng, p) for _ in range(8)]
-            params = KernelParams(theta=rng.uniform(0, 2, half_size(p)),
-                                  theta_d=rng.uniform(0, 2), nugget=0.0)
-            R = correlation_matrix(designs, params)
+            z = np.append(rng.uniform(0, 2, half_size(p)), rng.uniform(0, 2))
+            R = correlation_matrix(designs, z, "sped", 0.0)
             assert np.linalg.eigvalsh(R).min() >= -1e-8
 
     def test_duplicate_modulo_shift_names_pair(self):
@@ -260,12 +258,12 @@ class TestMatrixAssembly:
         designs = [base,
                    rand_design(rng, 11),
                    StructureDesign(base.diameter, np.roll(base.curve, 3))]
-        params = KernelParams(theta=np.full(6, 0.5), theta_d=1.0, nugget=0.0)
+        z = np.append(np.full(6, 0.5), 1.0)
         with pytest.raises(SingularMatrixError, match="0 and 2"):
-            correlation_cholesky(designs, params)
+            correlation_cholesky(designs, z, "sped", 0.0)
 
     def test_cholesky_succeeds_with_nugget(self):
-        R, chol = correlation_cholesky(self.designs, self.params)
+        R, chol = correlation_cholesky(self.designs, self.z, "sped", self.nugget)
         assert R.shape == (6, 6)
 
     def test_feature_rows_require_provenance(self):
@@ -292,11 +290,10 @@ class TestMatrixAssembly:
             design_feature_rows(self.designs, "cosine")
 
     def test_theta_length_mismatch_rejected(self):
-        params = KernelParams(theta=np.ones(3))
         with pytest.raises(InvalidInputError, match="expected"):
-            params.weights(self.p)
+            check_weights(np.ones(3), half_size(self.p) + 1)
         with pytest.raises(InvalidInputError, match="expected"):
-            correlation_matrix(self.designs, params)
+            correlation_matrix(self.designs, np.ones(3), "sped", self.nugget)
 
 
 def spd_matrix(rng, n):
@@ -326,8 +323,7 @@ class TestFactorCorrelation:
         F = design_feature_rows(designs, "sped")
         # weights that put the mean kernel exponent near 1, as a fit starts
         z = 1.0 / (F.shape[1] * sq_differences(F, F).mean(axis=(0, 1)))
-        params = KernelParams(theta=z[:-1], theta_d=z[-1], nugget=1e-8)
-        R = correlation_matrix(designs, params)
+        R = correlation_matrix(designs, z, "sped", 1e-8)
         assert R.shape == (58, 58)
         self.assert_matches_cho_factor(R)
 
@@ -385,11 +381,11 @@ class TestSolveFactored:
 
     def test_no_module_imports_cho_solve(self):
         # every Cholesky solve of the package goes through solve_factored
-        offenders = scipy_cholesky_references({"cho_solve"})
+        offenders = name_references({"cho_solve"})
         assert not offenders, f"cho_solve used outside solve_factored: {offenders}"
 
 
-def scipy_cholesky_references(banned):
+def name_references(banned):
     """'path:line name' for each reference to a name in banned under src/spedgp."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
@@ -409,8 +405,36 @@ def scipy_cholesky_references(banned):
 
 def test_no_module_references_cho_factor():
     # every factorization of the package goes through spectral.cholesky
-    offenders = scipy_cholesky_references({"cho_factor"})
+    offenders = name_references({"cho_factor"})
     assert not offenders, f"cho_factor used outside cholesky: {offenders}"
+
+
+def test_packed_weights_are_the_one_parameter_form():
+    # no second kernel-parameter object, and no model.params alias of z
+    offenders = name_references({"KernelParams", "params"})
+    assert not offenders, f"kernel parameters outside packed z: {offenders}"
+
+
+class TestCheckWeights:
+    def test_returns_float_weights(self):
+        z = check_weights([0, 1, 2.5], 3)
+        assert z.dtype == float
+        np.testing.assert_array_equal(z, [0.0, 1.0, 2.5])
+
+    @pytest.mark.parametrize("z,nz", [
+        (np.ones(3), 4), (np.ones(5), 4), (np.ones((2, 2)), 4), (1.0, 1)],
+        ids=["short", "long", "matrix", "scalar"])
+    def test_shape_rejected(self, z, nz):
+        with pytest.raises(InvalidInputError, match="kernel weights have shape"):
+            check_weights(z, nz)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_negative_or_non_finite_rejected(self, bad, k):
+        z = np.ones(4)
+        z[k] = bad
+        with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+            check_weights(z, 4)
 
 
 def column_stacked_rows(designs, family):
