@@ -24,7 +24,7 @@ from scipy.special import ndtri
 
 from .exceptions import InvalidInputError, NumericalError
 from .spectral import (DIAMETER_FAMILIES, StructureDesign, check_weights,
-                       correlation_from_features, correlation_with_nugget,
+                       cholesky, correlation_from_features, correlation_with_nugget,
                        design_feature_row, design_feature_rows, factor_correlation,
                        solve_factored, sq_differences)
 
@@ -182,10 +182,11 @@ class TrainedEmulator:
 
     Built on the fit's training state ``data`` and the fitted packed
     weights z, mean coefficients beta and covariance Sigma. z is validated
-    by :func:`check_weights`; the correlation matrix R with its
-    factorization and the residuals are derived in __post_init__ and
-    never mutated; predict and downstream consumers treat instances as
-    read-only.
+    by :func:`check_weights`, and Sigma must be finite, symmetric and
+    positive definite (:func:`cholesky` factors it). The correlation
+    matrix R with its factorization and the residuals are derived in
+    __post_init__ and never mutated; predict and downstream consumers
+    treat instances as read-only.
     """
 
     data: FitData
@@ -204,8 +205,12 @@ class TrainedEmulator:
         self.p, self.n, self.m = data.designs[0].p, data.n, data.m
         if self.Sigma.shape != (self.m, self.m):
             raise InvalidInputError("Sigma shape does not match the strain grid")
+        if not np.isfinite(self.Sigma).all():
+            raise InvalidInputError("Sigma must be finite")
         if not np.allclose(self.Sigma, self.Sigma.T, atol=1e-10):
             raise InvalidInputError("Sigma must be symmetric")
+        if cholesky(self.Sigma.copy()) is None:
+            raise InvalidInputError("Sigma must be positive definite")
         if self.beta.size != self.P.shape[1]:
             raise InvalidInputError("beta length does not match the mean basis")
         if self.beta.size >= 2 and self.beta[1] <= 0:

@@ -9,9 +9,14 @@ expected squared log-stress mismatch under the predictive normal,
     E ||y - y*||^2 = ||yhat - y*||^2 + v(x) tr(Sigma),
 
 minimized by multi-start bound-constrained quasi-Newton with an analytic
-gradient. Phases are not part of the search: any curve with the optimal
-moduli is equally optimal, and the reported curve is the zero-phase
-representative.
+gradient. The search runs in whitened coordinates u = s * x, with
+s = sqrt(z) on the searched columns x = (d, moduli on the active set):
+there the kernel is isotropic, exp(-||u - G_i||^2) with G = F[:, cols] * s,
+so the quasi-Newton steps see no spread of weights (they span orders of
+magnitude in x), and an evaluation touches only the searched columns.
+Boxes, start points and results are in x. Phases are not part of the
+search: any curve with the optimal moduli is equally optimal, and the
+reported curve is the zero-phase representative.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from scipy.stats import qmc
 from .cokrige import Prediction, TrainedEmulator, log_stress, predict_from_point
 from .design import DESIGN_BOX
 from .exceptions import InvalidInputError
-from .spectral import correlation_from_features, half_size, solve_factored
+from .spectral import (correlation_from_features, half_size, kernel,
+                       solve_factored, sq_differences)
 
 COEF_BOUND_FACTOR = 1.5
 
@@ -37,9 +43,10 @@ class MimicProblem:
     The boxes are derived: the diameter searches the design box's
     ``DESIGN_BOX["d"]``, and each active modulus coordinate runs from 0 to
     COEF_BOUND_FACTOR x its largest training value. The constants of the
-    objective that do not depend on the candidate (tr(Sigma), the
-    gradient's weights and the training rows' searched columns) are
-    computed here, once per search.
+    objective that do not depend on the candidate are computed here, once
+    per search: tr(Sigma), the searched feature columns ``cols`` (diameter
+    first), their kernel scales s = sqrt(z[cols]) and the training rows in
+    whitened coordinates, G = F[:, cols] * s.
     """
 
     model: TrainedEmulator
@@ -61,10 +68,17 @@ class MimicProblem:
         top = COEF_BOUND_FACTOR * self.model.F[:, self.active_set].max(axis=0)
         self.coef_bounds = np.column_stack([np.zeros(self.active_set.size), top])
         # x = (d, moduli on the active set) sits in feature columns cols
-        cols = np.concatenate([[-1], self.active_set])
+        self.cols = np.concatenate([[-1], self.active_set])
         self.tr_sigma = float(np.trace(self.model.Sigma))
-        self.grad_weights = -2.0 * self.model.z[cols]
-        self.F_searched = self.model.F[:, cols].T
+        self.s = np.sqrt(self.model.z[self.cols])
+        self.G = self.model.F[:, self.cols] * self.s
+        self.unit_weights = np.ones(self.cols.size)
+
+    def box(self):
+        """Lower and upper bounds of x = (d, moduli on the active set)."""
+        lo = np.concatenate([[self.d_bounds[0]], self.coef_bounds[:, 0]])
+        hi = np.concatenate([[self.d_bounds[1]], self.coef_bounds[:, 1]])
+        return lo, hi
 
 
 def build_problem(model: TrainedEmulator, target_strain, target_stress) -> MimicProblem:
@@ -92,32 +106,20 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress) -> Mimic
                         active_set=np.flatnonzero(model.data.unpack(model.z)[0] > 0))
 
 
-def _candidate_row(model, active_set, x) -> np.ndarray:
-    """Kernel feature row of a candidate x = (d, moduli on the active set).
-
-    Inert coordinates are zero; the diameter is the last column.
-    """
-    f = np.zeros(model.F.shape[1])
-    f[active_set] = x[1:]
-    f[-1] = x[0]
-    return f
-
-
-def _objective_and_grad(x, problem: MimicProblem):
-    """Expected squared mismatch at x = (d, moduli on the active set), and its gradient."""
+def _objective_and_grad(u, problem: MimicProblem):
+    """Expected squared mismatch at whitened u = s * x, and its gradient in u."""
     model = problem.model
-    f_new = _candidate_row(model, problem.active_set, x)
-    r = correlation_from_features(model.F, f_new, model.z)
+    r = correlation_from_features(problem.G, u, problem.unit_weights)
     alpha = solve_factored(model.chol_R, r)
     mean = model.mu + model.resid.T @ alpha
     v = 1.0 - float(r @ alpha)
     g_m = mean - problem.target_log
     tr_sigma = problem.tr_sigma
     fval = float(g_m @ g_m + max(v, 0.0) * tr_sigma)
-    # d obj / d r, then chain through dr_i/dx_k = -2 z_k (x_k - F_ik) r_i
-    u = 2.0 * solve_factored(model.chol_R, model.resid @ g_m) - 2.0 * tr_sigma * alpha
-    t = u * r
-    grad = problem.grad_weights * (x * float(t.sum()) - problem.F_searched @ t)
+    # d obj / d r, then chain through dr_i/du_k = -2 (u_k - G_ik) r_i
+    w = 2.0 * solve_factored(model.chol_R, model.resid @ g_m) - 2.0 * tr_sigma * alpha
+    t = w * r
+    grad = -2.0 * (u * float(t.sum()) - t @ problem.G)
     return fval, grad
 
 
@@ -139,7 +141,7 @@ def mse_objective(model: TrainedEmulator, target, d: float, spectrum_active,
         active_set = np.flatnonzero(model.data.unpack(model.z)[0] > 0)
     problem = MimicProblem(model=model, target_log=target, active_set=active_set)
     x = np.concatenate([[d], spectrum_active])
-    return _objective_and_grad(x, problem)[0]
+    return _objective_and_grad(problem.s * x, problem)[0]
 
 
 @dataclass
@@ -163,19 +165,15 @@ class MimicResult:
 
 
 def _start_points(problem: MimicProblem, starts: int, seed: int) -> np.ndarray:
-    dim = 1 + problem.active_set.size
-    lo = np.concatenate([[problem.d_bounds[0]], problem.coef_bounds[:, 0]])
-    hi = np.concatenate([[problem.d_bounds[1]], problem.coef_bounds[:, 1]])
-    u = qmc.LatinHypercube(d=dim, seed=seed).random(starts)
-    points = lo + u * (hi - lo)
+    """Latin hypercube starts in the x box, plus the best training design."""
+    lo, hi = problem.box()
+    unit = qmc.LatinHypercube(d=lo.size, seed=seed).random(starts)
+    points = lo + unit * (hi - lo)
     # add the best training design as an incumbent start (clipped into the box)
-    model = problem.model
     best, best_x = np.inf, None
-    for j in range(model.n):
-        xj = np.concatenate([[model.F[j, -1]],
-                             model.F[j, problem.active_set]])
-        xj = np.clip(xj, lo, hi)
-        fj, _ = _objective_and_grad(xj, problem)
+    for row in problem.model.F[:, problem.cols]:
+        xj = np.clip(row, lo, hi)
+        fj, _ = _objective_and_grad(problem.s * xj, problem)
         if fj < best:
             best, best_x = fj, xj
     return np.vstack([points, best_x])
@@ -184,7 +182,11 @@ def _start_points(problem: MimicProblem, starts: int, seed: int) -> np.ndarray:
 def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicResult:
     """Multi-start quasi-Newton search; the lowest objective wins.
 
-    Every start's initial objective bounds the result from above, so the
+    Each start x0 is searched from u0 = s * x0 in the box scaled alike,
+    and the winner is mapped back as x = clip(u / s) into the x box. A
+    coordinate with zero weight (s = 0, only the diameter can have it)
+    cannot change the objective and keeps its start's value. Every
+    start's initial objective bounds the result from above, so the
     returned objective also beats the best training design's own point
     (it is injected as an extra start).
     """
@@ -194,28 +196,37 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
         raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     model = problem.model
     args = (problem,)
-    bounds = [problem.d_bounds] + [tuple(b) for b in problem.coef_bounds]
+    s = problem.s
+    lo, hi = problem.box()
+    bounds = list(zip(lo * s, hi * s))
     trace = []
     candidates = []
     for k, x0 in enumerate(_start_points(problem, starts, seed)):
-        f0, _ = _objective_and_grad(x0, *args)
+        u0 = s * x0
+        f0, _ = _objective_and_grad(u0, *args)
         try:
-            res = minimize(_objective_and_grad, x0, args=args, jac=True,
+            res = minimize(_objective_and_grad, u0, args=args, jac=True,
                            method="L-BFGS-B", bounds=bounds,
                            options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-10})
-            fk, xk = float(res.fun), res.x
+            fk, uk = float(res.fun), res.x
             ok = bool(np.isfinite(fk))
         except FloatingPointError:
-            fk, xk, ok = np.inf, x0, False
+            fk, uk, ok = np.inf, u0, False
         if not ok or fk > f0:
-            fk, xk = f0, x0  # keep the start; descent must never regress
+            fk, uk = f0, u0  # keep the start; descent must never regress
         trace.append({"start": k, "initial_objective": float(f0),
                       "final_objective": float(fk)})
-        candidates.append((fk, k, xk))
-    objective, _, x_best = min(candidates, key=lambda c: (c[0], c[1]))
-    f_best = _candidate_row(model, problem.active_set, x_best)
-    pred = predict_from_point(model, correlation_from_features(model.F, f_best, model.z))
-    spectrum = f_best[:-1]
+        candidates.append((fk, k, uk, x0))
+    objective, _, u_best, x_best = min(candidates, key=lambda c: (c[0], c[1]))
+    live = s > 0
+    x_best = x_best.copy()
+    x_best[live] = np.clip(u_best[live] / s[live], lo[live], hi[live])
+    # the prediction the objective was scored on; the kernel is called
+    # directly so that correlation_from_features counts evaluations only
+    pred = predict_from_point(
+        model, kernel(sq_differences(problem.G, u_best), problem.unit_weights))
+    spectrum = np.zeros(half_size(model.p))
+    spectrum[problem.active_set] = x_best[1:]
     return MimicResult(
         diameter=float(x_best[0]), spectrum=spectrum,
         reconstructed_curve=reconstruct_structure(spectrum, model.p),

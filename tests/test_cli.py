@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -288,7 +289,8 @@ class TestMimic:
     ("missing_file", "missing file"),
     ("invalid_json", "model.json is not valid JSON"),
     ("missing_key", "model.json lacks the key 'theta'"),
-], ids=["missing_file", "invalid_json", "missing_key"])
+    ("non_pd_sigma", "Sigma must be positive definite"),
+], ids=["missing_file", "invalid_json", "missing_key", "non_pd_sigma"])
 def test_unreadable_model_exits_2(ws, tmp_path, capsys, command, case, message):
     model = tmp_path / "model.json"
     if case == "invalid_json":
@@ -297,13 +299,20 @@ def test_unreadable_model_exits_2(ws, tmp_path, capsys, command, case, message):
         doc = json.loads(ws.model.read_text())
         del doc["theta"]
         model.write_text(json.dumps(doc))
+    elif case == "non_pd_sigma":
+        doc = json.loads(ws.model.read_text())
+        doc["Sigma"] = (-np.eye(len(doc["Sigma"]))).tolist()
+        model.write_text(json.dumps(doc))
     target = tmp_path / "target.csv"
     write_target(target)
     inputs = {"predict": ["--designs", str(ws.data / "test_designs.csv")],
               "eval": ["--test", str(ws.data)],
               "mimic": ["--target", str(target)]}
     out = tmp_path / "out"
-    rc = main([command, "--model", str(model), *inputs[command], "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--model", str(model), *inputs[command], "--out", str(out)])
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+    assert not caught, [str(w.message) for w in caught]

@@ -98,6 +98,30 @@ class TestEmulatorValidation:
         with pytest.raises(InvalidInputError, match="symmetric"):
             TrainedEmulator(data=good.data, z=good.z, beta=good.beta, Sigma=bad)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda S: -S, "Sigma must be positive definite"),
+        (lambda S: S - 1.01 * np.linalg.eigvalsh(S)[0] * np.eye(len(S)),
+         "Sigma must be positive definite"),
+        (lambda S: np.zeros_like(S), "Sigma must be positive definite"),
+        (lambda S: np.where(np.eye(len(S)) > 0, np.inf, S), "Sigma must be finite"),
+        (lambda S: np.full_like(S, np.nan), "Sigma must be finite"),
+    ], ids=["negated", "indefinite", "zero", "inf_diagonal", "nan"])
+    def test_sigma_must_be_finite_and_positive_definite(self, edit, message):
+        # a non-PD Sigma would make predict's band a NaN and mimic's v tr(Sigma)
+        # term reward uncertainty
+        rng = np.random.default_rng(1)
+        good = random_emulator(rng)
+        bad = edit(good.Sigma.copy())
+        with pytest.raises(InvalidInputError, match=message):
+            TrainedEmulator(data=good.data, z=good.z, beta=good.beta, Sigma=bad)
+
+    def test_sigma_check_leaves_sigma_untouched(self):
+        rng = np.random.default_rng(1)
+        good = random_emulator(rng)
+        Sigma = good.Sigma.copy()
+        model = TrainedEmulator(data=good.data, z=good.z, beta=good.beta, Sigma=Sigma)
+        np.testing.assert_array_equal(model.Sigma, good.Sigma)
+
     @pytest.mark.parametrize("bad", [-0.1, np.nan])
     @pytest.mark.parametrize("k", [0, -1], ids=["theta", "theta_d"])
     def test_negative_or_nan_weights_rejected(self, bad, k):
@@ -270,9 +294,12 @@ class TestSerialization:
          "nugget must be finite and nonnegative"),
         (lambda doc: doc.__setitem__("family", "cosine"), "unknown kernel family"),
         (lambda doc: doc.__setitem__("theta", [[0.1, 0.2], [0.1, 0.2]]), "1-d vector"),
+        (lambda doc: doc.__setitem__("Sigma", (-np.eye(len(doc["Sigma"]))).tolist()),
+         "Sigma must be positive definite"),
     ], ids=["nan_response", "duplicate_design", "negative_theta", "nan_theta",
             "short_theta", "ragged_theta", "nan_theta_d", "negative_theta_d",
-            "nan_nugget", "negative_nugget", "unknown_family", "matrix_theta"])
+            "nan_nugget", "negative_nugget", "unknown_family", "matrix_theta",
+            "negative_sigma"])
     def test_load_validates_training_rows_as_fit_does(self, tmp_path, edit, message):
         rng = np.random.default_rng(10)
         path = tmp_path / "model.json"

@@ -18,12 +18,14 @@ from spedgp import (
     sample_designs,
     synthetic_oracle,
 )
+from spedgp import mimic
 from spedgp.cokrige import (TrainedEmulator, log_stress, make_fit_data,
                             predict_from_point)
-from spedgp.mimic import MimicProblem, _start_points
+from spedgp.mimic import MimicProblem, _objective_and_grad, _start_points
 from spedgp.spectral import correlation_from_features, half_size
 
-from .oracles import fft_half_modulus
+from .oracles import (central_diff_gradient, dense_conditional, fft_half_modulus,
+                      sped_corr_scalar)
 
 
 def toy_emulator(rng, theta, theta_d=0.6, n=5, m=4, p=9, nugget=1e-8):
@@ -172,6 +174,101 @@ class TestMseObjective:
             mse_objective(model, target, 1.0, [np.nan, 0.2, 0.3, 0.4])
 
 
+def brute_force_correlations(model, x, active):
+    """Correlations of x = (d, moduli on the active set) with the training
+    designs, from raw curves: the candidate curve is the zero-phase curve
+    with those moduli, and each correlation is a loop over np.fft moduli."""
+    theta, theta_d = model.data.unpack(model.z)
+    spectrum = np.zeros(half_size(model.p))
+    spectrum[active] = x[1:]
+    curve = reconstruct_structure(spectrum, model.p)
+    return np.array([sped_corr_scalar(x[0], curve, dsn.diameter, dsn.curve,
+                                      theta, theta_d) for dsn in model.designs])
+
+
+def expected_mismatch(mean, cov, target):
+    """E ||y - y*||^2 = ||mean - y*||^2 + tr(cov) under N(mean, cov)."""
+    return float((mean - target) @ (mean - target) + np.trace(cov))
+
+
+def interior_points(problem, rng, k):
+    lo, hi = problem.box()
+    return lo + rng.uniform(0.1, 0.9, (k, lo.size)) * (hi - lo)
+
+
+def toy_problem(theta_d=0.6):
+    """Search on a toy emulator whose theta support is [0, 1, 3, 4]."""
+    rng = np.random.default_rng(12)
+    model = toy_emulator(rng, [0.1, 0.4, 0.0, 0.2, 0.15], theta_d=theta_d)
+    return MimicProblem(model=model, target_log=rng.standard_normal(model.m),
+                        active_set=np.array([0, 1, 3, 4]))
+
+
+@pytest.fixture(params=["toy", "fitted"])
+def objective_problem(request, mimic_problem):
+    return mimic_problem if request.param == "fitted" else toy_problem()
+
+
+class TestWhitenedObjective:
+    """The search objective in u = s * x against references built in x."""
+
+    def test_matches_dense_reference(self):
+        problem = toy_problem()
+        model = problem.model
+        rng = np.random.default_rng(16)
+        for x in interior_points(problem, rng, 5):
+            got, _ = _objective_and_grad(problem.s * x, problem)
+            r = brute_force_correlations(model, x, problem.active_set)
+            mean, cov = dense_conditional(model.Y, model.R, r, 1.0, model.Sigma,
+                                          model.beta, model.P)
+            assert got == pytest.approx(
+                expected_mismatch(mean, cov, problem.target_log), rel=1e-12)
+
+    def test_fitted_model_matches_brute_force_correlations(self, mimic_problem):
+        # the fitted model has cond(R) ~ 1e9 and cond(Sigma) ~ 2e8, so a dense
+        # solve with R (x) Sigma is off by ~1e-4; the predictive normal comes
+        # from the separable conditional, checked against the dense one in
+        # test_cokrige, on correlations computed from raw curves
+        problem, model = mimic_problem, mimic_problem.model
+        rng = np.random.default_rng(13)
+        for x in interior_points(problem, rng, 5):
+            got, _ = _objective_and_grad(problem.s * x, problem)
+            pred = predict_from_point(
+                model, brute_force_correlations(model, x, problem.active_set))
+            assert got == pytest.approx(
+                expected_mismatch(pred.mean, pred.covariance(), problem.target_log),
+                rel=1e-12)
+
+    def test_gradient_matches_central_differences(self, objective_problem):
+        problem = objective_problem
+        rng = np.random.default_rng(14)
+        for x in interior_points(problem, rng, 5):
+            u = problem.s * x
+            _, grad = _objective_and_grad(u, problem)
+            fd = central_diff_gradient(
+                lambda v: _objective_and_grad(v, problem)[0], u)
+            assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_every_kernel_call_is_an_evaluation(self, mimic_problem, monkeypatch):
+        # perfbench counts correlation_from_features calls under optimize as
+        # mimic's objective evaluations
+        counts = {"kernel": 0, "evals": 0}
+
+        def counting(name, inner):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mimic, "correlation_from_features",
+                            counting("kernel", mimic.correlation_from_features))
+        monkeypatch.setattr(mimic, "_objective_and_grad",
+                            counting("evals", mimic._objective_and_grad))
+        optimize(mimic_problem, starts=3, seed=2)
+        assert counts["evals"] > mimic_problem.model.n
+        assert counts["kernel"] == counts["evals"]
+
+
 class TestBuildProblem:
     def test_target_interpolated_onto_model_grid(self, mimic_model,
                                                  target_stress, mimic_problem):
@@ -288,6 +385,19 @@ class TestOptimize:
             optimize(mimic_problem, starts=0)
         with pytest.raises(InvalidInputError, match="seed must be nonnegative"):
             optimize(mimic_problem, starts=2, seed=-1)
+
+    def test_zero_diameter_weight_keeps_a_start_diameter(self):
+        # theta_d = 0 gives s = 0 on the diameter: the search cannot move it,
+        # and u / s must not turn it into 0 / 0
+        problem = toy_problem(theta_d=0.0)
+        assert problem.s[0] == 0.0
+        result = optimize(problem, starts=4, seed=0)
+        lo, hi = problem.d_bounds
+        assert np.isfinite(result.diameter) and lo <= result.diameter <= hi
+        assert result.diameter in _start_points(problem, 4, seed=0)[:, 0]
+        assert np.all(np.isfinite(result.spectrum))
+        assert result.spectrum[2] == 0.0
+        assert np.isfinite(result.objective)
 
     def test_to_dict_is_json_ready(self, mimic_result):
         blob = mimic_result.to_dict()
