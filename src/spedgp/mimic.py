@@ -8,15 +8,18 @@ expected squared log-stress mismatch under the predictive normal,
 
     E ||y - y*||^2 = ||yhat - y*||^2 + v(x) tr(Sigma),
 
-minimized by multi-start bound-constrained quasi-Newton with an analytic
-gradient. The search runs in whitened coordinates u = s * x, with
-s = sqrt(z) on the searched columns x = (d, moduli on the active set):
-there the kernel is isotropic, exp(-||u - G_i||^2) with G = F[:, cols] * s,
-so the quasi-Newton steps see no spread of weights (they span orders of
+minimized from many starts by projected BFGS with an analytic gradient.
+The search runs in whitened coordinates u = s * x, with s = sqrt(z) on
+the searched columns x = (d, moduli on the active set): there the kernel
+is isotropic, exp(-||u - G_i||^2) with G = F[:, cols] * s, so the
+quasi-Newton steps see no spread of weights (they span orders of
 magnitude in x), and an evaluation touches only the searched columns.
-Boxes, start points and results are in x. Phases are not part of the
-search: any curve with the optimal moduli is equally optimal, and the
-reported curve is the zero-phase representative.
+The starts advance in lockstep: each step evaluates every pending
+start's trial point in one batched objective call, one n x S kernel
+block and one Cholesky solve with S right-hand sides. Boxes, start
+points and results are in x. Phases are not part of the search: any
+curve with the optimal moduli is equally optimal, and the reported curve
+is the zero-phase representative.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .cokrige import Prediction, TrainedEmulator, log_stress, predict_from_point
@@ -34,6 +36,15 @@ from .spectral import (correlation_from_features, half_size, kernel,
                        solve_factored, sq_differences)
 
 COEF_BOUND_FACTOR = 1.5
+# starts searched together; the kernel block of a step holds n x S x k
+# squared differences
+MAX_BLOCK = 64
+MAX_ITER = 200
+# backtracking trials per step, as L-BFGS-B's maxls
+MAX_TRIALS = 20
+PG_TOL = 1e-10  # projected-gradient inf-norm
+F_TOL = 1e-12  # relative reduction of the objective
+ARMIJO = 1e-4
 
 
 @dataclass
@@ -45,8 +56,9 @@ class MimicProblem:
     COEF_BOUND_FACTOR x its largest training value. The constants of the
     objective that do not depend on the candidate are computed here, once
     per search: tr(Sigma), the searched feature columns ``cols`` (diameter
-    first), their kernel scales s = sqrt(z[cols]) and the training rows in
-    whitened coordinates, G = F[:, cols] * s.
+    first), their kernel scales s = sqrt(z[cols]), the training rows in
+    whitened coordinates, G = F[:, cols] * s, and Q = R^-1 resid, which
+    turns the gradient's second solve into a product.
     """
 
     model: TrainedEmulator
@@ -73,6 +85,7 @@ class MimicProblem:
         self.s = np.sqrt(self.model.z[self.cols])
         self.G = self.model.F[:, self.cols] * self.s
         self.unit_weights = np.ones(self.cols.size)
+        self.Q = solve_factored(self.model.chol_R, self.model.resid)
 
     def box(self):
         """Lower and upper bounds of x = (d, moduli on the active set)."""
@@ -106,21 +119,36 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress) -> Mimic
                         active_set=np.flatnonzero(model.data.unpack(model.z)[0] > 0))
 
 
-def _objective_and_grad(u, problem: MimicProblem):
-    """Expected squared mismatch at whitened u = s * x, and its gradient in u."""
+def _row_dots(a, b):
+    """Dot product of each row of a with the same row of b.
+
+    Each is the BLAS dot a single prediction's ``r @ alpha`` makes, so a
+    row's value does not depend on the rest of the block: v = 1 - r'alpha
+    cancels to ~1e-8 near the training rows, where any other summation
+    order moves the objective at 1e-9 relative.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _objective_and_grad(U, problem: MimicProblem):
+    """Expected squared mismatch at whitened points U = s * x, and its gradient in u.
+
+    U is an (S, k) block of points; the objectives have shape (S,) and the
+    gradients (S, k). The block costs one n x S kernel call and one
+    Cholesky solve with S right-hand sides.
+    """
     model = problem.model
-    r = correlation_from_features(problem.G, u, problem.unit_weights)
+    r = correlation_from_features(problem.G, U, problem.unit_weights)
     alpha = solve_factored(model.chol_R, r)
-    mean = model.mu + model.resid.T @ alpha
-    v = 1.0 - float(r @ alpha)
-    g_m = mean - problem.target_log
+    r, alpha = np.ascontiguousarray(r.T), np.ascontiguousarray(alpha.T)
+    g_m = model.mu + alpha @ model.resid - problem.target_log
+    v = 1.0 - _row_dots(r, alpha)
     tr_sigma = problem.tr_sigma
-    fval = float(g_m @ g_m + max(v, 0.0) * tr_sigma)
+    f = _row_dots(g_m, g_m) + np.maximum(v, 0.0) * tr_sigma
     # d obj / d r, then chain through dr_i/du_k = -2 (u_k - G_ik) r_i
-    w = 2.0 * solve_factored(model.chol_R, model.resid @ g_m) - 2.0 * tr_sigma * alpha
-    t = w * r
-    grad = -2.0 * (u * float(t.sum()) - t @ problem.G)
-    return fval, grad
+    t = (2.0 * (g_m @ problem.Q.T) - 2.0 * tr_sigma * alpha) * r
+    grad = -2.0 * (U * t.sum(axis=1)[:, None] - t @ problem.G)
+    return f, grad
 
 
 def mse_objective(model: TrainedEmulator, target, d: float, spectrum_active,
@@ -141,7 +169,7 @@ def mse_objective(model: TrainedEmulator, target, d: float, spectrum_active,
         active_set = np.flatnonzero(model.data.unpack(model.z)[0] > 0)
     problem = MimicProblem(model=model, target_log=target, active_set=active_set)
     x = np.concatenate([[d], spectrum_active])
-    return _objective_and_grad(problem.s * x, problem)[0]
+    return float(_objective_and_grad((problem.s * x)[None], problem)[0][0])
 
 
 @dataclass
@@ -168,58 +196,155 @@ def _start_points(problem: MimicProblem, starts: int, seed: int) -> np.ndarray:
     """Latin hypercube starts in the x box, plus the best training design."""
     lo, hi = problem.box()
     unit = qmc.LatinHypercube(d=lo.size, seed=seed).random(starts)
-    points = lo + unit * (hi - lo)
-    # add the best training design as an incumbent start (clipped into the box)
-    best, best_x = np.inf, None
-    for row in problem.model.F[:, problem.cols]:
-        xj = np.clip(row, lo, hi)
-        fj, _ = _objective_and_grad(problem.s * xj, problem)
-        if fj < best:
-            best, best_x = fj, xj
-    return np.vstack([points, best_x])
+    # the best training design, clipped into the box, is an incumbent start
+    rows = np.clip(problem.model.F[:, problem.cols], lo, hi)
+    f, _ = _objective_and_grad(problem.s * rows, problem)
+    return np.vstack([lo + unit * (hi - lo), rows[np.argmin(f)]])
+
+
+def _free_directions(U, g, H, lo, hi):
+    """Quasi-Newton directions -H g restricted to the free coordinates.
+
+    A coordinate is bound when it sits at a bound and its gradient points
+    out of the box; its direction is zero. On the free coordinates F the
+    direction is the Newton step of the model Hessian B = H^-1 restricted
+    to F, whose inverse is H_FF - H_FB H_BB^-1 H_BF. Returns the
+    directions and the mask of free coordinates.
+    """
+    bound = ((U <= lo) & (g > 0)) | ((U >= hi) & (g < 0))
+    free = ~bound
+    g_free = (g * free)[:, :, None]
+    H_BB = H * (bound[:, :, None] & bound[:, None, :]) + np.eye(U.shape[1]) * free[:, None, :]
+    w = np.linalg.solve(H_BB, (H @ g_free) * bound[:, :, None])
+    return -(H @ (g_free - w))[:, :, 0] * free, free
+
+
+def _bfgs_update(H, s, y, fresh):
+    """Inverse BFGS updates of a stack of H; an unscaled identity (fresh)
+    is first scaled to (s'y / y'y) I, as Shanno and Phua propose."""
+    sy = _row_dots(s, y)
+    H = H.copy()
+    H[fresh] *= (sy[fresh] / _row_dots(y[fresh], y[fresh]))[:, None, None]
+    Hy = (H @ y[:, :, None])[:, :, 0]
+    rho = 1.0 / sy
+    ss = (rho + rho * rho * _row_dots(y, Hy))[:, None, None] * (s[:, :, None] * s[:, None, :])
+    return H + ss - rho[:, None, None] * (Hy[:, :, None] * s[:, None, :]
+                                          + s[:, :, None] * Hy[:, None, :])
+
+
+def _search(U0, lo, hi, problem: MimicProblem):
+    """Projected BFGS from each row of U0 in the box [lo, hi], in lockstep.
+
+    Each start keeps its own point, objective, gradient and k x k inverse
+    Hessian H: the identity, scaled at the first update, and reset when
+    its direction fails to descend (see :func:`_free_directions`). A step
+    backtracks along the projection arc u+ = clip(u + a d) until
+    f+ <= f + ARMIJO g'(u+ - u), from a = 1, shrinking a by safeguarded
+    quadratic interpolation into [0.1 a, 0.5 a]. Each round evaluates the
+    pending trial point of every live start in one batched call. The
+    BFGS update needs s'y > 1e-12 |s| |y|. A start stops on a projected
+    gradient of inf-norm <= PG_TOL ("gradient"), a reduction <= F_TOL
+    max(|f|, |f+|, 1) ("reduction"), MAX_ITER steps ("iterations"), or
+    MAX_TRIALS rejected trials ("line search"), where it is.
+
+    Returns the final points and objectives, the initial objectives, the
+    steps taken and the stop reasons, one row per start.
+    """
+    S, k = U0.shape
+    U = U0.copy()
+    f, g = _objective_and_grad(U, problem)
+    f_start = f.copy()
+    H = np.tile(np.eye(k), (S, 1, 1))
+    fresh = np.ones(S, dtype=bool)  # H is an unscaled identity
+    D = np.zeros_like(U)
+    step_len = np.ones(S)
+    trials = np.zeros(S, dtype=int)
+    iterations = np.zeros(S, dtype=int)
+    stop = np.full(S, "", dtype=object)
+
+    def settled(idx):
+        return np.abs(np.clip(U[idx] - g[idx], lo, hi) - U[idx]).max(axis=1) <= PG_TOL
+
+    def aim(idx):
+        """Begin a line search from each start in idx."""
+        d, free = _free_directions(U[idx], g[idx], H[idx], lo, hi)
+        reset = _row_dots(g[idx], d) >= 0
+        H[idx[reset]], fresh[idx[reset]] = np.eye(k), True
+        d[reset] = -g[idx[reset]] * free[reset]
+        D[idx], step_len[idx], trials[idx] = d, 1.0, 0
+
+    live = ~settled(np.arange(S))
+    stop[~live] = "gradient"
+    aim(np.flatnonzero(live))
+    while live.any():
+        idx = np.flatnonzero(live)
+        Ut = np.clip(U[idx] + step_len[idx, None] * D[idx], lo, hi)
+        ft, gt = _objective_and_grad(Ut, problem)
+        step = Ut - U[idx]
+        slope = _row_dots(g[idx], step)
+        ok = ft <= f[idx] + ARMIJO * slope
+
+        # shrink the rejected steps, or stop those starts where they are
+        bad, slope_bad = idx[~ok], slope[~ok]
+        quad = -slope_bad * step_len[bad] / (2.0 * (ft[~ok] - f[bad] - slope_bad))
+        step_len[bad] = np.clip(quad, 0.1 * step_len[bad], 0.5 * step_len[bad])
+        trials[bad] += 1
+        spent = bad[trials[bad] >= MAX_TRIALS]
+        stop[spent], live[spent] = "line search", False
+
+        # move the accepted starts and update their H
+        acc = idx[ok]
+        s_k, y_k = step[ok], gt[ok] - g[acc]
+        reduction = f[acc] - ft[ok]
+        scale = np.maximum(np.maximum(np.abs(f[acc]), np.abs(ft[ok])), 1.0)
+        U[acc], f[acc], g[acc] = Ut[ok], ft[ok], gt[ok]
+        iterations[acc] += 1
+        curved = _row_dots(s_k, y_k) > 1e-12 * (np.linalg.norm(s_k, axis=1)
+                                                * np.linalg.norm(y_k, axis=1))
+        upd = acc[curved]
+        H[upd] = _bfgs_update(H[upd], s_k[curved], y_k[curved], fresh[upd])
+        fresh[upd] = False
+
+        # stop tests, strongest reason last; the others aim again
+        why = np.full(acc.size, "", dtype=object)
+        why[iterations[acc] >= MAX_ITER] = "iterations"
+        why[reduction <= F_TOL * scale] = "reduction"
+        why[settled(acc)] = "gradient"
+        ended = why != ""
+        stop[acc[ended]], live[acc[ended]] = why[ended], False
+        aim(acc[~ended])
+    return U, f, f_start, iterations, stop
 
 
 def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicResult:
-    """Multi-start quasi-Newton search; the lowest objective wins.
+    """Multi-start lockstep quasi-Newton search; the lowest objective wins.
 
     Each start x0 is searched from u0 = s * x0 in the box scaled alike,
-    and the winner is mapped back as x = clip(u / s) into the x box. A
-    coordinate with zero weight (s = 0, only the diameter can have it)
-    cannot change the objective and keeps its start's value. Every
-    start's initial objective bounds the result from above, so the
-    returned objective also beats the best training design's own point
-    (it is injected as an extra start).
+    MAX_BLOCK starts at a time, and the winner is mapped back as
+    x = clip(u / s) into the x box. A coordinate with zero weight (s = 0,
+    only the diameter can have it) cannot change the objective and keeps
+    its start's value. Every start only descends from its initial
+    objective, so the returned objective also beats the best training
+    design's own point (it is injected as an extra start).
     """
     if starts < 1:
         raise InvalidInputError("need at least one start")
     if seed < 0:
         raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     model = problem.model
-    args = (problem,)
     s = problem.s
     lo, hi = problem.box()
-    bounds = list(zip(lo * s, hi * s))
-    trace = []
-    candidates = []
-    for k, x0 in enumerate(_start_points(problem, starts, seed)):
-        u0 = s * x0
-        f0, _ = _objective_and_grad(u0, *args)
-        try:
-            res = minimize(_objective_and_grad, u0, args=args, jac=True,
-                           method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-10})
-            fk, uk = float(res.fun), res.x
-            ok = bool(np.isfinite(fk))
-        except FloatingPointError:
-            fk, uk, ok = np.inf, u0, False
-        if not ok or fk > f0:
-            fk, uk = f0, u0  # keep the start; descent must never regress
-        trace.append({"start": k, "initial_objective": float(f0),
-                      "final_objective": float(fk)})
-        candidates.append((fk, k, uk, x0))
-    objective, _, u_best, x_best = min(candidates, key=lambda c: (c[0], c[1]))
+    X0 = _start_points(problem, starts, seed)
+    blocks = [_search(s * X0[i:i + MAX_BLOCK], lo * s, hi * s, problem)
+              for i in range(0, len(X0), MAX_BLOCK)]
+    U, f, f_start, iterations, stop = (np.concatenate(parts) for parts in zip(*blocks))
+    trace = [{"start": j, "initial_objective": float(f_start[j]),
+              "final_objective": float(f[j]), "iterations": int(iterations[j]),
+              "stop": str(stop[j])} for j in range(len(X0))]
+    best = int(np.argmin(f))
+    u_best = U[best]
     live = s > 0
-    x_best = x_best.copy()
+    x_best = X0[best].copy()
     x_best[live] = np.clip(u_best[live] / s[live], lo[live], hi[live])
     # the prediction the objective was scored on; the kernel is called
     # directly so that correlation_from_features counts evaluations only
@@ -230,7 +355,7 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
     return MimicResult(
         diameter=float(x_best[0]), spectrum=spectrum,
         reconstructed_curve=reconstruct_structure(spectrum, model.p),
-        objective=objective, predicted=pred, trace=trace)
+        objective=float(f[best]), predicted=pred, trace=trace)
 
 
 def reconstruct_structure(spectrum, p: int) -> np.ndarray:

@@ -282,11 +282,12 @@ def solve_factored(cho, b) -> np.ndarray:
 
 
 def correlation_from_features(F: np.ndarray, f_new: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Correlation vector between one feature row and n stored rows.
+    """Correlations between n stored rows and one feature row, shape (n,),
+    or a block of S rows, shape (n, S).
 
-    The inverse-design optimizer uses it to score candidate spectra
-    without materializing a curve, and prediction to correlate a new
-    design with the cached training rows.
+    The inverse-design optimizer uses it to score blocks of candidate
+    spectra without materializing a curve, and prediction to correlate a
+    new design with the cached training rows.
     """
     return kernel(sq_differences(F, f_new), z)
 

@@ -21,7 +21,8 @@ from spedgp import (
 from spedgp import mimic
 from spedgp.cokrige import (TrainedEmulator, log_stress, make_fit_data,
                             predict_from_point)
-from spedgp.mimic import MimicProblem, _objective_and_grad, _start_points
+from spedgp.mimic import (MAX_BLOCK, MimicProblem, _objective_and_grad, _search,
+                          _start_points)
 from spedgp.spectral import correlation_from_features, half_size
 
 from .oracles import (central_diff_gradient, dense_conditional, fft_half_modulus,
@@ -209,15 +210,21 @@ def objective_problem(request, mimic_problem):
     return mimic_problem if request.param == "fitted" else toy_problem()
 
 
+def objective_at(u, problem):
+    """The objective at one whitened point, as a batch of one row."""
+    return _objective_and_grad(u[None], problem)[0][0]
+
+
 class TestWhitenedObjective:
-    """The search objective in u = s * x against references built in x."""
+    """The batched search objective in u = s * x against references built in x."""
 
     def test_matches_dense_reference(self):
         problem = toy_problem()
         model = problem.model
-        rng = np.random.default_rng(16)
-        for x in interior_points(problem, rng, 5):
-            got, _ = _objective_and_grad(problem.s * x, problem)
+        X = interior_points(problem, np.random.default_rng(16), 5)
+        f, _ = _objective_and_grad(problem.s * X, problem)
+        assert f.shape == (5,)
+        for x, got in zip(X, f):
             r = brute_force_correlations(model, x, problem.active_set)
             mean, cov = dense_conditional(model.Y, model.R, r, 1.0, model.Sigma,
                                           model.beta, model.P)
@@ -230,9 +237,9 @@ class TestWhitenedObjective:
         # from the separable conditional, checked against the dense one in
         # test_cokrige, on correlations computed from raw curves
         problem, model = mimic_problem, mimic_problem.model
-        rng = np.random.default_rng(13)
-        for x in interior_points(problem, rng, 5):
-            got, _ = _objective_and_grad(problem.s * x, problem)
+        X = interior_points(problem, np.random.default_rng(13), 5)
+        f, _ = _objective_and_grad(problem.s * X, problem)
+        for x, got in zip(X, f):
             pred = predict_from_point(
                 model, brute_force_correlations(model, x, problem.active_set))
             assert got == pytest.approx(
@@ -241,17 +248,28 @@ class TestWhitenedObjective:
 
     def test_gradient_matches_central_differences(self, objective_problem):
         problem = objective_problem
-        rng = np.random.default_rng(14)
-        for x in interior_points(problem, rng, 5):
-            u = problem.s * x
-            _, grad = _objective_and_grad(u, problem)
-            fd = central_diff_gradient(
-                lambda v: _objective_and_grad(v, problem)[0], u)
-            assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+        U = problem.s * interior_points(problem, np.random.default_rng(14), 5)
+        _, grad = _objective_and_grad(U, problem)
+        assert grad.shape == U.shape
+        for u, g in zip(U, grad):
+            fd = central_diff_gradient(lambda v: objective_at(v, problem), u)
+            assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_batch_rows_match_rows_alone(self, objective_problem):
+        problem = objective_problem
+        lo, hi = problem.box()
+        rng = np.random.default_rng(15)
+        U = problem.s * (lo + rng.uniform(0.0, 1.0, (7, lo.size)) * (hi - lo))
+        f, grad = _objective_and_grad(U, problem)
+        for j in range(7):
+            f1, g1 = _objective_and_grad(U[j:j + 1], problem)
+            assert f[j] == pytest.approx(f1[0], rel=1e-12)
+            np.testing.assert_allclose(grad[j], g1[0], rtol=1e-12,
+                                       atol=1e-12 * np.abs(g1[0]).max())
 
     def test_every_kernel_call_is_an_evaluation(self, mimic_problem, monkeypatch):
         # perfbench counts correlation_from_features calls under optimize as
-        # mimic's objective evaluations
+        # mimic's objective evaluations; each is one batched call
         counts = {"kernel": 0, "evals": 0}
 
         def counting(name, inner):
@@ -264,8 +282,11 @@ class TestWhitenedObjective:
                             counting("kernel", mimic.correlation_from_features))
         monkeypatch.setattr(mimic, "_objective_and_grad",
                             counting("evals", mimic._objective_and_grad))
-        optimize(mimic_problem, starts=3, seed=2)
-        assert counts["evals"] > mimic_problem.model.n
+        result = optimize(mimic_problem, starts=3, seed=2)
+        steps = max(rec["iterations"] for rec in result.trace)
+        # one call screens the training rows, one scores the starts, and
+        # every step of the slowest start needs at least one more
+        assert counts["evals"] >= 2 + steps > 2
         assert counts["kernel"] == counts["evals"]
 
 
@@ -398,6 +419,60 @@ class TestOptimize:
         assert np.all(np.isfinite(result.spectrum))
         assert result.spectrum[2] == 0.0
         assert np.isfinite(result.objective)
+
+    def test_trace_records_steps_and_stop(self, mimic_result):
+        for rec in mimic_result.trace:
+            assert 0 <= rec["iterations"] <= mimic.MAX_ITER
+            assert rec["stop"] in {"gradient", "reduction", "line search",
+                                   "iterations"}
+
+    def test_every_start_ends_in_the_box(self, mimic_problem):
+        problem = mimic_problem
+        lo, hi = problem.box()
+        U0 = problem.s * _start_points(problem, 8, seed=3)
+        U, f, f_start, _, _ = _search(U0, lo * problem.s, hi * problem.s, problem)
+        assert U.shape == U0.shape
+        assert np.all(lo * problem.s <= U) and np.all(U <= hi * problem.s)
+        assert np.all(f <= f_start)
+
+    def test_box_corner_minimizer_stops_at_once(self):
+        # a box whose corner u has the gradient pointing out of the box on
+        # every coordinate: the projected gradient is exactly zero there
+        problem = toy_problem()
+        u = problem.s * interior_points(problem, np.random.default_rng(18), 1)[0]
+        _, g = _objective_and_grad(u[None], problem)
+        assert np.all(g != 0)
+        lo = np.where(g[0] > 0, u, u - 1.0)
+        hi = np.where(g[0] > 0, u + 1.0, u)
+        U, f, f_start, iterations, stop = _search(u[None], lo, hi, problem)
+        assert iterations[0] == 0 and stop[0] == "gradient"
+        np.testing.assert_array_equal(U[0], u)
+        assert f[0] == f_start[0]
+
+    def test_single_start(self, mimic_problem):
+        result = optimize(mimic_problem, starts=1, seed=0)
+        assert len(result.trace) == 1 + 1
+        lo, hi = mimic_problem.d_bounds
+        assert lo <= result.diameter <= hi
+        assert result.objective <= min(rec["initial_objective"]
+                                       for rec in result.trace)
+
+    def test_many_starts_run_in_blocks(self, monkeypatch):
+        problem = toy_problem()
+        rows = []
+        inner = mimic._objective_and_grad
+
+        def recording(U, prob):
+            rows.append(len(U))
+            return inner(U, prob)
+
+        monkeypatch.setattr(mimic, "_objective_and_grad", recording)
+        result = optimize(problem, starts=100, seed=0)
+        assert len(result.trace) == 100 + 1
+        assert max(rows[1:]) == MAX_BLOCK < 101  # rows[0] screens the designs
+        lo, hi = problem.box()
+        x = np.concatenate([[result.diameter], result.spectrum[problem.active_set]])
+        assert np.all(lo <= x) and np.all(x <= hi)
 
     def test_to_dict_is_json_ready(self, mimic_result):
         blob = mimic_result.to_dict()
