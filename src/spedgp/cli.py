@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import numbers
 import sys
@@ -20,9 +19,9 @@ import numpy as np
 
 from .cokrige import (default_strain_grid, hpd_interval, load_model, predict,
                       save_model, unlog_stress)
-from .dataio import (Dataset, load_dataset, load_eval_dataset, read_designs,
-                     read_target, save_dataset, write_designs, write_json,
-                     write_prediction_csv)
+from .dataio import (TEST_PREFIX, Dataset, load_dataset, load_eval_dataset,
+                     read_designs, read_json, read_target, save_dataset,
+                     write_designs, write_json, write_prediction_csv)
 from .design import gen_sinusoid, sample_designs
 from .estimate import FitConfig, fit, select_penalties
 from .exceptions import (ConvergenceError, FitError, InvalidInputError,
@@ -41,34 +40,23 @@ CONFIG_KEY_MAP = {f.name.lower(): f.name for f in dataclasses.fields(FitConfig)}
 def _cmd_gen(args) -> int:
     if args.test_n < 0:
         raise InvalidInputError(f"--test-n must be nonnegative, got {args.test_n}")
-    specs = sample_designs(args.n, seed=args.seed, scheme="lhs")
     grid = default_strain_grid()
-    designs = [gen_sinusoid(s, args.p) for s in specs]
-    responses = np.array([synthetic_oracle(d, grid) for d in designs])
     out = Path(args.out)
-    save_dataset(out, Dataset(designs=designs, responses=responses, grid=grid),
-                 specs=specs)
-    if args.test_n > 0:
-        test_specs = sample_designs(args.test_n, seed=args.seed + 1, scheme="sobol")
-        test_designs = [gen_sinusoid(s, args.p) for s in test_specs]
-        test_responses = np.array([synthetic_oracle(d, grid) for d in test_designs])
-        save_dataset(out, Dataset(designs=test_designs, responses=test_responses,
-                                  grid=grid),
-                     specs=test_specs, prefix="test_")
+    for n, seed, scheme, prefix in ((args.n, args.seed, "lhs", ""),
+                                    (args.test_n, args.seed + 1, "sobol", TEST_PREFIX)):
+        if prefix and n == 0:
+            continue  # --test-n 0 writes no test split; --n 0 fails in sample_designs
+        specs = sample_designs(n, seed=seed, scheme=scheme)
+        designs = [gen_sinusoid(s, args.p) for s in specs]
+        responses = np.array([synthetic_oracle(d, grid) for d in designs])
+        save_dataset(out, Dataset(designs=designs, responses=responses, grid=grid),
+                     specs=specs, prefix=prefix)
     print(f"wrote {args.n} training and {args.test_n} test runs to {out}")
     return 0
 
 
 def _load_fit_config(path) -> tuple[FitConfig, dict | None]:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise InvalidInputError(f"missing file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path.name} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InvalidInputError(f"{path.name} must hold a JSON object")
+    raw = read_json(path)
     cv = raw.pop("cv", None)
     for key in raw:
         if key not in CONFIG_KEY_MAP:

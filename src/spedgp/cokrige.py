@@ -15,13 +15,13 @@ transform.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
 
+from .dataio import as_strain_grid, read_json, write_json
 from .exceptions import InvalidInputError, NumericalError
 from .spectral import (DIAMETER_FAMILIES, StructureDesign, check_weights,
                        cholesky, correlation_from_features, correlation_with_nugget,
@@ -40,17 +40,6 @@ def default_strain_grid() -> np.ndarray:
     consumers rather than modeled.
     """
     return np.linspace(0.00375, 0.15, 41)
-
-
-def as_strain_grid(levels) -> np.ndarray:
-    s = np.asarray(levels, dtype=float)
-    if s.ndim != 1 or s.size < 2:
-        raise InvalidInputError("strain grid must be a vector of at least 2 levels")
-    if not np.all(np.isfinite(s)) or np.any(s <= 0):
-        raise InvalidInputError("strain levels must be finite and positive")
-    if np.any(np.diff(s) <= 0):
-        raise InvalidInputError("strain levels must be strictly increasing")
-    return s
 
 
 def mean_basis(grid) -> np.ndarray:
@@ -304,34 +293,26 @@ def save_model(model: TrainedEmulator, path) -> None:
         "family": model.data.family,
         "fit_metadata": model.fit_metadata,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> TrainedEmulator:
     """Read a model written by :func:`save_model`.
 
     Training rows are validated by :func:`make_fit_data`, as a fit's are,
-    and theta and theta_d, packed into z, by :func:`check_weights`. A
-    missing file, invalid JSON, a missing key or a value of the wrong type
+    and theta and theta_d, packed into z, by :func:`check_weights`. A file
+    :func:`read_json` rejects, a missing key or a value of the wrong type
     raises an invalid-input error naming the file.
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise InvalidInputError(f"missing file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path.name} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidInputError(f"{path.name} must hold a JSON object")
+    doc, name = read_json(path), Path(path).name
     try:
         return _model_from_doc(doc)
     except KeyError as exc:
-        raise InvalidInputError(f"{path.name} lacks the key {exc}") from exc
+        raise InvalidInputError(f"{name} lacks the key {exc}") from exc
     except InvalidInputError:
         raise
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{path.name} holds a value of the wrong type: {exc}") from exc
+        raise InvalidInputError(f"{name} holds a value of the wrong type: {exc}") from exc
 
 
 def _model_from_doc(doc: dict) -> TrainedEmulator:

@@ -1,27 +1,27 @@
-"""CSV and JSON interchange for designs, responses, targets and reports.
+"""The package's file boundary: CSV tables and JSON documents.
 
-All floats are written with ``repr``, the shortest decimal string that
-round-trips the binary value, so write -> read is lossless and repeated
-runs under the same seed produce byte-identical files. Nothing here
-writes timestamps or environment-dependent content.
+:func:`_opened` is the package's only ``open``; every file failure
+raises :class:`InvalidInputError` from there. Floats are written with
+``repr``, the shortest decimal string that round-trips the binary value,
+so write -> read is lossless and reruns under one seed write
+byte-identical files, with no timestamps or environment-dependent content.
 
 Designs travel as bare (d, curve) rows. When the sinusoid provenance is
-known (generated data), a ``*_specs.csv`` sidecar with the
-(d, A, omega, phi) rows is written next to the design file; loading
-attaches it when present, which is what the feature_based kernel family
-needs.
+known (generated data), a ``*_specs.csv`` sidecar with the (d, A, omega,
+phi) rows is written next to the design file; loading attaches it when
+present, which is what the feature_based kernel family needs.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cokrige import as_strain_grid
 from .design import SinusoidSpec
 from .exceptions import InvalidInputError
 from .spectral import StructureDesign
@@ -29,11 +29,24 @@ from .spectral import StructureDesign
 DESIGNS_FILE = "designs.csv"
 RESPONSES_FILE = "responses.csv"
 TEST_PREFIX = "test_"
+SPECS_HEADER = ["d", "A", "omega", "phi"]
+TARGET_HEADER = ["strain", "stress"]
 
 
 def fmt(x) -> str:
     """Shortest round-trip decimal for one float."""
     return repr(float(x))
+
+
+def as_strain_grid(levels) -> np.ndarray:
+    s = np.asarray(levels, dtype=float)
+    if s.ndim != 1 or s.size < 2:
+        raise InvalidInputError("strain grid must be a vector of at least 2 levels")
+    if not np.all(np.isfinite(s)) or np.any(s <= 0):
+        raise InvalidInputError("strain levels must be finite and positive")
+    if np.any(np.diff(s) <= 0):
+        raise InvalidInputError("strain levels must be strictly increasing")
+    return s
 
 
 @dataclass
@@ -47,6 +60,8 @@ class Dataset:
     def __post_init__(self):
         self.grid = as_strain_grid(self.grid)
         self.responses = np.asarray(self.responses, dtype=float)
+        if self.responses.ndim != 2:
+            raise InvalidInputError("responses must be a matrix of runs by strain levels")
         n, m = self.responses.shape
         if len(self.designs) != n:
             raise InvalidInputError("design count does not match response rows")
@@ -54,6 +69,62 @@ class Dataset:
             raise InvalidInputError("response columns do not match the strain grid")
         if not np.all(np.isfinite(self.responses)) or np.any(self.responses <= 0):
             raise InvalidInputError("stresses must be finite and positive")
+
+
+def _cannot(mode: str, path, exc) -> InvalidInputError:
+    verb = "read" if mode == "r" else "write"
+    reason = getattr(exc, "strerror", None) or exc  # an OSError's text without the path
+    return InvalidInputError(f"cannot {verb} {path}: {reason}")
+
+
+@contextmanager
+def _opened(path, mode: str):
+    """UTF-8 text file opened for mode "r" or "w". A missing input raises
+    ``missing file: <path>``; any other failure to open, decode, read or
+    write raises ``cannot read|write <path>: <reason>``."""
+    path = Path(path)
+    try:
+        with path.open(mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        if mode == "r" and isinstance(exc, FileNotFoundError):
+            raise InvalidInputError(f"missing file: {path}") from exc
+        raise _cannot(mode, path, exc) from exc
+
+
+def _floats(path, row, what) -> list[float]:
+    try:
+        return [float(v) for v in row]
+    except ValueError as exc:
+        raise InvalidInputError(f"{Path(path).name}: non-numeric {what}") from exc
+
+
+def _read_table(path, header, cell: str, rows: str):
+    """Header row and (rows, width) float body of a CSV table; ``header``, if
+    given, is the file's required header, ``cell`` and ``rows`` name a value
+    and the rows in messages."""
+    path = Path(path)
+    with _opened(path, "r") as fh:
+        table = [row for row in csv.reader(fh) if row]
+    if not table:
+        raise InvalidInputError(f"{path.name} is empty")
+    head, body = table[0], table[1:]
+    if header is not None and head != header:
+        raise InvalidInputError(f"{path.name}: expected header {','.join(header)}")
+    values = np.empty((len(body), len(head)))
+    for i, row in enumerate(body):
+        if len(row) != len(head):
+            raise InvalidInputError(f"{path.name}: ragged rows: row {i} has "
+                                    f"{len(row)} fields; {rows} have {len(head)}")
+        values[i] = _floats(path, row, f"{cell} in row {i}")
+    return head, values
+
+
+def _write_table(path, header, rows) -> None:
+    """CSV table; string cells are written as they are, numbers through :func:`fmt`."""
+    with _opened(path, "w") as fh:
+        csv.writer(fh).writerows([v if isinstance(v, str) else fmt(v) for v in row]
+                                 for row in [header, *rows])
 
 
 def specs_sidecar_path(designs_path) -> Path:
@@ -65,89 +136,57 @@ def specs_sidecar_path(designs_path) -> Path:
 
 
 def write_designs(path, designs) -> None:
-    path = Path(path)
-    p = designs[0].p
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d"] + [f"x{k}" for k in range(p)])
-        for dsn in designs:
-            writer.writerow([fmt(dsn.diameter)] + [fmt(v) for v in dsn.curve])
-
-
-def _floats(path, row, what) -> list[float]:
-    try:
-        return [float(v) for v in row]
-    except ValueError as exc:
-        raise InvalidInputError(f"{Path(path).name}: non-numeric {what}") from exc
+    _write_table(path, ["d"] + [f"x{k}" for k in range(designs[0].p)],
+                 ([dsn.diameter, *dsn.curve] for dsn in designs))
 
 
 def read_designs(path) -> list[StructureDesign]:
     """Read (d, curve) rows, attaching sinusoid features from the sidecar."""
     path = Path(path)
-    rows = _read_rows(path)
-    header = rows[0]
-    if not header or header[0] != "d" or len(header) < 2:
+    header, values = _read_table(path, None, "value", "design rows")
+    if header[0] != "d" or len(header) < 2:
         raise InvalidInputError(f"{path.name}: expected header d,x0,...")
     p = len(header) - 1
     if header[1:] != [f"x{k}" for k in range(p)]:
         raise InvalidInputError(f"{path.name}: curve columns must be x0..x{p - 1}")
-    specs = None
+    features = [None] * len(values)
     sidecar = specs_sidecar_path(path)
     if sidecar.exists():
         specs = read_specs(sidecar)
-        if len(specs) != len(rows) - 1:
+        if len(specs) != len(values):
             raise InvalidInputError(
-                f"{sidecar.name}: {len(specs)} spec rows for {len(rows) - 1} designs")
-    designs = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != p + 1:
-            raise InvalidInputError(f"{path.name}: row {i} has {len(row)} fields")
-        values = np.array(_floats(path, row, f"value in row {i}"))
-        features = specs[i].as_array() if specs is not None else None
-        designs.append(StructureDesign(diameter=values[0], curve=values[1:],
-                                       features=features))
-    return designs
+                f"{sidecar.name}: {len(specs)} spec rows for {len(values)} designs")
+        features = [spec.as_array() for spec in specs]
+    return [StructureDesign(diameter=row[0], curve=row[1:], features=f)
+            for row, f in zip(values, features)]
 
 
 def write_specs(path, specs) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "A", "omega", "phi"])
-        for spec in specs:
-            writer.writerow([fmt(spec.d), fmt(spec.A), fmt(spec.omega), fmt(spec.phi)])
+    _write_table(path, SPECS_HEADER,
+                 ([spec.d, spec.A, spec.omega, spec.phi] for spec in specs))
 
 
 def read_specs(path) -> list[SinusoidSpec]:
-    rows = _read_rows(Path(path))
-    if rows[0] != ["d", "A", "omega", "phi"]:
-        raise InvalidInputError(f"{Path(path).name}: expected header d,A,omega,phi")
-    return [SinusoidSpec(*_floats(path, row, f"value in row {i}"))
-            for i, row in enumerate(rows[1:])]
+    _, values = _read_table(path, SPECS_HEADER, "value", "spec rows")
+    return [SinusoidSpec(*row.tolist()) for row in values]
 
 
 def write_responses(path, grid, responses) -> None:
     """Header row of strain levels, then one stress row per run."""
-    responses = np.atleast_2d(np.asarray(responses, dtype=float))
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([fmt(s) for s in grid])
-        for row in responses:
-            writer.writerow([fmt(v) for v in row])
+    _write_table(path, grid, np.atleast_2d(np.asarray(responses, dtype=float)))
 
 
 def read_responses(path):
-    rows = _read_rows(Path(path))
-    grid = np.array(_floats(path, rows[0], "strain level"))
-    if any(len(row) != grid.size for row in rows[1:]):
-        raise InvalidInputError(f"{Path(path).name}: ragged response rows")
-    Y = np.array([_floats(path, row, f"stress in row {i}")
-                  for i, row in enumerate(rows[1:])])
-    return grid, Y
+    header, Y = _read_table(path, None, "stress", "response rows")
+    return np.array(_floats(path, header, "strain level")), Y
 
 
 def save_dataset(out_dir, dataset: Dataset, specs=None, prefix: str = "") -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot("w", out_dir, exc) from exc
     dpath = out_dir / (prefix + DESIGNS_FILE)
     write_designs(dpath, dataset.designs)
     if specs is not None:
@@ -172,21 +211,11 @@ def load_eval_dataset(in_dir) -> Dataset:
 
 
 def write_target(path, strain, stress) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strain", "stress"])
-        for s, v in zip(strain, stress):
-            writer.writerow([fmt(s), fmt(v)])
+    _write_table(path, TARGET_HEADER, zip(strain, stress))
 
 
 def read_target(path):
-    rows = _read_rows(Path(path))
-    if rows[0] != ["strain", "stress"]:
-        raise InvalidInputError(f"{Path(path).name}: expected header strain,stress")
-    if any(len(row) != 2 for row in rows[1:]):
-        raise InvalidInputError(f"{Path(path).name}: rows must be strain,stress pairs")
-    data = np.array([_floats(path, row, f"value in row {i}")
-                     for i, row in enumerate(rows[1:])])
+    _, data = _read_table(path, TARGET_HEADER, "value", "strain,stress pairs")
     if data.shape[0] < 2:
         raise InvalidInputError("target needs at least two strain levels")
     strain, stress = data[:, 0], data[:, 1]
@@ -202,26 +231,24 @@ def write_prediction_csv(path, grid, rows) -> None:
     leads with the known s = 0 boundary row (stress exactly zero there),
     which the model's log-strain basis cannot represent on-grid.
     """
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["design", "strain", "mean", "lower", "upper"])
-        for i, (mean, lower, upper) in enumerate(rows):
-            writer.writerow([str(i), fmt(0.0), fmt(0.0), fmt(0.0), fmt(0.0)])
-            for j, s in enumerate(grid):
-                writer.writerow([str(i), fmt(s), fmt(mean[j]), fmt(lower[j]),
-                                 fmt(upper[j])])
+    table = [[str(i), *cells] for i, band in enumerate(rows)
+             for cells in [(0.0,) * 4, *zip(grid, *band)]]
+    _write_table(path, ["design", "strain", "mean", "lower", "upper"], table)
+
+
+def read_json(path) -> dict:
+    """The JSON object a file holds."""
+    with _opened(path, "r") as fh:
+        try:
+            doc = json.loads(fh.read())
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{Path(path).name} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{Path(path).name} must hold a JSON object")
+    return doc
 
 
 def write_json(path, obj) -> None:
     """Canonical JSON: sorted keys, repr floats via json's own formatter."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _read_rows(path: Path) -> list[list[str]]:
-    if not path.exists():
-        raise InvalidInputError(f"missing file: {path}")
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise InvalidInputError(f"{path.name} is empty")
-    return rows
+    with _opened(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

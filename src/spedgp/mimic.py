@@ -110,6 +110,8 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress) -> Mimic
     target_stress = np.asarray(target_stress, dtype=float)
     if target_strain.shape != target_stress.shape or target_strain.ndim != 1:
         raise InvalidInputError("target strain and stress must be equal-length vectors")
+    if not (np.isfinite(target_strain).all() and np.isfinite(target_stress).all()):
+        raise InvalidInputError("target strain and stress must be finite")
     if np.any(target_stress <= 0):
         raise InvalidInputError("target stresses must be positive")
     if target_strain[0] > model.grid[0] or target_strain[-1] < model.grid[-1]:

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import shutil
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -284,35 +285,90 @@ class TestMimic:
         assert "missing file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["predict", "eval", "mimic"])
-@pytest.mark.parametrize("case,message", [
-    ("missing_file", "missing file"),
-    ("invalid_json", "model.json is not valid JSON"),
-    ("missing_key", "model.json lacks the key 'theta'"),
-    ("non_pd_sigma", "Sigma must be positive definite"),
-], ids=["missing_file", "invalid_json", "missing_key", "non_pd_sigma"])
-def test_unreadable_model_exits_2(ws, tmp_path, capsys, command, case, message):
-    model = tmp_path / "model.json"
-    if case == "invalid_json":
-        model.write_text(ws.model.read_text()[:200])
-    elif case == "missing_key":
+def broken_path(ws, root, flag, case):
+    """A path for flag whose file is broken as case names."""
+    name = {"--model": "model.json", "--config": "config.json", "--train": "train",
+            "--test": "test", "--designs": "designs.csv", "--target": "target.csv",
+            "--out": "out"}[flag]
+    root.mkdir()
+    path = root / name
+    if case == "missing_dir":
+        return root / "nodir" / name
+    if case == "file_parent":
+        path.write_text("")
+        return path / name
+    if case == "directory":
+        path.mkdir()
+    elif case == "non_utf8":
+        path.write_bytes(b"\xff\xfe\x00")
+    elif case == "invalid_json":
+        path.write_text(ws.model.read_text()[:200])
+    elif case in ("missing_key", "non_pd_sigma"):
         doc = json.loads(ws.model.read_text())
-        del doc["theta"]
-        model.write_text(json.dumps(doc))
-    elif case == "non_pd_sigma":
-        doc = json.loads(ws.model.read_text())
-        doc["Sigma"] = (-np.eye(len(doc["Sigma"]))).tolist()
-        model.write_text(json.dumps(doc))
+        if case == "missing_key":
+            del doc["theta"]
+        else:
+            doc["Sigma"] = (-np.eye(len(doc["Sigma"]))).tolist()
+        path.write_text(json.dumps(doc))
+    elif case in ("ragged_specs", "header_only"):
+        shutil.copytree(ws.data, path)
+        for csv_path in path.glob("*.csv"):
+            lines = csv_path.read_text().splitlines()
+            if case == "header_only":
+                lines = lines[:1]
+            elif csv_path.name == "designs_specs.csv":
+                lines[1] = lines[1].rsplit(",", 1)[0]
+            csv_path.write_text("\n".join(lines) + "\n")
+    elif case == "inf_strain":
+        path.write_text("strain,stress\n0.001,0.5\ninf,0.5\n")
+    return path
+
+
+MODEL_CASES = {
+    "missing_file": "missing file",
+    "invalid_json": "model.json is not valid JSON",
+    "missing_key": "model.json lacks the key 'theta'",
+    "non_pd_sigma": "Sigma must be positive definite",
+    "non_utf8": "cannot read",
+    "directory": "cannot read",
+}
+#: (flag, case, command, message); the model cases keep their case-command ids
+BOUNDARY_CASES = (
+    [("--model", case, command, message) for case, message in MODEL_CASES.items()
+     for command in ("predict", "eval", "mimic")]
+    + [(flag, case, command, "cannot read")
+       for flag, command in (("--config", "fit"), ("--designs", "predict"),
+                             ("--target", "mimic"))
+       for case in ("non_utf8", "directory")]
+    + [("--out", "missing_dir", command, "cannot write")
+       for command in ("fit", "predict", "eval", "mimic")]
+    # gen creates its missing output directory, so a regular file stands in its way
+    + [("--out", "file_parent", "gen", "cannot write"),
+       ("--train", "ragged_specs", "fit", "designs_specs.csv: ragged rows: row 0"),
+       ("--train", "header_only", "fit", "need at least 2 designs"),
+       ("--test", "header_only", "eval", "test dataset is empty"),
+       ("--target", "inf_strain", "mimic", "target strain and stress must be finite")]
+)
+
+
+@pytest.mark.parametrize("flag,case,command,message", BOUNDARY_CASES, ids=[
+    f"{case}-{command}" if flag == "--model" else f"{flag[2:]}_{case}-{command}"
+    for flag, case, command, _ in BOUNDARY_CASES])
+def test_unreadable_model_exits_2(ws, tmp_path, capsys, flag, case, command, message):
+    # every unreadable input and unwritable output exits 2 with its error
     target = tmp_path / "target.csv"
     write_target(target)
-    inputs = {"predict": ["--designs", str(ws.data / "test_designs.csv")],
-              "eval": ["--test", str(ws.data)],
-              "mimic": ["--target", str(target)]}
-    out = tmp_path / "out"
+    args = {"gen": {"--n": "4", "--test-n": "0", "--p": "17"},
+            "fit": {"--train": ws.data, "--config": ws.config},
+            "predict": {"--model": ws.model, "--designs": ws.data / "test_designs.csv"},
+            "eval": {"--model": ws.model, "--test": ws.data},
+            "mimic": {"--model": ws.model, "--target": target, "--starts": "2"}}[command]
+    args["--out"] = tmp_path / "out"
+    args[flag] = broken_path(ws, tmp_path / "broken", flag, case)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = main([command, "--model", str(model), *inputs[command], "--out", str(out)])
+        rc = main([command, *(str(v) for item in args.items() for v in item)])
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    assert not Path(args["--out"]).exists()
     assert not caught, [str(w.message) for w in caught]

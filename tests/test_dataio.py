@@ -19,6 +19,8 @@ from spedgp.dataio import (
 )
 from spedgp.design import SinusoidSpec, gen_sinusoid, sample_designs
 
+from .test_spectral import name_references
+
 
 @pytest.fixture
 def tiny(tmp_path):
@@ -154,6 +156,11 @@ class TestDataset:
         with pytest.raises(InvalidInputError, match="positive"):
             Dataset(designs=designs, responses=bad, grid=grid)
 
+    def test_responses_must_be_a_matrix(self, tiny):
+        _, _, _, grid, _ = tiny
+        with pytest.raises(InvalidInputError, match="matrix of runs"):
+            Dataset(designs=[], responses=[], grid=grid)
+
 
 class TestTarget:
     def test_round_trip(self, tmp_path):
@@ -215,3 +222,11 @@ class TestJson:
         write_json(tmp_path / "x.json", {"k": 0.1, "z": {"n": 2}})
         write_json(tmp_path / "y.json", {"z": {"n": 2}, "k": 0.1})
         assert (tmp_path / "x.json").read_bytes() == (tmp_path / "y.json").read_bytes()
+
+
+def test_only_dataio_touches_files():
+    # dataio._opened is the package's one open, and dataio its one JSON codec
+    refs = name_references({"open", "read_text", "write_text", "loads", "dumps"})
+    offenders = [ref for ref in refs if not ref.startswith("dataio.py:")]
+    assert not offenders, f"file access outside dataio: {offenders}"
+    assert sorted(ref.split()[-1] for ref in refs) == ["dumps", "loads", "open"], refs

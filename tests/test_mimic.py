@@ -326,6 +326,17 @@ class TestBuildProblem:
         with pytest.raises(InvalidInputError):
             build_problem(mimic_model, TARGET_STRAIN, bad)
 
+    @pytest.mark.parametrize("strain,stress", [
+        ([0.001, np.inf], [0.5, 0.5]),
+        ([0.001, np.nan], [0.5, 0.5]),
+        ([0.001, 0.2], [0.5, np.inf]),
+        ([0.001, 0.2], [0.5, np.nan]),
+    ], ids=["inf_strain", "nan_strain", "inf_stress", "nan_stress"])
+    def test_rejects_non_finite_target(self, mimic_model, strain, stress):
+        # an inf strain would otherwise hold the target flat past the last finite level
+        with pytest.raises(InvalidInputError, match="target strain and stress must be finite"):
+            build_problem(mimic_model, np.array(strain), np.array(stress))
+
     def test_rejects_short_target_span(self, mimic_model, target_stress):
         with pytest.raises(InvalidInputError):
             build_problem(mimic_model, TARGET_STRAIN + 0.01, target_stress)
