@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import numbers
 import sys
 from pathlib import Path
 
@@ -46,11 +45,11 @@ def _cmd_gen(args) -> int:
                                     (args.test_n, args.seed + 1, "sobol", TEST_PREFIX)):
         if prefix and n == 0:
             continue  # --test-n 0 writes no test split; --n 0 fails in sample_designs
-        specs = sample_designs(n, seed=seed, scheme=scheme)
-        designs = [gen_sinusoid(s, args.p) for s in specs]
+        designs = [gen_sinusoid(s, args.p)
+                   for s in sample_designs(n, seed=seed, scheme=scheme)]
         responses = np.array([synthetic_oracle(d, grid) for d in designs])
         save_dataset(out, Dataset(designs=designs, responses=responses, grid=grid),
-                     specs=specs, prefix=prefix)
+                     prefix=prefix)
     print(f"wrote {args.n} training and {args.test_n} test runs to {out}")
     return 0
 
@@ -71,15 +70,6 @@ def _load_fit_config(path) -> tuple[FitConfig, dict | None]:
         missing = {"folds", "lambda_i_grid", "lambda_o_grid"} - set(cv)
         if missing:
             raise InvalidInputError(f"cv block is missing keys: {sorted(missing)}")
-        folds = cv["folds"]
-        if isinstance(folds, bool) or not isinstance(folds, numbers.Integral):
-            raise InvalidInputError(f"cv folds must be an integer, got {folds!r}")
-        try:
-            cv = {"folds": int(folds),
-                  **{key: [float(v) for v in np.atleast_1d(cv[key])]
-                     for key in ("lambda_i_grid", "lambda_o_grid")}}
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"cv block value of the wrong type: {exc}") from exc
     return config, cv
 
 

@@ -92,6 +92,10 @@ class FitData:
     family: str
 
     @property
+    def p(self) -> int:
+        return self.designs[0].p
+
+    @property
     def n(self) -> int:
         return self.Y.shape[0]
 
@@ -189,10 +193,9 @@ class TrainedEmulator:
         self.z = check_weights(self.z, data.nz)
         self.beta = np.asarray(self.beta, dtype=float)
         self.Sigma = np.asarray(self.Sigma, dtype=float)
-        self.grid, self.designs, self.Y = data.grid, data.designs, data.Y
-        self.P, self.F = data.P, data.F
-        self.p, self.n, self.m = data.designs[0].p, data.n, data.m
-        if self.Sigma.shape != (self.m, self.m):
+        # grid and R (below) stay attributes: perfbench/workloads.py reads them
+        self.grid = data.grid
+        if self.Sigma.shape != (data.m, data.m):
             raise InvalidInputError("Sigma shape does not match the strain grid")
         if not np.isfinite(self.Sigma).all():
             raise InvalidInputError("Sigma must be finite")
@@ -200,12 +203,12 @@ class TrainedEmulator:
             raise InvalidInputError("Sigma must be symmetric")
         if cholesky(self.Sigma.copy()) is None:
             raise InvalidInputError("Sigma must be positive definite")
-        if self.beta.size != self.P.shape[1]:
+        if self.beta.size != data.P.shape[1]:
             raise InvalidInputError("beta length does not match the mean basis")
         if self.beta.size >= 2 and self.beta[1] <= 0:
             raise InvalidInputError("beta_2 must be positive (monotone mean constraint)")
         self.R, self.chol_R = data.chol(self.z)
-        self.mu = self.P @ self.beta
+        self.mu = data.P @ self.beta
         self.resid = data.residuals(self.beta)
 
 
@@ -241,10 +244,11 @@ def predict(model: TrainedEmulator, new: StructureDesign) -> Prediction:
     Only the new design's feature row is computed; the training rows are
     the model's cached F.
     """
-    if new.p != model.p:
-        raise InvalidInputError(f"new design has p={new.p}, model expects {model.p}")
-    f_new = design_feature_row(new, model.data.family)
-    r = correlation_from_features(model.F, f_new, model.z)
+    data = model.data
+    if new.p != data.p:
+        raise InvalidInputError(f"new design has p={new.p}, model expects {data.p}")
+    f_new = design_feature_row(new, data.family)
+    r = correlation_from_features(data.F, f_new, model.z)
     return predict_from_point(model, r)
 
 
@@ -272,25 +276,26 @@ def save_model(model: TrainedEmulator, path) -> None:
     on load so the file stays self-describing and consistent. The
     weights are written unpacked, as theta and theta_d.
     """
-    theta, theta_d = model.data.unpack(model.z)
+    data = model.data
+    theta, theta_d = data.unpack(model.z)
     doc = {
-        "p": model.p,
-        "strain_grid": model.grid.tolist(),
+        "p": data.p,
+        "strain_grid": data.grid.tolist(),
         "designs": [
             {
                 "d": dsn.diameter,
                 "curve": dsn.curve.tolist(),
                 "features": None if dsn.features is None else dsn.features.tolist(),
             }
-            for dsn in model.designs
+            for dsn in data.designs
         ],
-        "Y": model.Y.tolist(),
+        "Y": data.Y.tolist(),
         "theta": theta.tolist(),
         "theta_d": theta_d,
-        "nugget": model.data.nugget,
+        "nugget": data.nugget,
         "beta": model.beta.tolist(),
         "Sigma": model.Sigma.tolist(),
-        "family": model.data.family,
+        "family": data.family,
         "fit_metadata": model.fit_metadata,
     }
     write_json(path, doc)
@@ -300,9 +305,9 @@ def load_model(path) -> TrainedEmulator:
     """Read a model written by :func:`save_model`.
 
     Training rows are validated by :func:`make_fit_data`, as a fit's are,
-    and theta and theta_d, packed into z, by :func:`check_weights`. A file
-    :func:`read_json` rejects, a missing key or a value of the wrong type
-    raises an invalid-input error naming the file.
+    p against their curve length, and theta and theta_d, packed into z, by
+    :func:`check_weights`. A file :func:`read_json` rejects, a missing key
+    or a value of the wrong type raises an invalid-input error naming the file.
     """
     doc, name = read_json(path), Path(path).name
     try:
@@ -326,6 +331,9 @@ def _model_from_doc(doc: dict) -> TrainedEmulator:
     ]
     data = make_fit_data(designs, doc["Y"], doc["strain_grid"],
                          family=doc["family"], nugget=float(doc["nugget"]))
+    p = doc["p"]
+    if isinstance(p, bool) or p != data.p:
+        raise InvalidInputError(f"p = {p!r} does not match the curve length {data.p}")
     theta = np.asarray(doc["theta"], dtype=float)
     if theta.ndim != 1:
         raise InvalidInputError("theta must be a 1-d vector")

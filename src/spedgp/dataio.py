@@ -6,10 +6,10 @@ raises :class:`InvalidInputError` from there. Floats are written with
 so write -> read is lossless and reruns under one seed write
 byte-identical files, with no timestamps or environment-dependent content.
 
-Designs travel as bare (d, curve) rows. When the sinusoid provenance is
-known (generated data), a ``*_specs.csv`` sidecar with the (d, A, omega,
-phi) rows is written next to the design file; loading attaches it when
-present, which is what the feature_based kernel family needs.
+Designs travel as bare (d, curve) rows. When every design carries its
+(d, A, omega, phi) sinusoid features (generated data), save_dataset writes
+them to a ``*_specs.csv`` sidecar next to the design file; loading attaches
+it when present, which is what the feature_based kernel family needs.
 """
 
 from __future__ import annotations
@@ -161,9 +161,8 @@ def read_designs(path) -> list[StructureDesign]:
             for row, f in zip(values, features)]
 
 
-def write_specs(path, specs) -> None:
-    _write_table(path, SPECS_HEADER,
-                 ([spec.d, spec.A, spec.omega, spec.phi] for spec in specs))
+def write_specs(path, rows) -> None:
+    _write_table(path, SPECS_HEADER, rows)
 
 
 def read_specs(path) -> list[SinusoidSpec]:
@@ -181,7 +180,7 @@ def read_responses(path):
     return np.array(_floats(path, header, "strain level")), Y
 
 
-def save_dataset(out_dir, dataset: Dataset, specs=None, prefix: str = "") -> None:
+def save_dataset(out_dir, dataset: Dataset, prefix: str = "") -> None:
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -189,8 +188,8 @@ def save_dataset(out_dir, dataset: Dataset, specs=None, prefix: str = "") -> Non
         raise _cannot("w", out_dir, exc) from exc
     dpath = out_dir / (prefix + DESIGNS_FILE)
     write_designs(dpath, dataset.designs)
-    if specs is not None:
-        write_specs(specs_sidecar_path(dpath), specs)
+    if all(dsn.features is not None for dsn in dataset.designs):
+        write_specs(specs_sidecar_path(dpath), [dsn.features for dsn in dataset.designs])
     write_responses(out_dir / (prefix + RESPONSES_FILE), dataset.grid,
                     dataset.responses)
 

@@ -244,7 +244,7 @@ def _dual_start(S, lam, I, J, precision_init):
 
 def _snap(cho, u, lam, I, J):
     """V^{-1} with exact zeros on the pairs strictly inside the box."""
-    W = solve_factored(cho, np.eye(cho[0].shape[0]))
+    W = solve_factored(cho, np.eye(cho.shape[0]))
     W = 0.5 * (W + W.T)
     inside = np.abs(u) < lam
     W[I[inside], J[inside]] = W[J[inside], I[inside]] = 0.0
@@ -696,17 +696,20 @@ def select_penalties(data, lambda_I_grid, lambda_o_grid, k: int,
     Scores each grid pair by the mean held-out back-transformed MARE and
     returns the minimizing pair, ties broken toward larger penalties.
     """
-    li_grid = sorted(set(float(v) for v in np.atleast_1d(lambda_I_grid)))
-    lo_grid = sorted(set(float(v) for v in np.atleast_1d(lambda_o_grid)))
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise InvalidInputError(f"cv folds must be an integer, got {k!r}")
+    try:
+        li_grid = sorted(set(float(v) for v in np.atleast_1d(lambda_I_grid)))
+        lo_grid = sorted(set(float(v) for v in np.atleast_1d(lambda_o_grid)))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"penalty grid value of the wrong type: {exc}") from exc
     if not li_grid or not lo_grid:
         raise InvalidInputError("penalty grids must be non-empty")
     n = len(data.designs)
     if k < 2 or n < 2 * k:
         raise InvalidInputError(f"need k >= 2 and n >= 2k folds, got n={n}, k={k}")
     perm = np.random.default_rng(config.seed).permutation(n)
-    folds = np.array_split(perm, k)
-    if any(f.size == 0 for f in folds):
-        raise InvalidInputError("degenerate cross-validation folds")
+    folds = np.array_split(perm, k)  # n >= 2k: every fold has 2 or more members
 
     best = None
     for li in li_grid:

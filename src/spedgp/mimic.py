@@ -49,57 +49,52 @@ ARMIJO = 1e-4
 
 @dataclass
 class MimicProblem:
-    """Frozen search setup: model, log-space target, active set, boxes.
+    """Frozen search setup: model, log-space target, active set, box.
 
-    The boxes are derived: the diameter searches the design box's
-    ``DESIGN_BOX["d"]``, and each active modulus coordinate runs from 0 to
-    COEF_BOUND_FACTOR x its largest training value. The constants of the
-    objective that do not depend on the candidate are computed here, once
-    per search: tr(Sigma), the searched feature columns ``cols`` (diameter
-    first), their kernel scales s = sqrt(z[cols]), the training rows in
-    whitened coordinates, G = F[:, cols] * s, and Q = R^-1 resid, which
-    turns the gradient's second solve into a product.
+    The box [lo, hi] of x = (d, moduli on the active set) is derived: the
+    diameter searches the design box's ``DESIGN_BOX["d"]``, and each active
+    modulus coordinate runs from 0 to COEF_BOUND_FACTOR x its largest
+    training value. The constants of the objective that do not depend on
+    the candidate are computed here, once per search: tr(Sigma), the
+    searched feature columns ``cols`` (diameter first), their kernel scales
+    s = sqrt(z[cols]), the training rows in whitened coordinates,
+    G = F[:, cols] * s, and Q = R^-1 resid, which turns the gradient's
+    second solve into a product.
     """
 
     model: TrainedEmulator
     target_log: np.ndarray
     active_set: np.ndarray
-    d_bounds: tuple = field(init=False)
-    coef_bounds: np.ndarray = field(init=False)  # (n_active, 2) rows [lo, hi]
 
     def __post_init__(self):
+        data = self.model.data
         self.target_log = np.asarray(self.target_log, dtype=float)
-        if self.target_log.shape != (self.model.m,):
+        if self.target_log.shape != (data.m,):
             raise InvalidInputError("target length does not match the model grid")
         self.active_set = np.asarray(self.active_set, dtype=int)
         if self.active_set.size == 0:
             raise InvalidInputError(
                 "every spectral weight is zero; mimicking degenerates to "
                 "diameter-only and is not supported")
-        self.d_bounds = DESIGN_BOX["d"]
-        top = COEF_BOUND_FACTOR * self.model.F[:, self.active_set].max(axis=0)
-        self.coef_bounds = np.column_stack([np.zeros(self.active_set.size), top])
+        d_lo, d_hi = DESIGN_BOX["d"]
+        top = COEF_BOUND_FACTOR * data.F[:, self.active_set].max(axis=0)
+        self.lo = np.concatenate([[d_lo], np.zeros(self.active_set.size)])
+        self.hi = np.concatenate([[d_hi], top])
         # x = (d, moduli on the active set) sits in feature columns cols
         self.cols = np.concatenate([[-1], self.active_set])
         self.tr_sigma = float(np.trace(self.model.Sigma))
         self.s = np.sqrt(self.model.z[self.cols])
-        self.G = self.model.F[:, self.cols] * self.s
+        self.G = data.F[:, self.cols] * self.s
         self.unit_weights = np.ones(self.cols.size)
         self.Q = solve_factored(self.model.chol_R, self.model.resid)
 
-    def box(self):
-        """Lower and upper bounds of x = (d, moduli on the active set)."""
-        lo = np.concatenate([[self.d_bounds[0]], self.coef_bounds[:, 0]])
-        hi = np.concatenate([[self.d_bounds[1]], self.coef_bounds[:, 1]])
-        return lo, hi
-
 
 def build_problem(model: TrainedEmulator, target_strain, target_stress) -> MimicProblem:
-    """Log-transform and regrid the target, freeze the active set and boxes.
+    """Log-transform and regrid the target, freeze the active set and box.
 
     The target may be tabulated on its own strain levels; it is linearly
     interpolated onto the model grid, which must lie inside the target's
-    span. The active set is the fitted theta's support; the boxes are
+    span. The active set is the fitted theta's support; the box is
     derived as in :class:`MimicProblem`.
     """
     if model.data.family != "sped":
@@ -196,10 +191,10 @@ class MimicResult:
 
 def _start_points(problem: MimicProblem, starts: int, seed: int) -> np.ndarray:
     """Latin hypercube starts in the x box, plus the best training design."""
-    lo, hi = problem.box()
+    lo, hi = problem.lo, problem.hi
     unit = qmc.LatinHypercube(d=lo.size, seed=seed).random(starts)
     # the best training design, clipped into the box, is an incumbent start
-    rows = np.clip(problem.model.F[:, problem.cols], lo, hi)
+    rows = np.clip(problem.model.data.F[:, problem.cols], lo, hi)
     f, _ = _objective_and_grad(problem.s * rows, problem)
     return np.vstack([lo + unit * (hi - lo), rows[np.argmin(f)]])
 
@@ -335,7 +330,7 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
         raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     model = problem.model
     s = problem.s
-    lo, hi = problem.box()
+    lo, hi = problem.lo, problem.hi
     X0 = _start_points(problem, starts, seed)
     blocks = [_search(s * X0[i:i + MAX_BLOCK], lo * s, hi * s, problem)
               for i in range(0, len(X0), MAX_BLOCK)]
@@ -352,11 +347,11 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
     # directly so that correlation_from_features counts evaluations only
     pred = predict_from_point(
         model, kernel(sq_differences(problem.G, u_best), problem.unit_weights))
-    spectrum = np.zeros(half_size(model.p))
+    spectrum = np.zeros(half_size(model.data.p))
     spectrum[problem.active_set] = x_best[1:]
     return MimicResult(
         diameter=float(x_best[0]), spectrum=spectrum,
-        reconstructed_curve=reconstruct_structure(spectrum, model.p),
+        reconstructed_curve=reconstruct_structure(spectrum, model.data.p),
         objective=float(f[best]), predicted=pred, trace=trace)
 
 

@@ -204,7 +204,7 @@ def correlation_with_nugget(D: np.ndarray, z: np.ndarray, nugget: float) -> np.n
 
 
 def cholesky(A):
-    """Cholesky factor ``(c, True)`` of symmetric A; None if indefinite.
+    """Lower Cholesky factor ``c`` of symmetric A; None if indefinite.
 
     The package's one factorization. It calls LAPACK dpotrf with the
     arguments scipy.linalg's lower Cholesky factorization of A.T passes it
@@ -231,12 +231,12 @@ def cholesky(A):
         raise NumericalError(f"dpotrf rejected argument {-info}")
     if not np.isfinite(np.diagonal(c)).all():
         raise NumericalError("Cholesky factor is not finite; the matrix holds a NaN or inf")
-    return c, True
+    return c
 
 
-def logdet(cho) -> float:
-    """log det A from A's factor ``cho`` as returned by :func:`cholesky`."""
-    return 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+def logdet(c) -> float:
+    """log det A from A's factor ``c`` as returned by :func:`cholesky`."""
+    return 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
 def factor_correlation(R: np.ndarray, nugget: float):
@@ -262,8 +262,8 @@ def factor_correlation(R: np.ndarray, nugget: float):
     return cho
 
 
-def solve_factored(cho, b) -> np.ndarray:
-    """Solve A x = b given ``cho = (c, True)``, A's factor from :func:`cholesky`.
+def solve_factored(c, b) -> np.ndarray:
+    """Solve A x = b given ``c``, A's lower factor from :func:`cholesky`.
 
     b is a vector or a matrix of right-hand sides. This calls LAPACK
     dpotrs with the arguments ``scipy.linalg.cho_solve`` passes it, so the
@@ -274,8 +274,7 @@ def solve_factored(cho, b) -> np.ndarray:
     """
     if not np.isfinite(b).all():
         raise NumericalError("right-hand side of a Cholesky solve is not finite")
-    c, lower = cho
-    x, info = dpotrs(c, b, lower=lower)
+    x, info = dpotrs(c, b, lower=True)
     if info != 0:
         raise NumericalError(f"dpotrs rejected argument {-info}")
     return x

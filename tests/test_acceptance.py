@@ -245,13 +245,13 @@ def test_c05_benchmark_fit_descends(sped_fit):
 def test_c06_interpolation_and_calibration(bench, sped_fit):
     model = sped_fit.model
     exact = TrainedEmulator(
-        data=make_fit_data(model.designs, model.Y, model.grid, nugget=0.0),
+        data=make_fit_data(model.data.designs, model.data.Y, model.grid, nugget=0.0),
         z=model.z, beta=model.beta, Sigma=model.Sigma)
     worst_v, worst_fit = 0.0, 0.0
-    for j, design in enumerate(exact.designs):
+    for j, design in enumerate(exact.data.designs):
         pred = predict(exact, design)
         worst_v = max(worst_v, pred.scale)
-        worst_fit = max(worst_fit, float(np.abs(pred.mean - exact.Y[j]).max()))
+        worst_fit = max(worst_fit, float(np.abs(pred.mean - exact.data.Y[j]).max()))
 
     rng = np.random.default_rng(7)
     inside = total = 0
@@ -259,7 +259,7 @@ def test_c06_interpolation_and_calibration(bench, sped_fit):
         pred = predict(model, design)
         lo, hi = hpd_interval(pred, 0.9)
         L = np.linalg.cholesky(pred.covariance())
-        draws = pred.mean + rng.standard_normal((2000, model.m)) @ L.T
+        draws = pred.mean + rng.standard_normal((2000, model.data.m)) @ L.T
         inside += int(np.count_nonzero((draws >= lo) & (draws <= hi)))
         total += draws.size
     coverage = inside / total
@@ -294,7 +294,7 @@ def test_model_r_is_the_fit_correlation(sped_fit, feature_fit):
     # the returned model's R is, bit for bit, the matrix the fit scored at
     # the fitted weights
     for model in (sped_fit.model, feature_fit):
-        data = make_fit_data(model.designs, model.Y, model.grid,
+        data = make_fit_data(model.data.designs, model.data.Y, model.grid,
                              family=model.data.family, nugget=model.data.nugget)
         np.testing.assert_array_equal(model.R, data.correlation(model.z))
 

@@ -154,11 +154,14 @@ class TestFit:
         '{"nugget": false}',
         '{"cv": {"folds": true, "lambda_i_grid": [1.0], "lambda_o_grid": [0.5]}}',
         '{"seed": -1}',
+        '{"cv": [2, [1.0], [0.5]]}',
+        '{"cv": {"folds": 2, "lambda_i_grid": ["one"], "lambda_o_grid": [0.5]}}',
     ], ids=["array", "broken_json", "string_restarts", "float_restarts",
          "string_lambda", "string_folds", "fractional_folds", "nan_lambda_i",
          "nan_lambda_o", "inf_lambda_o", "nan_nugget", "bool_restarts",
          "bool_max_sweeps", "bool_seed", "bool_lambda_i", "bool_lambda_o",
-         "bool_nugget", "bool_folds", "negative_seed"])
+         "bool_nugget", "bool_folds", "negative_seed", "cv_not_an_object",
+         "string_cv_grid"])
     def test_malformed_config_exits_2(self, ws, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
         config.write_text(text)

@@ -23,10 +23,12 @@ from spedgp.cokrige import (
     predict_from_point,
     unlog_stress,
 )
-from spedgp.spectral import (DIAMETER_FAMILIES, FAMILIES, correlation_from_features,
-                             cross_correlation, design_feature_rows, half_size)
+from spedgp.spectral import (DIAMETER_FAMILIES, FAMILIES, cholesky,
+                             correlation_from_features, cross_correlation,
+                             design_feature_rows, half_size)
 
 from .oracles import dense_conditional
+from .test_spectral import name_references
 
 
 def random_design(rng, p, family):
@@ -90,6 +92,13 @@ class TestEmulatorValidation:
                             beta=np.array([good.beta[0], -0.5]),
                             Sigma=good.Sigma)
 
+    def test_beta_length_must_match_mean_basis(self):
+        rng = np.random.default_rng(0)
+        good = random_emulator(rng)
+        with pytest.raises(InvalidInputError, match="beta length does not match"):
+            TrainedEmulator(data=good.data, z=good.z, beta=np.append(good.beta, 1.0),
+                            Sigma=good.Sigma)
+
     def test_sigma_must_be_symmetric(self):
         rng = np.random.default_rng(1)
         good = random_emulator(rng)
@@ -105,7 +114,8 @@ class TestEmulatorValidation:
         (lambda S: np.zeros_like(S), "Sigma must be positive definite"),
         (lambda S: np.where(np.eye(len(S)) > 0, np.inf, S), "Sigma must be finite"),
         (lambda S: np.full_like(S, np.nan), "Sigma must be finite"),
-    ], ids=["negated", "indefinite", "zero", "inf_diagonal", "nan"])
+        (lambda S: S[:-1, :-1], "Sigma shape does not match the strain grid"),
+    ], ids=["negated", "indefinite", "zero", "inf_diagonal", "nan", "wrong_shape"])
     def test_sigma_must_be_finite_and_positive_definite(self, edit, message):
         # a non-PD Sigma would make predict's band a NaN and mimic's v tr(Sigma)
         # term reward uncertainty
@@ -142,7 +152,7 @@ class TestEmulatorValidation:
     def test_built_on_the_training_state(self):
         rng = np.random.default_rng(1)
         model = random_emulator(rng, nugget=1e-6)
-        assert model.F is model.data.F and model.Y is model.data.Y
+        assert model.grid is model.data.grid
         assert model.data.nugget == 1e-6
         theta, theta_d = model.data.unpack(model.z)
         np.testing.assert_array_equal(np.append(theta, theta_d), model.z)
@@ -156,11 +166,11 @@ class TestPredictAgainstDenseOracle:
         for trial in range(20):
             model = random_emulator(rng)
             new = StructureDesign(rng.uniform(0.3, 1.8),
-                                  rng.standard_normal(model.p))
+                                  rng.standard_normal(model.data.p))
             pred = predict(model, new)
-            r = cross_correlation(new, model.designs, model.z, model.data.family)
-            mean, cov = dense_conditional(model.Y, model.R, r, 1.0, model.Sigma,
-                                          model.beta, model.P)
+            r = cross_correlation(new, model.data.designs, model.z, model.data.family)
+            mean, cov = dense_conditional(model.data.Y, model.R, r, 1.0, model.Sigma,
+                                          model.beta, model.data.P)
             np.testing.assert_allclose(pred.mean, mean, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(pred.covariance(), cov, rtol=1e-7,
                                        atol=1e-10)
@@ -168,24 +178,24 @@ class TestPredictAgainstDenseOracle:
     def test_training_point_interpolates_without_nugget(self):
         rng = np.random.default_rng(3)
         model = random_emulator(rng, nugget=0.0)
-        pred = predict(model, model.designs[1])
-        np.testing.assert_allclose(pred.mean, model.Y[1], rtol=0, atol=1e-8)
+        pred = predict(model, model.data.designs[1])
+        np.testing.assert_allclose(pred.mean, model.data.Y[1], rtol=0, atol=1e-8)
         assert 0.0 <= pred.scale <= 1e-10
 
     def test_far_point_reverts_to_mean(self):
         rng = np.random.default_rng(4)
         model = random_emulator(rng)
-        far = StructureDesign(1.0, 50.0 + 10.0 * rng.standard_normal(model.p))
+        far = StructureDesign(1.0, 50.0 + 10.0 * rng.standard_normal(model.data.p))
         pred = predict(model, far)
-        np.testing.assert_allclose(pred.mean, model.P @ model.beta, rtol=1e-6)
+        np.testing.assert_allclose(pred.mean, model.data.P @ model.beta, rtol=1e-6)
         assert pred.scale == pytest.approx(1.0, abs=1e-6)
 
     def test_scale_clamped_and_guarded(self):
         rng = np.random.default_rng(5)
         model = random_emulator(rng)
-        r = np.zeros(len(model.designs))
+        r = np.zeros(len(model.data.designs))
         assert predict_from_point(model, r).scale == 1.0
-        r_over = cross_correlation(model.designs[0], model.designs, model.z,
+        r_over = cross_correlation(model.data.designs[0], model.data.designs, model.z,
                                    model.data.family)
         # tiny overshoot inside tolerance clamps to zero
         pred = predict_from_point(model, r_over * (1 + 1e-12))
@@ -222,6 +232,12 @@ class TestHpdInterval:
         with pytest.raises(InvalidInputError):
             hpd_interval(pr, 1.0)
 
+    def test_negative_scale_raises_numerical_error(self):
+        from spedgp.cokrige import Prediction
+        pr = Prediction(mean=np.zeros(2), scale=-1.0, Sigma=np.eye(2))
+        with pytest.raises(NumericalError, match="negative predictive scale"):
+            hpd_interval(pr, 0.9)
+
     def test_width_scales_with_v(self):
         from spedgp.cokrige import Prediction
         pr1 = Prediction(mean=np.zeros(2), scale=0.25, Sigma=np.eye(2))
@@ -238,10 +254,11 @@ def test_predict_and_band_match_the_list_path_bit_for_bit(family):
     rng = np.random.default_rng(5)
     model = random_emulator(rng, n=6, m=4, p=9, family=family)
     for _ in range(5):
-        new = random_design(rng, model.p, family)
+        new = random_design(rng, model.data.p, family)
         pred = predict(model, new)
         f_new = design_feature_rows([new], family)[0]
-        ref = predict_from_point(model, correlation_from_features(model.F, f_new, model.z))
+        r = correlation_from_features(model.data.F, f_new, model.z)
+        ref = predict_from_point(model, r)
         assert np.array_equal(pred.mean, ref.mean)
         assert pred.scale == ref.scale
         lo, hi = hpd_interval(pred, 0.9)
@@ -258,7 +275,7 @@ class TestSerialization:
             path = tmp_path / f"{family}.json"
             save_model(model, path)
             back = load_model(path)
-            new = random_design(rng, model.p, family)
+            new = random_design(rng, model.data.p, family)
             a = predict(model, new)
             b = predict(back, new)
             np.testing.assert_array_equal(a.mean, b.mean)
@@ -275,7 +292,7 @@ class TestSerialization:
         assert back.data.family == model.data.family
         assert back.data.nugget == model.data.nugget
         np.testing.assert_array_equal(back.z, model.z)
-        np.testing.assert_array_equal(back.Y, model.Y)
+        np.testing.assert_array_equal(back.data.Y, model.data.Y)
         assert back.fit_metadata["lambda_I"] == 1.0
 
     @pytest.mark.parametrize("edit,message", [
@@ -296,10 +313,12 @@ class TestSerialization:
         (lambda doc: doc.__setitem__("theta", [[0.1, 0.2], [0.1, 0.2]]), "1-d vector"),
         (lambda doc: doc.__setitem__("Sigma", (-np.eye(len(doc["Sigma"]))).tolist()),
          "Sigma must be positive definite"),
+        (lambda doc: doc.__setitem__("p", 999), "p = 999 does not match the curve length"),
+        (lambda doc: doc.pop("p"), "lacks the key 'p'"),
     ], ids=["nan_response", "duplicate_design", "negative_theta", "nan_theta",
             "short_theta", "ragged_theta", "nan_theta_d", "negative_theta_d",
             "nan_nugget", "negative_nugget", "unknown_family", "matrix_theta",
-            "negative_sigma"])
+            "negative_sigma", "wrong_p", "missing_p"])
     def test_load_validates_training_rows_as_fit_does(self, tmp_path, edit, message):
         rng = np.random.default_rng(10)
         path = tmp_path / "model.json"
@@ -341,3 +360,15 @@ class TestSerialization:
         save_model(model, tmp_path / "a.json")
         save_model(model, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_one_copy_of_each_value():
+    # the training state lives on model.data, a factor is its array, and
+    # mimic's box is its lo and hi arrays
+    model = random_emulator(np.random.default_rng(12))
+    copies = [name for name in ("designs", "Y", "P", "F", "p", "n", "m")
+              if hasattr(model, name)]
+    assert not copies, f"TrainedEmulator copies FitData fields: {copies}"
+    assert isinstance(cholesky(np.eye(3)), np.ndarray)
+    offenders = name_references({"d_bounds", "coef_bounds", "box"})
+    assert not offenders, f"second form of the mimic box: {offenders}"

@@ -18,6 +18,7 @@ from spedgp.dataio import (
     write_target,
 )
 from spedgp.design import SinusoidSpec, gen_sinusoid, sample_designs
+from spedgp.spectral import StructureDesign
 
 from .test_spectral import name_references
 
@@ -53,16 +54,16 @@ class TestDesignsRoundTrip:
         tmp, specs, designs, _, _ = tiny
         path = tmp / "designs.csv"
         write_designs(path, designs)
-        write_specs(specs_sidecar_path(path), specs)
+        write_specs(specs_sidecar_path(path), [dsn.features for dsn in designs])
         back = read_designs(path)
         for spec, dsn in zip(specs, back):
             np.testing.assert_array_equal(dsn.features, spec.as_array())
 
     def test_sidecar_row_mismatch_rejected(self, tiny):
-        tmp, specs, designs, _, _ = tiny
+        tmp, _, designs, _, _ = tiny
         path = tmp / "designs.csv"
         write_designs(path, designs)
-        write_specs(specs_sidecar_path(path), specs[:-1])
+        write_specs(specs_sidecar_path(path), [dsn.features for dsn in designs[:-1]])
         with pytest.raises(InvalidInputError, match="spec rows"):
             read_designs(path)
 
@@ -93,7 +94,7 @@ class TestSpecsRoundTrip:
     def test_lossless(self, tiny):
         tmp, specs, _, _, _ = tiny
         path = tmp / "s_specs.csv"
-        write_specs(path, specs)
+        write_specs(path, [spec.as_array() for spec in specs])
         back = read_specs(path)
         for a, b in zip(specs, back):
             assert (a.d, a.A, a.omega, a.phi) == (b.d, b.A, b.omega, b.phi)
@@ -128,13 +129,22 @@ class TestResponses:
 
 class TestDataset:
     def test_save_load(self, tiny):
-        tmp, specs, designs, grid, Y = tiny
+        tmp, _, designs, grid, Y = tiny
         ds = Dataset(designs=designs, responses=Y, grid=grid)
-        save_dataset(tmp / "run", ds, specs=specs)
+        save_dataset(tmp / "run", ds)
         back = load_dataset(tmp / "run")
         np.testing.assert_array_equal(back.responses, Y)
         np.testing.assert_array_equal(back.grid, grid)
-        assert back.designs[0].features is not None
+        for a, b in zip(designs, back.designs):
+            np.testing.assert_array_equal(b.features, a.features)
+
+    def test_no_sidecar_without_features(self, tiny):
+        # one design without provenance: no sidecar, and none comes back
+        tmp, _, designs, grid, Y = tiny
+        designs = designs[:-1] + [StructureDesign(designs[-1].diameter, designs[-1].curve)]
+        save_dataset(tmp / "run", Dataset(designs=designs, responses=Y, grid=grid))
+        assert not specs_sidecar_path(tmp / "run" / "designs.csv").exists()
+        assert all(dsn.features is None for dsn in load_dataset(tmp / "run").designs)
 
     def test_eval_prefers_test_prefix(self, tiny):
         tmp, specs, designs, grid, Y = tiny

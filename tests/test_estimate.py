@@ -271,6 +271,15 @@ class TestThetaBlock:
         # only the frequency block is penalized, never the diameter slice
         assert f_hi - f_lo == pytest.approx(5.0 * z[:-1].sum(), rel=1e-12)
 
+    def test_unfactorable_correlation_is_a_wall(self):
+        # z = 0 without a nugget makes R = 11', which does not factor
+        rng = np.random.default_rng(12)
+        data, _, _, _ = random_fit_data(rng, n=4, m=3, nugget=0.0)
+        z = np.zeros(data.nz)
+        f, grad = theta_objective(z, data, np.eye(4), 0.5)
+        assert f == 1e300
+        np.testing.assert_array_equal(grad, np.zeros(data.nz))
+
 
 @pytest.fixture(scope="module")
 def small_training_set():
@@ -463,6 +472,24 @@ class TestSelectPenalties:
             select_penalties(tiny_set, [0.1], [0.1], k=1, config=cfg)
         with pytest.raises(InvalidInputError, match="k >= 2"):
             select_penalties(tiny_set, [0.1], [0.1], k=7, config=cfg)
+
+    @pytest.mark.parametrize("k,message", [
+        (True, "cv folds must be an integer, got True"),
+        (2.0, "cv folds must be an integer, got 2.0"),
+        ("2", "cv folds must be an integer, got '2'"),
+    ], ids=["bool", "float", "string"])
+    def test_folds_must_be_an_integer(self, tiny_set, k, message):
+        cfg = FitConfig(restarts=1)
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            select_penalties(tiny_set, [0.1], [0.1], k=k, config=cfg)
+
+    @pytest.mark.parametrize("li,lo", [(["a"], [0.1]), ([0.1], [None]),
+                                       ([0.1], [[0.1, 0.2], [0.3]])],
+                             ids=["string", "null", "ragged"])
+    def test_grids_must_be_numeric(self, tiny_set, li, lo):
+        cfg = FitConfig(restarts=1)
+        with pytest.raises(InvalidInputError, match="penalty grid value of the wrong"):
+            select_penalties(tiny_set, li, lo, k=2, config=cfg)
 
     def test_empty_grid_rejected(self, tiny_set):
         cfg = FitConfig(restarts=1)

@@ -176,7 +176,7 @@ def assert_matches_full_build(M, a, b):
     np.testing.assert_array_equal(K[upper], ref[upper])
     cho, cho_ref = cholesky(K), cholesky(ref)
     assert cho is not None and cho_ref is not None
-    np.testing.assert_array_equal(np.tril(cho[0]), np.tril(cho_ref[0]))
+    np.testing.assert_array_equal(np.tril(cho), np.tril(cho_ref))
 
 
 class TestPairHessian:
@@ -219,17 +219,14 @@ class TestCholesky:
     @pytest.mark.parametrize("n", [1, 41, 58, 450])
     def test_bit_identical_to_cho_factor(self, n, order):
         A = np.asarray(random_spd(np.random.default_rng(n), n, cond=1e4), order=order)
-        c, lower = cholesky(A.copy(order="K"))
-        c_ref, lower_ref = cho_factor(A.copy(order="K").T, lower=True,
-                                      check_finite=False)
+        c = cholesky(A.copy(order="K"))
+        c_ref, _ = cho_factor(A.copy(order="K").T, lower=True, check_finite=False)
         np.testing.assert_array_equal(c, c_ref)
         assert c.flags.f_contiguous == c_ref.flags.f_contiguous
-        assert (lower, lower_ref) == (True, True)
 
     def test_factors_a_c_ordered_matrix_in_place(self):
         A = random_spd(np.random.default_rng(1), 6)
-        c, _ = cholesky(A)
-        assert np.shares_memory(c, A)
+        assert np.shares_memory(cholesky(A), A)
 
     @pytest.mark.parametrize("A", [np.diag([1.0, -1.0, 2.0]),
                                    np.array([[1.0, 2.0], [2.0, 1.0]]),

@@ -136,8 +136,8 @@ class TestEvaluate:
 
     def test_self_evaluation_is_near_perfect(self, model_and_test):
         model, _ = model_and_test
-        train_ds = Dataset(designs=model.designs,
-                           responses=np.exp(model.Y), grid=model.grid)
+        train_ds = Dataset(designs=model.data.designs,
+                           responses=np.exp(model.data.Y), grid=model.grid)
         rep = evaluate(model, train_ds)
         assert rep.summary["median_mare"] < 1e-3
         assert rep.summary["classification_accuracy"] == 1.0

@@ -115,7 +115,7 @@ class TestMseObjective:
         # prior expression ||mu - target||^2 + tr(Sigma)
         rng = np.random.default_rng(2)
         model = toy_emulator(rng, [0.0, 1e6, 0.0, 0.0, 0.0], theta_d=0.0)
-        target = rng.standard_normal(model.m)
+        target = rng.standard_normal(model.data.m)
         got = mse_objective(model, target, d=1.0, spectrum_active=[50.0])
         resid = model.mu - target
         want = resid @ resid + np.trace(model.Sigma)
@@ -126,27 +126,27 @@ class TestMseObjective:
         model = toy_emulator(rng, [0.1, 0.4, 0.0, 0.2, 0.15])
         active = np.flatnonzero(model.data.unpack(model.z)[0] > 0)
         j = 2
-        got = mse_objective(model, model.Y[j], d=model.designs[j].diameter,
-                            spectrum_active=model.F[j, active])
+        got = mse_objective(model, model.data.Y[j], d=model.data.designs[j].diameter,
+                            spectrum_active=model.data.F[j, active])
         assert got < 1e-4
 
     def test_matches_monte_carlo_expectation(self):
         rng = np.random.default_rng(4)
         model = toy_emulator(rng, [0.1, 0.4, 0.0, 0.2, 0.15])
         active = np.flatnonzero(model.data.unpack(model.z)[0] > 0)
-        coefs = model.F[:, active].mean(axis=0)
-        target = model.Y.mean(axis=0)
+        coefs = model.data.F[:, active].mean(axis=0)
+        target = model.data.Y.mean(axis=0)
         got = mse_objective(model, target, 1.1, coefs)
 
-        f_new = np.zeros(model.F.shape[1])
+        f_new = np.zeros(model.data.F.shape[1])
         f_new[active] = coefs
         f_new[-1] = 1.1  # the diameter is the last feature column
-        r = correlation_from_features(model.F, f_new, model.z)
+        r = correlation_from_features(model.data.F, f_new, model.z)
         pred = predict_from_point(model, r)
         assert pred.scale > 1e-3
         draws_rng = np.random.default_rng(5)
         L = np.linalg.cholesky(pred.scale * model.Sigma)
-        draws = pred.mean + draws_rng.standard_normal((20000, model.m)) @ L.T
+        draws = pred.mean + draws_rng.standard_normal((20000, model.data.m)) @ L.T
         vals = ((draws - target) ** 2).sum(axis=1)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(got - vals.mean()) <= 3.0 * se
@@ -154,8 +154,8 @@ class TestMseObjective:
     def test_zero_weight_coordinate_cannot_matter(self):
         rng = np.random.default_rng(6)
         model = toy_emulator(rng, [0.1, 0.4, 0.0, 0.2, 0.15])
-        target = rng.standard_normal(model.m)
-        every = np.arange(half_size(model.p))
+        target = rng.standard_normal(model.data.m)
+        every = np.arange(half_size(model.data.p))
         base = np.array([0.5, 1.0, 0.0, 0.8, 0.3])
         bumped = base.copy()
         bumped[2] = 7.5
@@ -166,7 +166,7 @@ class TestMseObjective:
     def test_validation(self):
         rng = np.random.default_rng(7)
         model = toy_emulator(rng, [0.1, 0.4, 0.0, 0.2, 0.15])
-        target = np.zeros(model.m)
+        target = np.zeros(model.data.m)
         with pytest.raises(InvalidInputError):
             mse_objective(model, target, 1.0, [-0.1, 0.2, 0.3, 0.4])
         with pytest.raises(InvalidInputError):
@@ -180,11 +180,11 @@ def brute_force_correlations(model, x, active):
     designs, from raw curves: the candidate curve is the zero-phase curve
     with those moduli, and each correlation is a loop over np.fft moduli."""
     theta, theta_d = model.data.unpack(model.z)
-    spectrum = np.zeros(half_size(model.p))
+    spectrum = np.zeros(half_size(model.data.p))
     spectrum[active] = x[1:]
-    curve = reconstruct_structure(spectrum, model.p)
+    curve = reconstruct_structure(spectrum, model.data.p)
     return np.array([sped_corr_scalar(x[0], curve, dsn.diameter, dsn.curve,
-                                      theta, theta_d) for dsn in model.designs])
+                                      theta, theta_d) for dsn in model.data.designs])
 
 
 def expected_mismatch(mean, cov, target):
@@ -193,7 +193,7 @@ def expected_mismatch(mean, cov, target):
 
 
 def interior_points(problem, rng, k):
-    lo, hi = problem.box()
+    lo, hi = problem.lo, problem.hi
     return lo + rng.uniform(0.1, 0.9, (k, lo.size)) * (hi - lo)
 
 
@@ -201,7 +201,7 @@ def toy_problem(theta_d=0.6):
     """Search on a toy emulator whose theta support is [0, 1, 3, 4]."""
     rng = np.random.default_rng(12)
     model = toy_emulator(rng, [0.1, 0.4, 0.0, 0.2, 0.15], theta_d=theta_d)
-    return MimicProblem(model=model, target_log=rng.standard_normal(model.m),
+    return MimicProblem(model=model, target_log=rng.standard_normal(model.data.m),
                         active_set=np.array([0, 1, 3, 4]))
 
 
@@ -226,8 +226,8 @@ class TestWhitenedObjective:
         assert f.shape == (5,)
         for x, got in zip(X, f):
             r = brute_force_correlations(model, x, problem.active_set)
-            mean, cov = dense_conditional(model.Y, model.R, r, 1.0, model.Sigma,
-                                          model.beta, model.P)
+            mean, cov = dense_conditional(model.data.Y, model.R, r, 1.0, model.Sigma,
+                                          model.beta, model.data.P)
             assert got == pytest.approx(
                 expected_mismatch(mean, cov, problem.target_log), rel=1e-12)
 
@@ -257,7 +257,7 @@ class TestWhitenedObjective:
 
     def test_batch_rows_match_rows_alone(self, objective_problem):
         problem = objective_problem
-        lo, hi = problem.box()
+        lo, hi = problem.lo, problem.hi
         rng = np.random.default_rng(15)
         U = problem.s * (lo + rng.uniform(0.0, 1.0, (7, lo.size)) * (hi - lo))
         f, grad = _objective_and_grad(U, problem)
@@ -304,11 +304,10 @@ class TestBuildProblem:
 
     def test_default_boxes(self, mimic_model, mimic_problem):
         active = mimic_problem.active_set
-        np.testing.assert_array_equal(mimic_problem.coef_bounds[:, 0],
-                                      np.zeros(active.size))
-        np.testing.assert_allclose(mimic_problem.coef_bounds[:, 1],
-                                   1.5 * mimic_model.F[:, active].max(axis=0))
-        assert mimic_problem.d_bounds == (0.2, 2.0)
+        np.testing.assert_array_equal(mimic_problem.lo[1:], np.zeros(active.size))
+        np.testing.assert_allclose(mimic_problem.hi[1:],
+                                   1.5 * mimic_model.data.F[:, active].max(axis=0))
+        assert (mimic_problem.lo[0], mimic_problem.hi[0]) == (0.2, 2.0)
 
     def test_rejects_non_spectral_kernel(self, target_stress):
         rng = np.random.default_rng(8)
@@ -371,13 +370,10 @@ class TestOptimize:
     def test_beats_best_training_design(self, mimic_problem, mimic_result):
         model = mimic_problem.model
         active = mimic_problem.active_set
-        lo = np.concatenate([[mimic_problem.d_bounds[0]],
-                             mimic_problem.coef_bounds[:, 0]])
-        hi = np.concatenate([[mimic_problem.d_bounds[1]],
-                             mimic_problem.coef_bounds[:, 1]])
+        lo, hi = mimic_problem.lo, mimic_problem.hi
         best = np.inf
-        for j in range(model.n):
-            xj = np.clip(np.concatenate([[model.F[j, -1]], model.F[j, active]]),
+        for j in range(model.data.n):
+            xj = np.clip(np.concatenate([[model.data.F[j, -1]], model.data.F[j, active]]),
                          lo, hi)
             best = min(best, mse_objective(model, mimic_problem.target_log,
                                            xj[0], xj[1:], active))
@@ -385,13 +381,13 @@ class TestOptimize:
 
     def test_result_shapes_and_support(self, mimic_problem, mimic_result):
         model = mimic_problem.model
-        inert = np.setdiff1d(np.arange(half_size(model.p)),
+        inert = np.setdiff1d(np.arange(half_size(model.data.p)),
                              mimic_problem.active_set)
-        assert mimic_result.spectrum.shape == (half_size(model.p),)
+        assert mimic_result.spectrum.shape == (half_size(model.data.p),)
         np.testing.assert_array_equal(mimic_result.spectrum[inert], 0.0)
-        assert mimic_result.reconstructed_curve.shape == (model.p,)
-        assert mimic_result.predicted.mean.shape == (model.m,)
-        lo, hi = mimic_problem.d_bounds
+        assert mimic_result.reconstructed_curve.shape == (model.data.p,)
+        assert mimic_result.predicted.mean.shape == (model.data.m,)
+        lo, hi = mimic_problem.lo[0], mimic_problem.hi[0]
         assert lo <= mimic_result.diameter <= hi
 
     def test_curve_matches_spectrum(self, mimic_result):
@@ -424,7 +420,7 @@ class TestOptimize:
         problem = toy_problem(theta_d=0.0)
         assert problem.s[0] == 0.0
         result = optimize(problem, starts=4, seed=0)
-        lo, hi = problem.d_bounds
+        lo, hi = problem.lo[0], problem.hi[0]
         assert np.isfinite(result.diameter) and lo <= result.diameter <= hi
         assert result.diameter in _start_points(problem, 4, seed=0)[:, 0]
         assert np.all(np.isfinite(result.spectrum))
@@ -439,7 +435,7 @@ class TestOptimize:
 
     def test_every_start_ends_in_the_box(self, mimic_problem):
         problem = mimic_problem
-        lo, hi = problem.box()
+        lo, hi = problem.lo, problem.hi
         U0 = problem.s * _start_points(problem, 8, seed=3)
         U, f, f_start, _, _ = _search(U0, lo * problem.s, hi * problem.s, problem)
         assert U.shape == U0.shape
@@ -463,7 +459,7 @@ class TestOptimize:
     def test_single_start(self, mimic_problem):
         result = optimize(mimic_problem, starts=1, seed=0)
         assert len(result.trace) == 1 + 1
-        lo, hi = mimic_problem.d_bounds
+        lo, hi = mimic_problem.lo[0], mimic_problem.hi[0]
         assert lo <= result.diameter <= hi
         assert result.objective <= min(rec["initial_objective"]
                                        for rec in result.trace)
@@ -481,7 +477,7 @@ class TestOptimize:
         result = optimize(problem, starts=100, seed=0)
         assert len(result.trace) == 100 + 1
         assert max(rows[1:]) == MAX_BLOCK < 101  # rows[0] screens the designs
-        lo, hi = problem.box()
+        lo, hi = problem.lo, problem.hi
         x = np.concatenate([[result.diameter], result.spectrum[problem.active_set]])
         assert np.all(lo <= x) and np.all(x <= hi)
 
