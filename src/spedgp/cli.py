@@ -3,7 +3,9 @@
 Every command is deterministic given its flags and config: identical
 seeds produce byte-identical output files. Train/test generation,
 fitting (optionally with cross-validated penalties), prediction tables,
-evaluation reports and inverse design all run single-process.
+evaluation reports and inverse design all run in one process, except the
+fit's restarts, which split over the cores that BLAS leaves free (see
+:mod:`spedgp.estimate`); the output does not depend on that split.
 """
 
 from __future__ import annotations

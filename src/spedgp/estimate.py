@@ -19,6 +19,11 @@ mass in a region where every off-diagonal correlation underflows and the
 theta gradient vanishes, so draws are rescaled by the mean squared
 pairwise distance per feature coordinate;
 restart 0 uses the deterministic all-ones draw under the same scaling.
+The restarts run in contiguous blocks, one per core that BLAS leaves
+free (:func:`_restart_workers`): the calling process runs the first
+block and one forked worker runs each other block. Each restart's
+arithmetic is the same in any process, so the worker count never changes
+a result, a trace or the order of the log lines.
 
 With more strain levels than designs (m > n) the objective has no
 minimizer: as every correlation tends to one it falls without bound, and
@@ -32,9 +37,16 @@ from __future__ import annotations
 
 import logging
 import math
+import multiprocessing
 import numbers
+import os
+import queue
+import signal
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field, replace
+from logging.handlers import QueueHandler
 
 import numpy as np
 from scipy.optimize import minimize
@@ -624,6 +636,124 @@ def nugget_carry(data: FitData, z, beta) -> dict:
             "nugget_carried": ratio > CARRIED_RATIO}
 
 
+#: environment variables that set the BLAS thread count, in the order
+#: :func:`_restart_workers` reads them
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _restart_workers(restarts: int) -> int:
+    """Processes to run `restarts` in: min(restarts, cores // BLAS threads).
+
+    The BLAS thread count is the first of BLAS_THREAD_VARIABLES that
+    parses as a positive integer, else the core count (OpenBLAS's own
+    default). So an unpinned process, whose BLAS threads already use
+    every core, runs alone; more processes would oversubscribe the cores.
+    It is 1 too without the ``fork`` start method, inside a daemonic
+    process (which may not start children), and while another thread runs
+    (a forked child gets only copies of the locks that thread may hold).
+    """
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blas_threads = cores
+    for name in BLAS_THREAD_VARIABLES:
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, min(restarts, cores // blas_threads))
+
+
+def _restart(fd: FitData, config: FitConfig, children, r: int):
+    """Restart r from its own draw; (r, z, beta, Sigma, record).
+
+    A typed numerical failure gives (r, None, None, None, {"failed": ...})
+    and a warning.
+    """
+    if r == 0:
+        u = np.ones(fd.nz)
+    else:
+        u = np.random.default_rng(children[r]).exponential(1.0, fd.nz)
+    try:
+        z, beta, Sigma, record = _run_restart(fd, config, _initial_z(fd, u), r)
+    except (SingularMatrixError, ConvergenceError, NumericalError) as exc:
+        logger.warning("restart %d failed: %s", r, exc)
+        return r, None, None, None, {"failed": str(exc)}
+    record["final_objective"] = record["objectives"][-1]
+    logger.info("restart %d: objective %.6f after %d sweeps",
+                r, record["final_objective"], record["sweeps"])
+    return r, z, beta, Sigma, record
+
+
+def _worker(send, fd: FitData, config: FitConfig, children, block):
+    """Forked worker: run the restarts of `block` and send back
+    (kind, payload, log records), kind "done" with their outcomes or
+    "raise" with an exception that is not a typed numerical failure."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops workers
+    records = queue.SimpleQueue()
+    logger.handlers, logger.propagate = [QueueHandler(records)], False
+    try:
+        reply = ("done", [_restart(fd, config, children, r) for r in block])
+    except Exception as exc:  # raised again by the caller, with this traceback
+        reply = ("raise", (exc, traceback.format_exc()))
+    send.send((*reply, [records.get() for _ in range(records.qsize())]))
+
+
+def _receive(block, proc, receive) -> list:
+    """The outcomes a worker sends; its log records are handled here, in
+    restart order. A worker that dies first fails its restarts."""
+    try:
+        kind, payload, records = receive.recv()
+    except EOFError:
+        proc.join()
+        reason = f"worker exited with code {proc.exitcode} before replying"
+        for r in block:
+            logger.warning("restart %d failed: %s", r, reason)
+        return [(r, None, None, None, {"failed": reason}) for r in block]
+    for record in records:
+        logger.handle(record)
+    if kind == "raise":
+        exc, remote = payload
+        raise exc from RuntimeError(f"in the worker running restarts {block}:\n{remote}")
+    return payload
+
+
+def _run_restarts(fd: FitData, config: FitConfig, children) -> list:
+    """Every restart's outcome from :func:`_restart`, in restart order.
+
+    The restarts split into one contiguous block per worker
+    (:func:`_restart_workers`). This process runs block 0, its log lines
+    streaming live; one forked worker runs each other block, and its
+    lines are handled once it replies. No worker outlives the call.
+    """
+    blocks = [block.tolist() for block in np.array_split(
+        np.arange(config.restarts), _restart_workers(config.restarts))]
+    workers = []
+    try:
+        for block in blocks[1:]:
+            receive, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.get_context("fork").Process(
+                target=_worker, args=(send, fd, config, children, block), daemon=True)
+            proc.start()
+            send.close()  # so a dead worker's pipe reads EOF
+            workers.append((block, proc, receive))
+        outcomes = [_restart(fd, config, children, r) for r in blocks[0]]
+        for worker in workers:
+            outcomes += _receive(*worker)
+    finally:
+        for _, proc, receive in workers:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            receive.close()
+    return outcomes
+
+
 def fit(data, config: FitConfig):
     """Multi-start BCD estimation; returns (TrainedEmulator, FitTrace).
 
@@ -635,29 +765,22 @@ def fit(data, config: FitConfig):
     carried does the lowest of them win, with a warning. A carried
     restart's objective is set by the nugget, not by the model (see
     :func:`nugget_carry`), and its fit misses its own training rows.
+
+    The restarts run in contiguous blocks on the cores BLAS leaves free
+    (:func:`_run_restarts`), the first block in this process. The worker
+    count changes no result: the model, the trace and the order of the
+    log lines are the same as from one process; only later blocks' lines
+    arrive when their worker finishes.
     """
     fd = make_fit_data(data.designs, log_stress(data.responses), data.grid,
                        family=config.family, nugget=config.nugget)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
     trace = FitTrace(seed=config.seed)
     results = []
-    for r in range(config.restarts):
-        if r == 0:
-            u = np.ones(fd.nz)
-        else:
-            u = np.random.default_rng(children[r]).exponential(1.0, fd.nz)
-        z0 = _initial_z(fd, u)
-        try:
-            z, beta, Sigma, record = _run_restart(fd, config, z0, r)
-        except (SingularMatrixError, ConvergenceError, NumericalError) as exc:
-            trace.restarts.append({"failed": str(exc)})
-            logger.warning("restart %d failed: %s", r, exc)
-            continue
-        record["final_objective"] = record["objectives"][-1]
+    for r, z, beta, Sigma, record in _run_restarts(fd, config, children):
         trace.restarts.append(record)
-        results.append((record["final_objective"], r, z, beta, Sigma, record))
-        logger.info("restart %d: objective %.6f after %d sweeps",
-                    r, record["final_objective"], record["sweeps"])
+        if "failed" not in record:
+            results.append((record["final_objective"], r, z, beta, Sigma, record))
     if not results:
         raise FitError("every restart failed", traces=trace.restarts)
     kernel_fits = [item for item in results if not item[5]["nugget_carried"]]

@@ -1,8 +1,14 @@
 import logging
+import multiprocessing
+import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
+
+import spedgp.estimate as est
 
 from spedgp import (
     Dataset,
@@ -10,6 +16,7 @@ from spedgp import (
     FitError,
     InvalidInputError,
     NumericalError,
+    SingularMatrixError,
     StructureDesign,
     fit,
     select_penalties,
@@ -46,6 +53,11 @@ def random_state(rng, data):
     A = rng.standard_normal((data.m, data.m))
     Sigma = A @ A.T + data.m * np.eye(data.m)
     return beta, z, Sigma
+
+
+def fit_with_workers(data, cfg, monkeypatch, workers):
+    monkeypatch.setattr(est, "_restart_workers", lambda restarts: workers)
+    return fit(data, cfg)
 
 
 class TestNegLogPosterior:
@@ -353,19 +365,23 @@ class TestFit:
                    if "as is every restart" in rec.getMessage()]
         assert len(carried) == 1
 
-    def test_one_info_line_per_sweep(self, small_training_set, caplog):
+    def test_one_info_line_per_sweep(self, small_training_set, caplog, monkeypatch):
         cfg = FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=2, max_sweeps=4, seed=0)
-        with caplog.at_level(logging.INFO, logger="spedgp.estimate"):
-            _, trace = fit(small_training_set, cfg)
-        lines = [rec.getMessage() for rec in caplog.records
-                 if rec.levelno == logging.INFO and " sweep=" in rec.getMessage()]
-        assert len(lines) == sum(rec["sweeps"] for rec in trace.restarts)
-        fields = re.findall(r"(?:^| )(\w+)=", lines[0])
-        assert fields == ["restart", "sweep", "objective", "sigma_s", "beta_s",
-                          "theta_s", "glasso_iterations", "sigma_kkt",
-                          "theta_iterations", "theta_exit", "active",
-                          "offdiag_nonzeros"]
-        assert lines[0].startswith("restart=0 sweep=1 ")
+        for workers in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="spedgp.estimate"):
+                _, trace = fit_with_workers(small_training_set, cfg, monkeypatch,
+                                            workers)
+            lines = [rec.getMessage() for rec in caplog.records
+                     if rec.levelno == logging.INFO and " sweep=" in rec.getMessage()]
+            assert len(lines) == sum(rec["sweeps"] for rec in trace.restarts)
+            fields = re.findall(r"(?:^| )(\w+)=", lines[0])
+            assert fields == ["restart", "sweep", "objective", "sigma_s", "beta_s",
+                              "theta_s", "glasso_iterations", "sigma_kkt",
+                              "theta_iterations", "theta_exit", "active",
+                              "offdiag_nonzeros"]
+            assert lines[0].startswith("restart=0 sweep=1 ")
+            assert lines[-1].startswith("restart=1 ")
 
     def test_duplicate_designs_rejected(self):
         grid = np.linspace(0.01, 0.15, 5)
@@ -402,8 +418,6 @@ class TestFit:
                    for _ in range(4)]
         Y = np.exp(rng.standard_normal((4, 5)))
         ds = Dataset(designs=designs, responses=Y, grid=grid)
-
-        import spedgp.estimate as est
 
         def boom(*args, **kwargs):
             raise est.NumericalError("forced failure")
@@ -445,6 +459,178 @@ class TestFit:
         monkeypatch.setattr(spectral, "dft_modulus", counted)
         fit(small_training_set, FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=1, seed=0))
         assert len(calls) == len(small_training_set.designs) == 10
+
+
+class TestParallelRestarts:
+    """Restarts split over forked workers give what one process gives."""
+
+    CFG = FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=3, max_sweeps=3, seed=0)
+
+    def test_byte_identical_to_one_process(self, small_training_set, caplog,
+                                           monkeypatch, tmp_path):
+        cfg = FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=3, seed=0)
+        runs = []
+        for workers in (1, 2):
+            caplog.clear()
+            # a handler that writes to a file, as --verbose writes to stderr, is
+            # inherited by the worker; only the calling process may write to it
+            log = tmp_path / f"fit{workers}.log"
+            handler = logging.FileHandler(log)
+            logging.getLogger().addHandler(handler)
+            try:
+                with caplog.at_level(logging.INFO, logger="spedgp.estimate"):
+                    model, trace = fit_with_workers(small_training_set, cfg,
+                                                    monkeypatch, workers)
+            finally:
+                logging.getLogger().removeHandler(handler)
+                handler.close()
+            assert log.read_text().splitlines() == [rec.getMessage()
+                                                    for rec in caplog.records]
+            # the sweep lines carry block times, which differ between runs
+            lines = [re.sub(r" (sigma|beta|theta)_s=\S+", "", rec.getMessage())
+                     for rec in caplog.records
+                     if rec.name == "spedgp.estimate" and rec.levelno == logging.INFO]
+            runs.append((model, trace, lines))
+        (m1, t1, lines1), (m2, t2, lines2) = runs
+        assert t1.to_dict() == t2.to_dict()
+        assert t1.best_index == t2.best_index
+        for name in ("z", "beta", "Sigma"):
+            assert getattr(m1, name).tobytes() == getattr(m2, name).tobytes(), name
+        assert lines1 == lines2
+        assert len(lines1) == sum(rec["sweeps"] + 1 for rec in t1.restarts)
+        assert multiprocessing.active_children() == []
+
+    def test_typed_failure_in_worker_is_a_failed_restart(
+            self, small_training_set, caplog, monkeypatch):
+        parent, inner = os.getpid(), est._run_restart
+
+        def failing(data, config, z0, restart):
+            if restart == 2 and os.getpid() != parent:
+                raise SingularMatrixError("forced in the worker")
+            return inner(data, config, z0, restart)
+
+        monkeypatch.setattr(est, "_run_restart", failing)
+        with caplog.at_level(logging.WARNING, logger="spedgp.estimate"):
+            _, trace = fit_with_workers(small_training_set, self.CFG, monkeypatch, 2)
+        assert trace.restarts[2] == {"failed": "forced in the worker"}
+        assert all("failed" not in rec for rec in trace.restarts[:2])
+        assert any(rec.getMessage() == "restart 2 failed: forced in the worker"
+                   for rec in caplog.records)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_its_restarts(self, small_training_set, caplog,
+                                            monkeypatch):
+        parent, inner = os.getpid(), est._run_restart
+
+        def dying(data, config, z0, restart):
+            if os.getpid() != parent:
+                os._exit(3)
+            return inner(data, config, z0, restart)
+
+        monkeypatch.setattr(est, "_run_restart", dying)
+        cfg = FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=4, max_sweeps=3, seed=0)
+        with caplog.at_level(logging.WARNING, logger="spedgp.estimate"):
+            model, trace = fit_with_workers(small_training_set, cfg, monkeypatch, 2)
+        reason = "worker exited with code 3 before replying"
+        assert trace.restarts[2:] == [{"failed": reason}] * 2
+        objectives = [rec["final_objective"] for rec in trace.restarts[:2]]
+        assert trace.best_index in (0, 1)
+        assert model.fit_metadata["objective"] in objectives
+        assert [rec.getMessage() for rec in caplog.records
+                if "failed" in rec.getMessage()] == [
+            f"restart 2 failed: {reason}", f"restart 3 failed: {reason}"]
+        assert multiprocessing.active_children() == []
+
+    def test_untyped_error_in_worker_is_raised(self, small_training_set,
+                                               monkeypatch):
+        parent, inner = os.getpid(), est._run_restart
+
+        def broken(data, config, z0, restart):
+            if os.getpid() != parent:
+                raise RuntimeError("not a numerical failure")
+            return inner(data, config, z0, restart)
+
+        monkeypatch.setattr(est, "_run_restart", broken)
+        with pytest.raises(RuntimeError, match="not a numerical failure") as info:
+            fit_with_workers(small_training_set, self.CFG, monkeypatch, 2)
+        # the worker's traceback is the cause
+        assert "in the worker running restarts [2]" in str(info.value.__cause__)
+        assert "in broken" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_in_calling_process_stops_workers(self, small_training_set,
+                                                        monkeypatch):
+        parent, inner = os.getpid(), est._run_restart
+
+        def interrupted(data, config, z0, restart):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif restart == 1:
+                raise KeyboardInterrupt
+            return inner(data, config, z0, restart)
+
+        monkeypatch.setattr(est, "_run_restart", interrupted)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            fit_with_workers(small_training_set, self.CFG, monkeypatch, 2)
+        assert multiprocessing.active_children() == []
+        assert time.perf_counter() - t0 < 30
+
+
+class TestRestartWorkers:
+    """min(restarts, cores // BLAS threads), on 2 cores."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for name in est.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+
+    def test_unpinned_runs_alone(self):
+        assert est._restart_workers(5) == 1
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS"])
+    def test_one_blas_thread_uses_both_cores(self, monkeypatch, name):
+        monkeypatch.setenv(name, "1")
+        assert est._restart_workers(5) == 2
+        assert est._restart_workers(2) == 2
+
+    def test_first_set_variable_wins(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert est._restart_workers(5) == 1
+
+    @pytest.mark.parametrize("value", ["0", "abc", "", "-1"])
+    def test_unparsable_counts_as_unset(self, monkeypatch, value):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert est._restart_workers(5) == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert est._restart_workers(5) == 2
+
+    def test_never_more_than_restarts_or_cores(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert est._restart_workers(1) == 1
+        assert est._restart_workers(10_000) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert est._restart_workers(3) == 3
+
+    def test_one_process_without_fork(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert est._restart_workers(5) == 1
+
+    def test_one_process_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert est._restart_workers(5) == 1
+
+    def test_one_process_inside_a_daemon(self, monkeypatch):
+        # a daemonic process may not start children
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert est._restart_workers(5) == 1
 
 
 class TestSelectPenalties:
