@@ -35,11 +35,13 @@ to a carried restart, with a warning, only when every restart is carried.
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import multiprocessing
 import numbers
 import os
+import pickle
 import queue
 import signal
 import threading
@@ -186,16 +188,17 @@ def glasso_newton(S, lam: float, tol: float, max_iter: int,
     with zeros on the pairs strictly inside the box. Once the dual settles,
     primal steps run while they halve the residual: Newton for W^{-1} =
     S + lam sign(W) on W's support and signs, exact where an ill-conditioned
-    V^{-1} is not. W is returned once its KKT residual is <= tol and its
-    duality gap <= 1e-9 of its objective (if tol > lam the residual alone
-    admits W far above the minimum); else the candidate of lowest objective.
+    V^{-1} is not. It starts at :func:`_dual_start` and returns its last
+    iterate, early once the KKT residual is <= tol and the duality gap <= 1e-9
+    of the objective (the one test that evaluates the objective: if tol > lam
+    the residual alone admits W far above the minimum).
     """
     m = S.shape[0]
     I, J = np.triu_indices(m, 1)
     u, cho = _dual_start(S, lam, I, J, precision_init)
     f = -logdet(cho)
-    W = best_W = binding = None
-    residual = best = best_f = last = np.inf
+    W = binding = None
+    residual = last = np.inf
     polish = stalled = False
     for iteration in range(1, max(max_iter, 1) + 1):
         W_new = None
@@ -214,12 +217,11 @@ def glasso_newton(S, lam: float, tol: float, max_iter: int,
             W_new = _snap(cho, u, lam, I, J)
         W = W_new
         residual = glasso_kkt_residual(S, W, lam)
-        objective = _glasso_objective(S, lam, W)
-        if objective <= best_f:
-            best_W, best, best_f = W, residual, objective
-        if residual <= tol and objective - (m - f) <= 1e-9 * max(1.0, abs(objective)):
-            return W, iteration, residual
-    return best_W, iteration, best
+        if residual <= tol:
+            objective = _glasso_objective(S, lam, W)
+            if objective - (m - f) <= 1e-9 * max(1.0, abs(objective)):
+                break
+    return W, iteration, residual
 
 
 def _glasso_objective(S, lam: float, W) -> float:
@@ -238,20 +240,19 @@ def _box(S, u, I, J):
 
 
 def _dual_start(S, lam, I, J, precision_init):
-    """Of V = S, S with its off-diagonal shrunk into the box toward diag S
-    (definite for semidefinite S and lam > 0), and the warm precision's
-    inverse projected into the box, the positive-definite V of largest logdet."""
+    """(u, Cholesky factor of V) at the warm precision's inverse projected
+    into the box if that V is definite, else at S with its off-diagonal
+    shrunk into the box toward diag S (definite for semidefinite S, lam > 0)."""
     s = S[I, J]
-    shrink = min(1.0, lam / (np.abs(s).max(initial=0.0) or 1.0))
-    starts = [np.zeros(I.size), -shrink * s]
     if precision_init is not None and (
             cho := cholesky(np.array(precision_init, dtype=float))) is not None:
-        starts.append(np.clip(solve_factored(cho, np.eye(S.shape[0]))[I, J] - s, -lam, lam))
-    points = [(u, cho) for u in starts
-              if (cho := cholesky(_box(S, u, I, J))) is not None]
-    if not points:
+        u = np.clip(solve_factored(cho, np.eye(S.shape[0]))[I, J] - s, -lam, lam)
+        if (cho := cholesky(_box(S, u, I, J))) is not None:
+            return u, cho
+    u = -min(1.0, lam / (np.abs(s).max(initial=0.0) or 1.0)) * s
+    if (cho := cholesky(_box(S, u, I, J))) is None:
         raise SingularMatrixError("no positive-definite start for the graphical lasso")
-    return max(points, key=lambda point: logdet(point[1]))
+    return u, cho
 
 
 def _snap(cho, u, lam, I, J):
@@ -700,7 +701,12 @@ def _worker(send, fd: FitData, config: FitConfig, children, block):
     try:
         reply = ("done", [_restart(fd, config, children, r) for r in block])
     except Exception as exc:  # raised again by the caller, with this traceback
-        reply = ("raise", (exc, traceback.format_exc()))
+        try:  # one that pickle cannot rebuild from its args goes as a RuntimeError
+            pickle.Pickler(buffer := io.BytesIO()).dump(exc)
+            pickle.Unpickler(io.BytesIO(buffer.getvalue())).load()
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+        reply = ("raise", (exc, traceback.format_exc()))  # the original's traceback
     send.send((*reply, [records.get() for _ in range(records.qsize())]))
 
 

@@ -356,19 +356,12 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
 
 
 def reconstruct_structure(spectrum, p: int) -> np.ndarray:
-    """Zero-phase curve with the requested DFT moduli.
-
-    Conjugate-symmetric completion of nonnegative real coefficients:
-    x_l = (s_0 + 2 sum_k s_k cos(2 pi k l / p)) / p, whose modulus
-    spectrum is the input exactly.
-    """
+    """Zero-phase curve with the requested DFT moduli s: their inverse real
+    DFT x_l = (s_0 + 2 sum_k s_k cos(2 pi k l / p)) / p."""
     spectrum = np.asarray(spectrum, dtype=float)
     h = half_size(p)
     if spectrum.shape != (h,):
         raise InvalidInputError(f"spectrum must have length {h} for p={p}")
     if np.any(spectrum < 0) or not np.all(np.isfinite(spectrum)):
         raise InvalidInputError("moduli must be finite and nonnegative")
-    l = np.arange(p)
-    k = np.arange(1, h)
-    phases = np.cos(2.0 * np.pi * np.outer(l, k) / p)
-    return (spectrum[0] + 2.0 * (phases @ spectrum[1:])) / p
+    return np.fft.irfft(spectrum, n=p)

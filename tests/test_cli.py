@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import spedgp
 from spedgp import SinusoidSpec, gen_sinusoid, synthetic_oracle
 from spedgp.cli import CONFIG_KEY_MAP, main
 
@@ -211,6 +215,23 @@ class TestFit:
         assert "missing file" in capsys.readouterr().err
 
 
+    def test_verbose_logs_one_line_per_sweep(self, ws, tmp_path):
+        # in a child process: under pytest the root logger already has
+        # handlers, so main's logging.basicConfig would do nothing here
+        out = tmp_path / "model.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(spedgp.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "spedgp.cli", "--verbose", "fit", "--train",
+             str(ws.data), "--config", str(ws.config), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        trace = json.loads(out.with_suffix(".trace.json").read_text())
+        sweeps = sum(rec["sweeps"] for rec in trace["trace"]["restarts"])
+        lines = re.findall(r"^INFO spedgp\.estimate: restart=\d+ sweep=\d+ ",
+                           run.stderr, flags=re.MULTILINE)
+        assert sweeps > 0 and len(lines) == sweeps
+
+
 class TestPredict:
     def test_table_structure(self, ws):
         with ws.preds.open(newline="") as fh:
@@ -253,6 +274,20 @@ class TestEval:
         assert s["level"] == 0.9
         assert len(report["per_case"]) == 4
         assert {"mare", "kappa_true", "kappa_pred"} <= set(report["per_case"][0])
+
+
+    def test_directory_without_test_split_scores_its_pair(self, ws, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("designs.csv", "responses.csv"):
+            shutil.copy(ws.data / name, data / name)
+        report = tmp_path / "report.json"
+        assert main(["eval", "--model", str(ws.model), "--test", str(data),
+                     "--out", str(report)]) == 0
+        n_train = len((data / "designs.csv").read_text().splitlines()) - 1
+        s = json.loads(report.read_text())["summary"]
+        assert s["n_cases"] == n_train == 10
+        assert f"/{n_train}; coverage" in capsys.readouterr().out
 
 
 class TestMimic:

@@ -55,6 +55,13 @@ def random_state(rng, data):
     return beta, z, Sigma
 
 
+class Odd(Exception):
+    """An exception that pickle cannot rebuild from its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"odd {a} {b}")
+
+
 def fit_with_workers(data, cfg, monkeypatch, workers):
     monkeypatch.setattr(est, "_restart_workers", lambda restarts: workers)
     return fit(data, cfg)
@@ -556,6 +563,21 @@ class TestParallelRestarts:
         # the worker's traceback is the cause
         assert "in the worker running restarts [2]" in str(info.value.__cause__)
         assert "in broken" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_error_in_worker_is_raised_by_name(self, small_training_set,
+                                                           monkeypatch):
+        parent, inner = os.getpid(), est._run_restart
+
+        def odd(data, config, z0, restart):
+            if restart == 2 and os.getpid() != parent:
+                raise Odd(1, 2)
+            return inner(data, config, z0, restart)
+
+        monkeypatch.setattr(est, "_run_restart", odd)
+        with pytest.raises(RuntimeError, match=r"^Odd: odd 1 2$") as info:
+            fit_with_workers(small_training_set, self.CFG, monkeypatch, 2)
+        assert "in odd" in str(info.value.__cause__)
         assert multiprocessing.active_children() == []
 
     def test_interrupt_in_calling_process_stops_workers(self, small_training_set,

@@ -132,6 +132,84 @@ class TestFailureModes:
                 graphical_lasso(np.eye(2), lam)
 
 
+class TestDualStart:
+    """The warm precision's projected inverse if it is definite, else the
+    shrunk S."""
+
+    LAM = 0.1
+
+    @staticmethod
+    def shrunk(S, lam, I, J):
+        s = S[I, J]
+        return -min(1.0, lam / np.abs(s).max()) * s
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_definite_warm_point_is_kept(self, scale):
+        # at scale 2 the shrunk start is diag S, whose logdet no other point
+        # of the box reaches (Hadamard): the warm point wins without a race
+        rng = np.random.default_rng(8)
+        S = random_spd(rng, 6, cond=30.0)
+        I, J = np.triu_indices(6, 1)
+        lam = scale * np.abs(S[I, J]).max()
+        warm = graphical_lasso(S, 0.05, tol=1e-9)
+        u, cho = _dual_start(S, lam, I, J, warm)
+        want = np.clip(np.linalg.inv(warm)[I, J] - S[I, J], -lam, lam)
+        np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-14)
+        V, shrunk = S.copy(), S.copy()
+        V[I, J] = V[J, I] = S[I, J] + u
+        np.testing.assert_allclose(np.tril(cho), np.linalg.cholesky(V), rtol=1e-12,
+                                   atol=1e-14)
+        shrunk[I, J] = shrunk[J, I] = S[I, J] + self.shrunk(S, lam, I, J)
+        assert np.linalg.slogdet(V)[1] < np.linalg.slogdet(shrunk)[1]
+
+    def test_shrunk_start_without_a_warm_point(self):
+        rng = np.random.default_rng(9)
+        S = random_spd(rng, 6, cond=30.0)
+        I, J = np.triu_indices(6, 1)
+        u, _ = _dual_start(S, self.LAM, I, J, None)
+        np.testing.assert_array_equal(u, self.shrunk(S, self.LAM, I, J))
+
+    def test_shrunk_start_for_an_indefinite_warm_point(self):
+        rng = np.random.default_rng(10)
+        S = random_spd(rng, 6, cond=30.0)
+        I, J = np.triu_indices(6, 1)
+        u, _ = _dual_start(S, self.LAM, I, J, -np.eye(6))
+        np.testing.assert_array_equal(u, self.shrunk(S, self.LAM, I, J))
+
+    def test_shrunk_start_when_the_projected_warm_point_is_indefinite(self):
+        # S has eigenvalue 0.01 along v = 1/sqrt(3); the warm covariance's
+        # off-diagonal lies below the box, so the projection takes lam off
+        # every pair and v'Vv = 0.01 - 2 lam < 0
+        v = np.ones(3) / np.sqrt(3.0)
+        S = 0.01 * np.outer(v, v) + np.eye(3) - np.outer(v, v)
+        warm = np.linalg.inv(1.45 * np.eye(3) - 0.45 * np.ones((3, 3)))
+        I, J = np.triu_indices(3, 1)
+        u, cho = _dual_start(S, self.LAM, I, J, warm)
+        np.testing.assert_array_equal(u, self.shrunk(S, self.LAM, I, J))
+        assert cho is not None
+
+    def test_raises_when_neither_start_factors(self):
+        S = np.array([[1.0, 2.0], [2.0, 1.0]])
+        I, J = np.triu_indices(2, 1)
+        for warm in (None, np.eye(2)):
+            with pytest.raises(SingularMatrixError, match="no positive-definite start"):
+                _dual_start(S, 0.0, I, J, warm)
+
+
+class TestUncertifiedReturn:
+    def test_last_iterate_and_its_residual(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        S = random_spd(rng, 6, cond=100.0)
+        calls = []
+        objective = estimate._glasso_objective
+        monkeypatch.setattr(estimate, "_glasso_objective",
+                            lambda *args: calls.append(1) or objective(*args))
+        W, iterations, residual = glasso_newton(S, 0.2, 1e-300, 3)
+        assert iterations <= 3
+        assert residual == glasso_kkt_residual(S, W, 0.2)
+        assert calls == []  # no residual came within tol, so no gap test ran
+
+
 def low_rank_covariance(seed, rank, scale, m=41, lam=0.5 / 58):
     """Ridged covariance of 2*rank smooth random curves on m points.
 
