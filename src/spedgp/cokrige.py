@@ -127,8 +127,15 @@ class FitData:
         return mask
 
     def residuals(self, beta) -> np.ndarray:
-        """Residual matrix E = Y - 1 (P beta)' of mean coefficients beta."""
-        return self.Y - self.P @ np.asarray(beta, dtype=float)
+        """Residual matrix E = Y - 1 (P beta)' of mean coefficients beta,
+        which must be finite with one entry per column of P."""
+        beta = np.asarray(beta, dtype=float)
+        if beta.shape != (self.P.shape[1],):
+            raise InvalidInputError(f"beta length does not match the mean basis: shape "
+                                    f"{beta.shape}, expected ({self.P.shape[1]},)")
+        if not np.isfinite(beta).all():
+            raise InvalidInputError("beta must be finite")
+        return self.Y - self.P @ beta
 
     def correlation(self, z: np.ndarray) -> np.ndarray:
         return correlation_with_nugget(self.D, z, self.nugget)
@@ -203,13 +210,11 @@ class TrainedEmulator:
             raise InvalidInputError("Sigma must be symmetric")
         if cholesky(self.Sigma.copy()) is None:
             raise InvalidInputError("Sigma must be positive definite")
-        if self.beta.size != data.P.shape[1]:
-            raise InvalidInputError("beta length does not match the mean basis")
+        self.resid = data.residuals(self.beta)
         if self.beta.size >= 2 and self.beta[1] <= 0:
             raise InvalidInputError("beta_2 must be positive (monotone mean constraint)")
         self.R, self.chol_R = data.chol(self.z)
         self.mu = data.P @ self.beta
-        self.resid = data.residuals(self.beta)
 
 
 @dataclass

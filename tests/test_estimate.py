@@ -4,6 +4,7 @@ import os
 import re
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from spedgp.cokrige import default_strain_grid, log_stress, mean_basis, predict
 from spedgp.design import gen_sinusoid, sample_designs
 from spedgp.estimate import (
     EPSILON_BETA,
+    _theta_value,
     beta_step,
     glasso_kkt_residual,
     make_fit_data,
@@ -307,6 +309,79 @@ def small_training_set():
     designs = [gen_sinusoid(s, 21) for s in specs]
     Y = np.array([synthetic_oracle(d, grid) for d in designs])
     return Dataset(designs=designs, responses=Y, grid=grid)
+
+
+class TestThetaValue:
+    """The value-only evaluation behind theta_step's f0 and the truncation
+    probes returns theta_objective's f bit for bit."""
+
+    @pytest.mark.parametrize("source", ["small_training_set", "nine_designs"])
+    def test_equals_the_objective_value(self, source, small_training_set):
+        rng = np.random.default_rng(13)
+        if source == "small_training_set":
+            ds = small_training_set
+            data = make_fit_data(ds.designs, log_stress(ds.responses), ds.grid)
+        else:
+            data, *_ = random_fit_data(rng, n=9, m=3, nugget=0.0)
+        A = rng.standard_normal((data.m, data.m))
+        W = np.linalg.inv(A @ A.T + data.m * np.eye(data.m))
+        E = data.residuals(np.array([0.2, 1.0]))
+        M = E @ W @ E.T
+        scale = est._initial_z(data, np.ones(data.nz))
+        zs = [t * scale for t in (0.01, 1.0, 30.0)] + [rng.exponential(1.0, data.nz) * scale]
+        zs.append(np.where(rng.random(data.nz) < 0.5, 0.0, scale))
+        if data.nugget == 0.0:
+            zs.append(np.zeros(data.nz))  # R = 11' does not factor: the wall
+        values = []
+        for z in zs:
+            for lambda_I in (0.0, 0.7):
+                f = _theta_value(z, data, M, lambda_I)[0]
+                assert f == theta_objective(z, data, M, lambda_I)[0]
+                values.append(f)
+        assert (1e300 in values) == (data.nugget == 0.0)
+
+
+@pytest.fixture(scope="module")
+def block_state():
+    rng = np.random.default_rng(14)
+    data, *_ = random_fit_data(rng, n=5, m=4)
+    beta, z, Sigma = random_state(rng, data)
+    _, choR = data.chol(z)
+    return SimpleNamespace(data=data, beta=beta, z=z, W=np.linalg.inv(Sigma),
+                           Sigma=Sigma, choR=choR)
+
+
+class TestBlockArguments:
+    """Malformed arguments to the public block functions raise
+    InvalidInputError before any work, with m = 4 strain levels."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda s: theta_step(s.data, s.beta, s.W, s.z[:-1], 0.5),
+         "kernel weights have shape"),
+        (lambda s: theta_step(s.data, s.beta, s.W, -s.z, 0.5),
+         "kernel weights must be finite and nonnegative"),
+        (lambda s: theta_step(s.data, s.beta, s.W, s.z, -0.5),
+         "lambda_I must be finite and nonnegative"),
+        (lambda s: theta_step(s.data, s.beta, np.eye(3), s.z, 0.5),
+         "W must be a finite m x m matrix"),
+        (lambda s: sigma_step(s.data, s.choR, np.ones(3), 0.1), "beta length"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, -1.0),
+         "lambda_o must be finite and nonnegative"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, precision_init=np.eye(3)),
+         "precision_init must be a finite m x m matrix"),
+        (lambda s: beta_step(s.data, s.choR, np.eye(3)), "W must be a finite m x m matrix"),
+        (lambda s: beta_step(s.data, s.choR[:-1, :-1], s.W),
+         "choR must be a finite m x m matrix"),
+        (lambda s: neg_log_posterior(np.ones(3), s.z, s.Sigma, s.data, 0.1, 0.1),
+         "beta length"),
+        (lambda s: neg_log_posterior(np.array([0.1, np.nan]), s.z, s.Sigma, s.data, 0.1, 0.1),
+         "beta must be finite"),
+    ], ids=["theta z0 length", "theta z0 negative", "theta lambda_I", "theta W",
+            "sigma beta", "sigma lambda_o", "sigma precision_init", "beta W",
+            "beta choR", "nlp beta length", "nlp beta nan"])
+    def test_raises_typed_error(self, block_state, call, message):
+        with pytest.raises(InvalidInputError, match=message):
+            call(block_state)
 
 
 @pytest.fixture(scope="module")

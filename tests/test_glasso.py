@@ -131,6 +131,17 @@ class TestFailureModes:
             with pytest.raises(InvalidInputError, match="finite"):
                 graphical_lasso(np.eye(2), lam)
 
+    @pytest.mark.parametrize("precision_init", [
+        np.eye(3),  # a warm start of the wrong size
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        np.full((4, 4), np.nan),
+    ], ids=["3x3", "ragged", "nan"])
+    def test_precision_init_validation(self, precision_init):
+        S = random_spd(np.random.default_rng(8), 4)
+        with pytest.raises(InvalidInputError,
+                           match="precision_init must be a finite m x m matrix"):
+            graphical_lasso(S, 0.1, precision_init=precision_init)
+
 
 class TestDualStart:
     """The warm precision's projected inverse if it is definite, else the
@@ -278,6 +289,19 @@ class TestPairHessian:
         a = np.concatenate([np.arange(m), I[on]])
         b = np.concatenate([np.arange(m), J[on]])
         assert a.size % PAIR_BLOCK != 0
+        assert_matches_full_build(M, a, b)
+
+    def test_operands_of_an_asymmetric_iterate(self):
+        # the dual step's Sigma = V^-1 is symmetric only to rounding: each
+        # entry must take M_ad M_bc from those entries, not from M_da M_cb
+        rng = np.random.default_rng(9)
+        m = 20
+        A = rng.standard_normal((m, m))
+        M = random_spd(rng, m, cond=50.0) + 1e-13 * (A - A.T)
+        I, J = np.triu_indices(m, 1)
+        pairs = np.sort(rng.choice(I.size, PAIR_BLOCK + 5, replace=False))
+        a, b = I[pairs], J[pairs]
+        assert not np.array_equal(pair_hessian_full(M, a, b), pair_hessian_full(M.T, a, b))
         assert_matches_full_build(M, a, b)
 
     def test_glasso_iterate(self):
