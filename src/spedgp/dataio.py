@@ -120,11 +120,21 @@ def _read_table(path, header, cell: str, rows: str):
     return head, values
 
 
-def _write_table(path, header, rows) -> None:
-    """CSV table; string cells are written as they are, numbers through :func:`fmt`."""
+def _write_table(path, header, body, labels=None) -> None:
+    """CSV table: a header row, then one row per row of the float matrix body.
+
+    String header cells are written as they are, numbers through
+    :func:`fmt`. The body is formatted in one ``tolist`` and ``repr`` pass,
+    which writes exactly what :func:`fmt` writes for each cell. ``labels``,
+    when given, is a leading column of strings, one per body row.
+    """
+    rows = (list(map(repr, row)) for row in np.asarray(body, dtype=float).tolist())
+    if labels is not None:
+        rows = ([label, *row] for label, row in zip(labels, rows))
     with _opened(path, "w") as fh:
-        csv.writer(fh).writerows([v if isinstance(v, str) else fmt(v) for v in row]
-                                 for row in [header, *rows])
+        writer = csv.writer(fh)
+        writer.writerow([v if isinstance(v, str) else fmt(v) for v in header])
+        writer.writerows(rows)
 
 
 def specs_sidecar_path(designs_path) -> Path:
@@ -137,7 +147,8 @@ def specs_sidecar_path(designs_path) -> Path:
 
 def write_designs(path, designs) -> None:
     _write_table(path, ["d"] + [f"x{k}" for k in range(designs[0].p)],
-                 ([dsn.diameter, *dsn.curve] for dsn in designs))
+                 np.column_stack([[dsn.diameter for dsn in designs],
+                                  [dsn.curve for dsn in designs]]))
 
 
 def read_designs(path) -> list[StructureDesign]:
@@ -210,7 +221,7 @@ def load_eval_dataset(in_dir) -> Dataset:
 
 
 def write_target(path, strain, stress) -> None:
-    _write_table(path, TARGET_HEADER, zip(strain, stress))
+    _write_table(path, TARGET_HEADER, np.column_stack([strain, stress]))
 
 
 def read_target(path):
@@ -230,9 +241,13 @@ def write_prediction_csv(path, grid, rows) -> None:
     leads with the known s = 0 boundary row (stress exactly zero there),
     which the model's log-strain basis cannot represent on-grid.
     """
-    table = [[str(i), *cells] for i, band in enumerate(rows)
-             for cells in [(0.0,) * 4, *zip(grid, *band)]]
-    _write_table(path, ["design", "strain", "mean", "lower", "upper"], table)
+    block = len(grid) + 1
+    table = np.zeros((len(rows), block, 4))
+    for i, band in enumerate(rows):
+        table[i, 1:] = np.column_stack([grid, *band])
+    labels = [str(i) for i in range(len(rows)) for _ in range(block)]
+    _write_table(path, ["design", "strain", "mean", "lower", "upper"],
+                 table.reshape(-1, 4), labels)
 
 
 def read_json(path) -> dict:

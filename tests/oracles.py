@@ -8,6 +8,7 @@ only to catch bugs in the real implementations.
 
 import numpy as np
 
+from spedgp import mimic
 from spedgp.cokrige import mean_basis
 from spedgp.estimate import glasso_kkt_residual
 from spedgp.spectral import structure_times
@@ -219,6 +220,98 @@ def feature_sign_lasso(Q, b, lam, x0, max_steps=500):
         x = np.zeros_like(x)
         x[A] = best
     return x
+
+
+def lockstep_search(U0, lo, hi, problem):
+    """mimic._search with every start's state kept at full size, S rows.
+
+    Each round gathers the live starts by index, solves a bound block for
+    every row (the identity for a row with no bound coordinate) and labels
+    stop reasons in an object array. The arithmetic per start is the
+    package's, so the two must agree bit for bit. MAX_ITER, MAX_TRIALS,
+    PG_TOL, F_TOL, ARMIJO and the objective are read from ``mimic`` at
+    call time, so a test that patches one patches both searches.
+    """
+    S, k = U0.shape
+    U = U0.copy()
+    f, g = mimic._objective_and_grad(U, problem)
+    f_start = f.copy()
+    H = np.tile(np.eye(k), (S, 1, 1))
+    fresh = np.ones(S, dtype=bool)  # H is an unscaled identity
+    D = np.zeros_like(U)
+    step_len = np.ones(S)
+    trials = np.zeros(S, dtype=int)
+    iterations = np.zeros(S, dtype=int)
+    stop = np.full(S, "", dtype=object)
+    row_dots = mimic._row_dots
+
+    def settled(idx):
+        return np.abs(np.clip(U[idx] - g[idx], lo, hi) - U[idx]).max(axis=1) <= mimic.PG_TOL
+
+    def directions(U, g, H):
+        bound = ((U <= lo) & (g > 0)) | ((U >= hi) & (g < 0))
+        free = ~bound
+        g_free = (g * free)[:, :, None]
+        H_BB = H * (bound[:, :, None] & bound[:, None, :]) + np.eye(k) * free[:, None, :]
+        w = np.linalg.solve(H_BB, (H @ g_free) * bound[:, :, None])
+        return -(H @ (g_free - w))[:, :, 0] * free, free
+
+    def bfgs_update(H, s, y, fresh):
+        sy = row_dots(s, y)
+        H = H.copy()
+        H[fresh] *= (sy[fresh] / row_dots(y[fresh], y[fresh]))[:, None, None]
+        Hy = (H @ y[:, :, None])[:, :, 0]
+        rho = 1.0 / sy
+        ss = ((rho + rho * rho * row_dots(y, Hy))[:, None, None]
+              * (s[:, :, None] * s[:, None, :]))
+        return H + ss - rho[:, None, None] * (Hy[:, :, None] * s[:, None, :]
+                                              + s[:, :, None] * Hy[:, None, :])
+
+    def aim(idx):
+        d, free = directions(U[idx], g[idx], H[idx])
+        reset = row_dots(g[idx], d) >= 0
+        H[idx[reset]], fresh[idx[reset]] = np.eye(k), True
+        d[reset] = -g[idx[reset]] * free[reset]
+        D[idx], step_len[idx], trials[idx] = d, 1.0, 0
+
+    live = ~settled(np.arange(S))
+    stop[~live] = "gradient"
+    aim(np.flatnonzero(live))
+    while live.any():
+        idx = np.flatnonzero(live)
+        Ut = np.clip(U[idx] + step_len[idx, None] * D[idx], lo, hi)
+        ft, gt = mimic._objective_and_grad(Ut, problem)
+        step = Ut - U[idx]
+        slope = row_dots(g[idx], step)
+        ok = ft <= f[idx] + mimic.ARMIJO * slope
+
+        bad, slope_bad = idx[~ok], slope[~ok]
+        quad = -slope_bad * step_len[bad] / (2.0 * (ft[~ok] - f[bad] - slope_bad))
+        step_len[bad] = np.clip(quad, 0.1 * step_len[bad], 0.5 * step_len[bad])
+        trials[bad] += 1
+        spent = bad[trials[bad] >= mimic.MAX_TRIALS]
+        stop[spent], live[spent] = "line search", False
+
+        acc = idx[ok]
+        s_k, y_k = step[ok], gt[ok] - g[acc]
+        reduction = f[acc] - ft[ok]
+        scale = np.maximum(np.maximum(np.abs(f[acc]), np.abs(ft[ok])), 1.0)
+        U[acc], f[acc], g[acc] = Ut[ok], ft[ok], gt[ok]
+        iterations[acc] += 1
+        curved = row_dots(s_k, y_k) > 1e-12 * (np.linalg.norm(s_k, axis=1)
+                                               * np.linalg.norm(y_k, axis=1))
+        upd = acc[curved]
+        H[upd] = bfgs_update(H[upd], s_k[curved], y_k[curved], fresh[upd])
+        fresh[upd] = False
+
+        why = np.full(acc.size, "", dtype=object)
+        why[iterations[acc] >= mimic.MAX_ITER] = "iterations"
+        why[reduction <= mimic.F_TOL * scale] = "reduction"
+        why[settled(acc)] = "gradient"
+        ended = why != ""
+        stop[acc[ended]], live[acc[ended]] = why[ended], False
+        aim(acc[~ended])
+    return U, f, f_start, iterations, stop
 
 
 def central_diff_gradient(f, x, h=1e-5):

@@ -38,6 +38,17 @@ def test_fmt_round_trips_exactly():
         assert float(fmt(x)) == x
 
 
+def test_tables_write_each_number_as_fmt_does(tmp_path):
+    # the writers format whole float rows at once; each cell must still
+    # read exactly as fmt writes it, whatever the number's type
+    strain = np.array([0.1, 1 / 3, 1e-300, 5e-324, 1e16, 2.0])
+    stress = [np.float64(-0.0), 7, np.float32(0.1), np.inf, np.nan, 123456.789]
+    path = tmp_path / "target.csv"
+    write_target(path, strain, stress)
+    want = ["strain,stress"] + [f"{fmt(a)},{fmt(b)}" for a, b in zip(strain, stress)]
+    assert path.read_text().splitlines() == want
+
+
 class TestDesignsRoundTrip:
     def test_lossless(self, tiny):
         tmp, _, designs, _, _ = tiny
@@ -218,6 +229,16 @@ class TestPredictionCsv:
         assert lines[1] == "0,0.0,0.0,0.0,0.0"
         assert lines[2].startswith("0,0.01,1.0,")
         assert len(lines) == 1 + 1 + 2
+
+    def test_each_design_has_its_block(self, tmp_path):
+        grid = np.array([0.01, 0.05])
+        rows = [(np.array([1.0, 2.0]), np.array([0.5, 1.5]), np.array([1.5, 2.5])),
+                (np.array([3.0, 4.0]), np.array([2.5, 3.5]), np.array([3.5, 4.5]))]
+        path = tmp_path / "pred.csv"
+        write_prediction_csv(path, grid, rows)
+        assert path.read_text().splitlines()[1:] == [
+            "0,0.0,0.0,0.0,0.0", "0,0.01,1.0,0.5,1.5", "0,0.05,2.0,1.5,2.5",
+            "1,0.0,0.0,0.0,0.0", "1,0.01,3.0,2.5,3.5", "1,0.05,4.0,3.5,4.5"]
 
 
 class TestJson:

@@ -26,7 +26,7 @@ from spedgp.mimic import (MAX_BLOCK, MimicProblem, _objective_and_grad, _search,
 from spedgp.spectral import correlation_from_features, half_size
 
 from .oracles import (central_diff_gradient, dense_conditional, fft_half_modulus,
-                      sped_corr_scalar)
+                      lockstep_search, sped_corr_scalar)
 
 
 def toy_emulator(rng, theta, theta_d=0.6, n=5, m=4, p=9, nugget=1e-8):
@@ -485,3 +485,91 @@ class TestOptimize:
         blob = mimic_result.to_dict()
         assert set(blob) == {"diameter", "spectrum", "objective", "trace"}
         json.dumps(blob)
+
+
+def search_both(U0, lo, hi, problem):
+    """_search and its full-size reference on the same starts; every
+    output must agree bit for bit. Returns _search's."""
+    got = _search(U0, lo, hi, problem)
+    want = lockstep_search(U0, lo, hi, problem)
+    for name, a, b in zip(["U", "f", "f_start", "iterations", "stop"], got, want):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    return got
+
+
+def scaled_box(problem):
+    return problem.lo * problem.s, problem.hi * problem.s
+
+
+class TestSearchMatchesReference:
+    """The compacted lockstep search against the full-size one it replaced."""
+
+    def test_fitted_problem(self, mimic_problem):
+        problem = mimic_problem
+        U0 = problem.s * _start_points(problem, 32, seed=0)
+        *_, stop = search_both(U0, *scaled_box(problem), problem)
+        assert {"reduction", "line search"} <= set(stop)
+
+    def test_coordinates_bound_from_the_start(self):
+        # a box a fifth as wide as the problem's, so that the clipped
+        # starts sit on its faces, many with the gradient pointing out
+        problem = toy_problem()
+        lo, hi = scaled_box(problem)
+        lo, hi = lo + 0.4 * (hi - lo), lo + 0.6 * (hi - lo)
+        U0 = np.clip(problem.s * _start_points(problem, 32, seed=4), lo, hi)
+        _, g = _objective_and_grad(U0, problem)
+        bound = ((U0 <= lo) & (g > 0)) | ((U0 >= hi) & (g < 0))
+        assert (bound.sum(axis=1) >= 2).sum() >= 5
+        assert not bound.any(axis=1).all()
+        search_both(U0, lo, hi, problem)
+
+    def test_optimize_over_several_blocks(self, mimic_problem, monkeypatch):
+        blocks = []
+
+        def checked(U0, lo, hi, problem):
+            blocks.append(len(U0))
+            return search_both(U0, lo, hi, problem)
+
+        monkeypatch.setattr(mimic, "_search", checked)
+        result = optimize(mimic_problem, starts=100, seed=0)
+        assert blocks == [MAX_BLOCK, 101 - MAX_BLOCK]
+        assert len(result.trace) == 101
+
+    def test_iterations_stop(self, mimic_problem, monkeypatch):
+        monkeypatch.setattr(mimic, "MAX_ITER", 3)
+        problem = mimic_problem
+        U0 = problem.s * _start_points(problem, 32, seed=0)
+        _, _, _, iterations, stop = search_both(U0, *scaled_box(problem), problem)
+        assert "iterations" in set(stop)
+        assert iterations.max() == 3
+
+    def test_line_search_stop(self, mimic_problem, monkeypatch):
+        # from an interior start the first direction is -g; pick a start
+        # whose full step fails the Armijo test, so one trial ends it
+        monkeypatch.setattr(mimic, "MAX_TRIALS", 1)
+        problem = mimic_problem
+        lo, hi = scaled_box(problem)
+        U0 = problem.s * interior_points(problem, np.random.default_rng(21), 16)
+        f0, g0 = _objective_and_grad(U0, problem)
+        step = np.clip(U0 - g0, lo, hi) - U0
+        f1, _ = _objective_and_grad(U0 + step, problem)
+        fails = f1 > f0 + mimic.ARMIJO * (g0 * step).sum(axis=1)
+        assert fails.any()
+        u0 = U0[np.flatnonzero(fails)[:1]]
+        U, f, f_start, iterations, stop = search_both(u0, lo, hi, problem)
+        assert stop[0] == "line search" and iterations[0] == 0
+        np.testing.assert_array_equal(U, u0)
+        assert f[0] == f_start[0]
+
+    def test_gradient_stop_after_a_step(self, mimic_problem):
+        # a tiny box centred on an interior start: the first step, -g,
+        # clips onto the corner the gradient points out of, where the
+        # projected gradient is exactly zero
+        problem = mimic_problem
+        u0 = problem.s * interior_points(problem, np.random.default_rng(22), 1)
+        _, g = _objective_and_grad(u0, problem)
+        assert np.all(g != 0)
+        width = 1e-6 * np.abs(u0)
+        U, _, _, iterations, stop = search_both(u0, u0 - width, u0 + width, problem)
+        assert stop[0] == "gradient" and iterations[0] == 1
+        np.testing.assert_array_equal(U[0], u0[0] - width[0] * np.sign(g[0]))
