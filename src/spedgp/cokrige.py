@@ -30,6 +30,8 @@ from .spectral import (DIAMETER_FAMILIES, StructureDesign, check_weights,
 
 #: negative v beyond this magnitude is treated as a real inconsistency
 V_TOLERANCE = 1e-8
+#: diagonal inflation of every fitted R, there only so that R factors
+NUGGET = 1e-8
 
 
 def default_strain_grid() -> np.ndarray:
@@ -146,7 +148,7 @@ class FitData:
 
 
 def make_fit_data(designs, Y_log, grid, family: str = "sped",
-                  nugget: float = 1e-8) -> FitData:
+                  nugget: float = NUGGET) -> FitData:
     """Assemble and validate the training state from log responses."""
     if not np.isfinite(nugget) or nugget < 0:
         raise InvalidInputError("nugget must be finite and nonnegative")

@@ -66,6 +66,8 @@ logger = logging.getLogger(__name__)
 
 #: relative objective change below which the sweep loop stops
 SWEEP_TOL = 1e-6
+#: sweep cap of one restart; fits stop on SWEEP_TOL well before it
+MAX_SWEEPS = 60
 #: KKT tolerance of the graphical lasso; sigma_step scales it by the
 #: spectral norm of its input
 GLASSO_TOL = 1e-6
@@ -110,24 +112,20 @@ class FitConfig:
 
     lambda_I: float = 0.0
     lambda_o: float = 0.1
-    nugget: float = 1e-8
     family: str = "sped"
     restarts: int = 5
-    max_sweeps: int = 60
     seed: int = 0
 
     def __post_init__(self):
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.restarts, self.max_sweeps, self.seed)):
-            raise InvalidInputError("restarts, max_sweeps and seed must be integers")
+                   for v in (self.restarts, self.seed)):
+            raise InvalidInputError("restarts and seed must be integers")
         if not _finite_nonnegative(self.lambda_I, self.lambda_o):
             raise InvalidInputError("penalty rates must be finite and nonnegative")
-        if self.restarts < 1 or self.max_sweeps < 1:
-            raise InvalidInputError("restarts and max_sweeps must be at least 1")
+        if self.restarts < 1:
+            raise InvalidInputError("restarts must be at least 1")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
-        if not _finite_nonnegative(self.nugget):
-            raise InvalidInputError("nugget must be finite and nonnegative")
         if self.family not in FAMILIES:
             raise InvalidInputError(f"unknown kernel family {self.family!r}")
 
@@ -576,7 +574,7 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int)
         "theta_iterations": [], "warnings": [],
         "converged": False,
     }
-    for sweep in range(1, config.max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         t0 = time.perf_counter()
         R, choR = data.chol(z)
         Sigma, W, stats = sigma_step(data, choR, beta, config.lambda_o,
@@ -649,11 +647,7 @@ def nugget_carry(data: FitData, z, beta) -> dict:
     shrink. ``nugget_share_ratio`` is the share after the cut over the
     share before; the fit is ``nugget_carried`` when the ratio exceeds
     CARRIED_RATIO, or when the cut leaves R unfactorizable (ratio None).
-    Without a nugget the fit interpolates exactly and nothing is carried.
     """
-    if data.nugget == 0.0:
-        return {"nugget_share": 0.0, "nugget_share_ratio": None,
-                "nugget_carried": False}
     E = data.residuals(beta)
     norm_E = float(np.linalg.norm(E))
     R, choR = data.chol(z)
@@ -811,7 +805,7 @@ def fit(data, config: FitConfig):
     arrive when their worker finishes.
     """
     fd = make_fit_data(data.designs, log_stress(data.responses), data.grid,
-                       family=config.family, nugget=config.nugget)
+                       family=config.family)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
     trace = FitTrace(seed=config.seed)
     results = []

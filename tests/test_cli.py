@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spedgp
-from spedgp import SinusoidSpec, gen_sinusoid, synthetic_oracle
+from spedgp import SinusoidSpec, estimate, gen_sinusoid, synthetic_oracle
 from spedgp.cli import CONFIG_KEY_MAP, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,11 +38,12 @@ def ws(tmp_path_factory):
                  "--p", "21", "--out", str(data)]) == 0
     config = root / "config.json"
     config.write_text(json.dumps({"lambda_i": 0.5, "lambda_o": 0.5,
-                                  "restarts": 1, "seed": 0,
-                                  "max_sweeps": 25}))
+                                  "restarts": 1, "seed": 0}))
     model = root / "model.json"
-    assert main(["fit", "--train", str(data), "--config", str(config),
-                 "--out", str(model)]) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate, "MAX_SWEEPS", 25)
+        assert main(["fit", "--train", str(data), "--config", str(config),
+                     "--out", str(model)]) == 0
     preds = root / "preds.csv"
     assert main(["predict", "--model", str(model),
                  "--designs", str(data / "test_designs.csv"),
@@ -111,10 +112,11 @@ class TestFit:
         assert all(b <= a + 1e-9 * max(1.0, abs(a))
                    for a, b in zip(objectives, objectives[1:]))
 
-    def test_cv_block_runs_and_is_recorded(self, ws, tmp_path, capsys):
+    def test_cv_block_runs_and_is_recorded(self, ws, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(estimate, "MAX_SWEEPS", 12)
         config = tmp_path / "cv.json"
         config.write_text(json.dumps({
-            "restarts": 1, "max_sweeps": 12, "seed": 0,
+            "restarts": 1, "seed": 0,
             "cv": {"folds": 2, "lambda_i_grid": [0.4],
                    "lambda_o_grid": [0.6]}}))
         out = tmp_path / "model.json"
@@ -125,13 +127,20 @@ class TestFit:
         assert trace["cv"] == {"lambda_I": 0.4, "lambda_o": 0.6, "folds": 2}
         assert trace["config"]["lambda_I"] == 0.4
 
-    @pytest.mark.parametrize("key", [
-        "lambda_eye", "sweep_tol", "glasso_tol", "glasso_max_iter",
-        "theta_max_iter", "theta_grad_tol", "theta_memory", "epsilon_beta",
-        "cv_score"])
-    def test_unknown_config_key_exits_2(self, ws, tmp_path, capsys, key):
+    @pytest.mark.parametrize("text", [
+        '{"lambda_eye": 1.0}', '{"sweep_tol": 1.0}', '{"glasso_tol": 1.0}',
+        '{"glasso_max_iter": 1.0}', '{"theta_max_iter": 1.0}',
+        '{"theta_grad_tol": 1.0}', '{"theta_memory": 1.0}',
+        '{"epsilon_beta": 1.0}', '{"cv_score": 1.0}',
+        '{"nugget": 1e-8}', '{"max_sweeps": 60}',
+        '{"nugget": NaN}', '{"max_sweeps": true}', '{"nugget": false}',
+    ], ids=["lambda_eye", "sweep_tol", "glasso_tol", "glasso_max_iter",
+            "theta_max_iter", "theta_grad_tol", "theta_memory", "epsilon_beta",
+            "cv_score", "nugget", "max_sweeps", "nan_nugget", "bool_max_sweeps",
+            "bool_nugget"])
+    def test_unknown_config_key_exits_2(self, ws, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({key: 1.0}))
+        config.write_text(text)
         rc = main(["fit", "--train", str(ws.data), "--config", str(config),
                    "--out", str(tmp_path / "m.json")])
         assert rc == 2
@@ -149,23 +158,19 @@ class TestFit:
         '{"lambda_i": NaN}',
         '{"lambda_o": NaN}',
         '{"lambda_o": Infinity}',
-        '{"nugget": NaN}',
         '{"restarts": true}',
-        '{"max_sweeps": true}',
         '{"seed": false}',
         '{"lambda_i": true}',
         '{"lambda_o": true}',
-        '{"nugget": false}',
         '{"cv": {"folds": true, "lambda_i_grid": [1.0], "lambda_o_grid": [0.5]}}',
         '{"seed": -1}',
         '{"cv": [2, [1.0], [0.5]]}',
         '{"cv": {"folds": 2, "lambda_i_grid": ["one"], "lambda_o_grid": [0.5]}}',
     ], ids=["array", "broken_json", "string_restarts", "float_restarts",
          "string_lambda", "string_folds", "fractional_folds", "nan_lambda_i",
-         "nan_lambda_o", "inf_lambda_o", "nan_nugget", "bool_restarts",
-         "bool_max_sweeps", "bool_seed", "bool_lambda_i", "bool_lambda_o",
-         "bool_nugget", "bool_folds", "negative_seed", "cv_not_an_object",
-         "string_cv_grid"])
+         "nan_lambda_o", "inf_lambda_o", "bool_restarts", "bool_seed",
+         "bool_lambda_i", "bool_lambda_o", "bool_folds", "negative_seed",
+         "cv_not_an_object", "string_cv_grid"])
     def test_malformed_config_exits_2(self, ws, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
         config.write_text(text)

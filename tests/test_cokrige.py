@@ -62,6 +62,10 @@ class TestTransforms:
         with pytest.raises(InvalidInputError):
             log_stress(np.array([1.0, 0.0]))
 
+    def test_non_finite_log_stress_rejected(self):
+        with pytest.raises(InvalidInputError, match="^log-stress values must be finite$"):
+            unlog_stress(np.array([0.0, np.inf]))
+
 
 class TestMeanBasis:
     def test_columns(self):
@@ -81,6 +85,9 @@ class TestMeanBasis:
             as_strain_grid(np.array([0.05, 0.01]))
         with pytest.raises(InvalidInputError):
             as_strain_grid(np.array([0.0, 0.01]))
+        with pytest.raises(InvalidInputError,
+                           match="^strain grid must be a vector of at least 2 levels$"):
+            as_strain_grid(np.array([0.05]))
 
 
 class TestEmulatorValidation:
@@ -315,10 +322,21 @@ class TestSerialization:
          "Sigma must be positive definite"),
         (lambda doc: doc.__setitem__("p", 999), "p = 999 does not match the curve length"),
         (lambda doc: doc.pop("p"), "lacks the key 'p'"),
+        (lambda doc: doc["Y"].pop(),
+         "response matrix shape does not match designs and grid"),
+        (lambda doc: doc["designs"][0].__setitem__("curve", [doc["designs"][0]["curve"]]),
+         "structure curve must be a 1-d vector"),
+        (lambda doc: doc["designs"][0].__setitem__("d", 0.0),
+         "diameter must be positive and finite, got 0.0"),
+        (lambda doc: doc["designs"][0].__setitem__("features", [1.0, 2.0, 3.0]),
+         r"features must be a finite vector \[d, A, omega, phi\]"),
+        (lambda doc: doc["designs"][1].__setitem__("curve", doc["designs"][1]["curve"][:3]),
+         "design 1 has p=3, expected 5"),
     ], ids=["nan_response", "duplicate_design", "negative_theta", "nan_theta",
             "short_theta", "ragged_theta", "nan_theta_d", "negative_theta_d",
             "nan_nugget", "negative_nugget", "unknown_family", "matrix_theta",
-            "negative_sigma", "wrong_p", "missing_p"])
+            "negative_sigma", "wrong_p", "missing_p", "short_Y", "matrix_curve",
+            "zero_diameter", "short_features", "mixed_p"])
     def test_load_validates_training_rows_as_fit_does(self, tmp_path, edit, message):
         rng = np.random.default_rng(10)
         path = tmp_path / "model.json"

@@ -84,6 +84,19 @@ class TestDesignsRoundTrip:
         with pytest.raises(InvalidInputError, match="header"):
             read_designs(path)
 
+    def test_curve_columns_must_count_from_x0(self, tmp_path):
+        path = tmp_path / "designs.csv"
+        path.write_text("d,x0,x2\n1.0,0.0,0.0\n")
+        with pytest.raises(InvalidInputError,
+                           match="^designs.csv: curve columns must be x0..x1$"):
+            read_designs(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "designs.csv"
+        path.write_text("\n")
+        with pytest.raises(InvalidInputError, match="^designs.csv is empty$"):
+            read_designs(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "designs.csv"
         path.write_text("d,x0,x1,x2\n1.0,0.0,0.0,0.0\n1.0,0.0\n")
@@ -109,6 +122,13 @@ class TestSpecsRoundTrip:
         back = read_specs(path)
         for a, b in zip(specs, back):
             assert (a.d, a.A, a.omega, a.phi) == (b.d, b.A, b.omega, b.phi)
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "s_specs.csv"
+        path.write_text("d,A,phi,omega\n1.0,0.5,0.3,2.0\n")
+        with pytest.raises(InvalidInputError,
+                           match="^s_specs.csv: expected header d,A,omega,phi$"):
+            read_specs(path)
 
     def test_sidecar_path(self):
         assert specs_sidecar_path("runs/designs.csv").name == "designs_specs.csv"

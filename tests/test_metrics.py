@@ -10,6 +10,8 @@ from spedgp.estimate import CARRIED_RATIO
 from spedgp.metrics import SOFTENING, STIFFENING, evaluate
 from spedgp.oracle import synthetic_oracle
 
+from .test_estimate import mark_carried
+
 
 class TestMare:
     def test_identical_curves_score_zero(self):
@@ -98,25 +100,10 @@ NINE_DESIGN_CONFIG = FitConfig(lambda_I=1.0, lambda_o=0.5, restarts=2, seed=0)
 
 
 @pytest.fixture(scope="module")
-def nine_design_fit(nine_design_case):
-    """The fit of the 9-design case, with the warnings it logs."""
-    train, _ = nine_design_case
-    records = []
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = records.append
-    estimate_log = logging.getLogger("spedgp.estimate")
-    estimate_log.addHandler(handler)
-    try:
-        model, trace = fit(train, NINE_DESIGN_CONFIG)
-    finally:
-        estimate_log.removeHandler(handler)
-    return model, trace, records
-
-
-@pytest.fixture(scope="module")
-def model_and_test(nine_design_case, nine_design_fit):
-    model, _, _ = nine_design_fit
-    return model, nine_design_case[1]
+def model_and_test(nine_design_case):
+    train, test = nine_design_case
+    model, _ = fit(train, NINE_DESIGN_CONFIG)
+    return model, test
 
 
 class TestEvaluate:
@@ -165,10 +152,13 @@ class TestEvaluate:
 
 class TestNuggetFlag:
 
-    def test_fit_passes_over_carried_restart(self, nine_design_fit):
-        # m = 41 > n = 9: restart 1 falls to the nugget floor and reaches
-        # the lower objective; restart 0 is the one the kernel determines
-        _, trace, records = nine_design_fit
+    def test_fit_passes_over_carried_restart(self, nine_design_case, caplog,
+                                             monkeypatch):
+        # m = 41 > n = 9: the restart that reaches the lowest objective is
+        # the one the nugget carries, as when it falls to the nugget floor
+        mark_carried(monkeypatch, lambda objectives: {int(np.argmin(objectives))})
+        with caplog.at_level(logging.WARNING, logger="spedgp.estimate"):
+            _, trace = fit(nine_design_case[0], NINE_DESIGN_CONFIG)
         assert all("nugget_share" in rec for rec in trace.restarts)
         carried = [r for r, rec in enumerate(trace.restarts)
                    if rec["nugget_carried"]]
@@ -178,7 +168,7 @@ class TestNuggetFlag:
         assert best["nugget_share_ratio"] <= CARRIED_RATIO
         assert all(trace.restarts[r]["final_objective"]
                    < best["final_objective"] for r in carried)
-        flagged = [rec for rec in records
+        flagged = [rec for rec in caplog.records
                    if "only because the nugget carries them"
                    in rec.getMessage()]
         assert len(flagged) == 1

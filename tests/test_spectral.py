@@ -117,6 +117,11 @@ class TestGrids:
         assert t[-1] == STRUCTURE_SPAN
         np.testing.assert_allclose(np.diff(t), 0.25)
 
+    def test_times_reject_even_length(self):
+        with pytest.raises(InvalidInputError,
+                           match="^curve length must be odd and >= 3, got 80$"):
+            structure_times(80)
+
 
 class TestSpedCorrelation:
     def test_matches_scalar_oracle(self):
@@ -275,6 +280,10 @@ class TestMatrixAssembly:
                    self.designs[0]]
         with pytest.raises(InvalidInputError, match=r"provenance.*\(design 1\)"):
             design_feature_rows(designs, "feature_based")
+
+    def test_feature_rows_need_a_design(self):
+        with pytest.raises(InvalidInputError, match="^need at least one design$"):
+            design_feature_rows([], "sped")
 
     def test_l2_feature_rows_fold_dt(self):
         F = design_feature_rows(self.designs, "l2_distance")
