@@ -18,11 +18,10 @@ from .estimate import (FitConfig, FitTrace, beta_step, fit, glasso_kkt_residual,
 from .exceptions import (ConvergenceError, FitError, InvalidInputError,
                          NumericalError, SingularMatrixError)
 from .metrics import MetricsReport, evaluate, mare, moduli_and_kappa
-from .mimic import (MimicProblem, MimicResult, build_problem, mse_objective,
-                    optimize, reconstruct_structure)
+from .mimic import (MimicProblem, MimicResult, build_problem, optimize,
+                    reconstruct_structure)
 from .oracle import synthetic_oracle
-from .spectral import (StructureDesign, correlation_matrix, cross_correlation,
-                       dft_modulus)
+from .spectral import StructureDesign, dft_modulus
 
 __version__ = "0.1.0"
 
@@ -31,11 +30,10 @@ __all__ = [
     "FitTrace", "InvalidInputError", "MetricsReport", "MimicProblem",
     "MimicResult", "NumericalError", "Prediction", "SingularMatrixError",
     "SinusoidSpec", "StructureDesign", "TrainedEmulator", "beta_step",
-    "build_problem", "correlation_matrix", "cross_correlation",
-    "default_strain_grid", "dft_modulus", "evaluate", "fit", "gen_sinusoid",
-    "glasso_kkt_residual", "graphical_lasso", "hpd_interval", "load_dataset",
-    "load_model", "log_stress", "mare", "mean_basis", "moduli_and_kappa",
-    "mse_objective", "neg_log_posterior", "optimize", "predict",
+    "build_problem", "default_strain_grid", "dft_modulus", "evaluate", "fit",
+    "gen_sinusoid", "glasso_kkt_residual", "graphical_lasso", "hpd_interval",
+    "load_dataset", "load_model", "log_stress", "mare", "mean_basis",
+    "moduli_and_kappa", "neg_log_posterior", "optimize", "predict",
     "reconstruct_structure", "sample_designs", "save_dataset", "save_model",
     "select_penalties", "sigma_step", "synthetic_oracle", "theta_step",
     "unlog_stress",

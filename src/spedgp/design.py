@@ -9,6 +9,7 @@ samplers cannot share points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ class SinusoidSpec:
             value = float(getattr(self, key))
             object.__setattr__(self, key, value)
             lo, hi = DESIGN_BOX[key]
-            if not np.isfinite(value) or value < lo or value > hi:
+            # NaN fails every comparison; only the finiteness test rejects it
+            if not math.isfinite(value) or value < lo or value > hi:
                 raise InvalidInputError(
                     f"{key} = {value} outside the design box [{lo}, {hi}]")
 

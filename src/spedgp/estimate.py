@@ -35,7 +35,6 @@ to a carried restart, with a warning, only when every restart is carried.
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 import multiprocessing
@@ -71,7 +70,7 @@ MAX_SWEEPS = 60
 #: KKT tolerance of the graphical lasso; sigma_step scales it by the
 #: spectral norm of its input
 GLASSO_TOL = 1e-6
-#: iteration cap of the graphical lasso
+#: iteration cap of the graphical lasso, read when :func:`glasso_newton` runs
 GLASSO_MAX_ITER = 500
 #: value at which beta_step pins a nonpositive slope coefficient beta_2
 EPSILON_BETA = 1e-6
@@ -172,7 +171,6 @@ def neg_log_posterior(beta, z, Sigma, data: FitData,
 
 
 def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL,
-                    max_iter: int = GLASSO_MAX_ITER,
                     precision_init=None) -> np.ndarray:
     """min_W -logdet W + tr(S W) + lam * sum_{j != k} |W_jk| by
     :func:`glasso_newton`, certified by :func:`glasso_kkt_residual`."""
@@ -187,7 +185,7 @@ def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL,
     _check_rate("penalty", lam)
     if precision_init is not None:
         precision_init = _check_matrix("precision_init", precision_init, m)
-    W, iterations, residual = glasso_newton(S, lam, tol, max_iter, precision_init)
+    W, iterations, residual = glasso_newton(S, lam, tol, precision_init)
     if residual > tol:
         raise ConvergenceError(
             f"graphical lasso did not reach KKT tolerance {tol:g} in "
@@ -195,8 +193,7 @@ def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL,
     return W
 
 
-def glasso_newton(S, lam: float, tol: float, max_iter: int,
-                  precision_init=None):
+def glasso_newton(S, lam: float, tol: float, precision_init=None):
     """Projected-Newton graphical lasso; returns (W, iterations, residual).
 
     Dual steps: Newton on  max logdet V  over diag V = diag S, |V - S| <=
@@ -208,7 +205,8 @@ def glasso_newton(S, lam: float, tol: float, max_iter: int,
     V^{-1} is not. It starts at :func:`_dual_start` and returns its last
     iterate, early once the KKT residual is <= tol and the duality gap <= 1e-9
     of the objective (the one test that evaluates the objective: if tol > lam
-    the residual alone admits W far above the minimum).
+    the residual alone admits W far above the minimum). At most
+    GLASSO_MAX_ITER iterations run.
     """
     m = S.shape[0]
     I, J = np.triu_indices(m, 1)
@@ -218,7 +216,7 @@ def glasso_newton(S, lam: float, tol: float, max_iter: int,
     W = binding = None
     residual = last = np.inf
     polish = stalled = False
-    for iteration in range(1, max(max_iter, 1) + 1):
+    for iteration in range(1, GLASSO_MAX_ITER + 1):
         W_new = None
         if polish and residual < 0.5 * last:
             W_new, last = _support_newton_step(S, lam, W, I, J), residual
@@ -399,8 +397,7 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, precision_init=None):
     rho = lambda_o / n
     W0 = S0 + rho * np.eye(data.m)
     target = GLASSO_TOL * max(1.0, float(np.linalg.norm(W0, 2)))
-    W, iterations, residual = glasso_newton(W0, rho, target, GLASSO_MAX_ITER,
-                                            precision_init)
+    W, iterations, residual = glasso_newton(W0, rho, target, precision_init)
     if precision_init is not None:
         # never ascend: keep the incoming W if it scores lower beyond rounding
         incumbent = precision_init.copy()
@@ -674,7 +671,9 @@ def _restart_workers(restarts: int) -> int:
     The BLAS thread count is the first of BLAS_THREAD_VARIABLES that
     parses as a positive integer, else the core count (OpenBLAS's own
     default). So an unpinned process, whose BLAS threads already use
-    every core, runs alone; more processes would oversubscribe the cores.
+    every core, runs alone; more processes would oversubscribe the cores
+    (2 forced processes took 3.1, 34 and 69 s per seed-0 benchmark fit on
+    a 2-vCPU VM, against 1.3-2.4 s in one).
     It is 1 too without the ``fork`` start method, inside a daemonic
     process (which may not start children), and while another thread runs
     (a forked child gets only copies of the locks that thread may hold).
@@ -728,8 +727,7 @@ def _worker(send, fd: FitData, config: FitConfig, children, block):
         reply = ("done", [_restart(fd, config, children, r) for r in block])
     except Exception as exc:  # raised again by the caller, with this traceback
         try:  # one that pickle cannot rebuild from its args goes as a RuntimeError
-            pickle.Pickler(buffer := io.BytesIO()).dump(exc)
-            pickle.Unpickler(io.BytesIO(buffer.getvalue())).load()
+            pickle.loads(pickle.dumps(exc))
         except Exception:
             exc = RuntimeError(f"{type(exc).__qualname__}: {exc}")
         reply = ("raise", (exc, traceback.format_exc()))  # the original's traceback

@@ -121,12 +121,12 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress) -> Mimic
 
 
 def _row_dots(a, b):
-    """Dot product of each row of a with the same row of b.
-
-    Each is the BLAS dot a single prediction's ``r @ alpha`` makes, so a
-    row's value does not depend on the rest of the block: v = 1 - r'alpha
-    cancels to ~1e-8 near the training rows, where any other summation
-    order moves the objective at 1e-9 relative.
+    """Dot product of each row of a with the same row of b, as the BLAS dot
+    of a single prediction's ``r @ alpha``: v = 1 - r'alpha cancels to ~1e-8
+    near the training rows, where another summation order moves the
+    objective at 1e-9 relative. The kernel's matrix-vector product and
+    ``alpha @ resid`` still group rows, so a row's objective depends on its
+    block at rounding level (6e-11 relative on the benchmark model).
     """
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 

@@ -42,10 +42,11 @@ from spedgp.estimate import (CARRIED_RATIO, glasso_kkt_residual,
 from spedgp.metrics import evaluate, mare
 from spedgp.mimic import build_problem, optimize
 from spedgp.oracle import ACTIVE_BAND
-from spedgp.spectral import correlation_matrix, cross_correlation, half_size
+from spedgp.spectral import correlation_from_features, design_feature_row, half_size
 
 from .oracles import (central_diff_gradient, dense_conditional, dense_gls_beta,
                       penalized_objective)
+from .test_spectral import correlation_of, pair_correlation
 
 GRID = default_strain_grid()
 BENCH_CONFIG = FitConfig(lambda_I=1.0, lambda_o=0.5, restarts=5, seed=0)
@@ -142,12 +143,12 @@ def test_c01_kernel_admissibility():
         n = int(rng.integers(2, 16))
         z = np.append(rng.uniform(0.0, 0.6, half_size(p)), rng.uniform(0.0, 1.0))
         designs = random_designs(rng, n, p)
-        R = correlation_matrix(designs, z, "sped", 0.0)
+        R = correlation_of(designs, z, 0.0)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(R).min()))
         base = designs[0]
         shifted = StructureDesign(base.diameter,
                                   np.roll(base.curve, int(rng.integers(1, p))))
-        rho = cross_correlation(shifted, [base], z, "sped")[0]
+        rho = pair_correlation(shifted, base, z, "sped")
         worst_shift = max(worst_shift, abs(rho - 1.0))
     seconds = time.perf_counter() - t0
     report(1, "kernel admissibility", [
@@ -182,8 +183,8 @@ def test_c02_factorized_algebra_matches_dense():
         model = TrainedEmulator(data=data, z=z, beta=beta, Sigma=Sigma)
         new = random_designs(rng, 1, p)[0]
         pred = predict(model, new)
-        r = cross_correlation(new, designs, z, "sped")
-        R = correlation_matrix(designs, z, "sped", data.nugget)
+        r = correlation_from_features(data.F, design_feature_row(new, "sped"), z)
+        R = data.correlation(z)
         mean_d, cov_d = dense_conditional(Y, R, r, 1.0, Sigma, beta, P)
         worst_mean = max(worst_mean, float(
             np.linalg.norm(pred.mean - mean_d) / np.linalg.norm(mean_d)))

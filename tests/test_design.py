@@ -16,6 +16,14 @@ class TestSinusoidSpec:
             SinusoidSpec(1.0, 0.5, 0.9, 3.0)
         with pytest.raises(InvalidInputError):
             SinusoidSpec(1.0, 0.5, 0.4, 7.0)
+        # a NaN fails every comparison with the box, so only the finiteness
+        # test rejects it
+        for k in range(4):
+            for bad in (np.nan, np.inf, -np.inf):
+                values = [1.0, 0.5, 0.4, 3.0]
+                values[k] = bad
+                with pytest.raises(InvalidInputError, match="outside the design box"):
+                    SinusoidSpec(*values)
 
     def test_as_array_order(self):
         s = SinusoidSpec(1.0, 0.5, 0.4, 3.0)

@@ -107,11 +107,12 @@ class TestWarmStart:
 
 
 class TestFailureModes:
-    def test_impossible_tolerance_raises_with_residual(self):
+    def test_impossible_tolerance_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(estimate, "GLASSO_MAX_ITER", 3)
         rng = np.random.default_rng(6)
         S = random_spd(rng, 6, cond=100.0)
         with pytest.raises(ConvergenceError) as exc_info:
-            graphical_lasso(S, 0.2, tol=1e-300, max_iter=3)
+            graphical_lasso(S, 0.2, tol=1e-300)
         assert exc_info.value.residual > 1e-300
 
     def test_scalar_case(self):
@@ -215,7 +216,8 @@ class TestUncertifiedReturn:
         objective = estimate._glasso_objective
         monkeypatch.setattr(estimate, "_glasso_objective",
                             lambda *args: calls.append(1) or objective(*args))
-        W, iterations, residual = glasso_newton(S, 0.2, 1e-300, 3)
+        monkeypatch.setattr(estimate, "GLASSO_MAX_ITER", 3)
+        W, iterations, residual = glasso_newton(S, 0.2, 1e-300)
         assert iterations <= 3
         assert residual == glasso_kkt_residual(S, W, 0.2)
         assert calls == []  # no residual came within tol, so no gap test ran
@@ -246,7 +248,7 @@ class TestAgainstBlockwiseReference:
     def test_same_support_no_worse_objective(self, seed, rank, scale):
         S = low_rank_covariance(seed, rank, scale)
         tol = 1e-8 * np.linalg.norm(S, 2)
-        W, iterations, residual = glasso_newton(S, self.LAM, tol, 500)
+        W, iterations, residual = glasso_newton(S, self.LAM, tol)
         ref, _, ref_residual = blockwise_glasso(S, self.LAM, tol, 500)
         assert ref_residual <= tol
         assert 1e3 <= np.linalg.cond(W) <= 2e5
