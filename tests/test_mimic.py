@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-import spedgp
 from spedgp import (
     InvalidInputError,
     SinusoidSpec,
@@ -41,14 +40,15 @@ def toy_emulator(rng, theta, theta_d=0.6, n=5, m=4, p=9, nugget=1e-8):
 
 @pytest.fixture(scope="module", autouse=True)
 def fitting_refused():
-    """Every model of this module is built from fixed parameters: a call
-    to fit fails the test that makes it."""
+    """Every model of this module is built from fixed parameters: a fit
+    fails the test that starts it. Every fit, through estimate.fit, the
+    package root, the CLI or select_penalties, runs _run_restarts."""
     def refuse(*args, **kwargs):
         raise AssertionError("the mimic tests build their models without fitting")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimate, "fit", refuse)
-        patch.setattr(spedgp, "fit", refuse)
+        patch.setattr(estimate, "_run_restarts", refuse)
         yield
 
 
@@ -56,22 +56,24 @@ def fitting_refused():
 def mimic_model():
     """A sped model of 12 oracle-scored designs (p = 21) at fixed z, beta and Sigma.
 
-    Spectral bins 1, 2 and 4 and the diameter carry weight, and the mean is
-    the power law beta = (0.8, 1.2). R has cond 3.8e4. Sigma is the AR(1)
-    correlation 0.9^|j - k| scaled by standard deviations falling from 600
-    to 100 along the 9 levels: cond(Sigma) = 8.3e2, tr(Sigma) = 1.3e6.
-    tr(Sigma) is large, as in a fit of these designs: next to a training
-    row, where v = 1 - r'alpha cancels to ~1e-8, its rounding times
-    tr(Sigma) moves the objective by more than F_TOL, and a line search
-    can stop there.
+    The parameters are shaped like a fit of these designs, ill-conditioned
+    as such a fit is. Spectral bins 1, 2 and 4 and the diameter carry
+    weights of 3e-9 to 2e-6, so every correlation sits within 5e-6 of 1 and
+    R has cond 1.2e9. The mean is the power law beta = (0.8, 1.2). Sigma is
+    a squared-exponential correlation over the 9 levels (length 5 levels)
+    scaled by standard deviations falling from 2,600 to 575, plus 0.1 I:
+    cond(Sigma) = 1.9e8, tr(Sigma) = 2.6e7. Next to a training row, where
+    v = 1 - r'alpha cancels to ~1e-8, its rounding times tr(Sigma) moves the
+    objective by more than F_TOL, and a line search can stop there.
     """
     grid = np.linspace(0.005, 0.15, 9)
     designs = [gen_sinusoid(s, 21) for s in sample_designs(12, seed=41)]
     Y = np.array([synthetic_oracle(d, grid) for d in designs])
     z = np.zeros(half_size(21) + 1)
-    z[[1, 2, 4, -1]] = 0.3, 0.03, 0.04, 0.5
-    sd = np.linspace(600.0, 100.0, 9)
-    Sigma = np.outer(sd, sd) * 0.9 ** np.abs(np.subtract.outer(np.arange(9), np.arange(9)))
+    z[[1, 2, 4, -1]] = 3e-8, 3e-9, 4e-9, 2e-6
+    sd = np.linspace(2600.0, 575.0, 9)
+    lag = np.subtract.outer(np.arange(9), np.arange(9))
+    Sigma = np.outer(sd, sd) * np.exp(-(lag / 5.0) ** 2) + 0.1 * np.eye(9)
     return TrainedEmulator(data=make_fit_data(designs, log_stress(Y), grid), z=z,
                            beta=np.array([0.8, 1.2]), Sigma=Sigma)
 
@@ -267,10 +269,10 @@ class TestWhitenedObjective:
                 expected_mismatch(mean, cov, problem.target_log), rel=1e-12)
 
     def test_fitted_model_matches_brute_force_correlations(self, mimic_problem):
-        # the mimic model has cond(R) = 3.8e4 and cond(Sigma) = 8.3e2; the
-        # predictive normal comes from the separable conditional, checked
-        # against the dense one in test_cokrige, on correlations computed
-        # from raw curves
+        # the mimic model has cond(R) = 1.2e9 and cond(Sigma) = 1.9e8, so a
+        # dense solve with R (x) Sigma is off by 1e-4 to 7e-3; the predictive
+        # normal comes from the separable conditional, checked against the
+        # dense one in test_cokrige, on correlations computed from raw curves
         problem, model = mimic_problem, mimic_problem.model
         X = interior_points(problem, np.random.default_rng(13), 5)
         f, _ = _objective_and_grad(problem.s * X, problem)
@@ -539,8 +541,9 @@ class TestSearchMatchesReference:
     """The compacted lockstep search against the full-size one it replaced."""
 
     def test_fitted_problem(self, mimic_problem):
-        # on the mimic model 32 of these 33 starts stop on "reduction"; start
-        # 26 ends next to a training row (v = 1.2e-8) on "line search"
+        # on the mimic model 30 of these 33 starts stop on "reduction"; starts
+        # 18, 19 and 31 begin next to a training row (v ~ 3e-8) and stop on
+        # "line search" before their first step
         problem = mimic_problem
         U0 = problem.s * _start_points(problem, 32, seed=0)
         *_, stop = search_both(U0, *scaled_box(problem), problem)
