@@ -170,8 +170,7 @@ def neg_log_posterior(beta, z, Sigma, data: FitData,
 # graphical LASSO
 
 
-def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL,
-                    precision_init=None) -> np.ndarray:
+def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL) -> np.ndarray:
     """min_W -logdet W + tr(S W) + lam * sum_{j != k} |W_jk| by
     :func:`glasso_newton`, certified by :func:`glasso_kkt_residual`."""
     S = np.asarray(S, dtype=float)
@@ -183,9 +182,7 @@ def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL,
     if np.any(np.diag(S) <= 0):
         raise InvalidInputError("S must have a positive diagonal")
     _check_rate("penalty", lam)
-    if precision_init is not None:
-        precision_init = _check_matrix("precision_init", precision_init, m)
-    W, iterations, residual = glasso_newton(S, lam, tol, precision_init)
+    W, iterations, residual = glasso_newton(S, lam, tol)
     if residual > tol:
         raise ConvergenceError(
             f"graphical lasso did not reach KKT tolerance {tol:g} in "
@@ -370,8 +367,9 @@ def glasso_kkt_residual(S, W, lam: float) -> float:
 # BCD blocks
 
 
-def sigma_step(data: FitData, choR, beta, lambda_o: float, precision_init=None):
-    """Sigma block update; returns (Sigma, W = Sigma^{-1}, stats).
+def sigma_step(data: FitData, choR, beta, lambda_o: float, W):
+    """Sigma block update from the incoming precision W; returns
+    (Sigma, W = Sigma^{-1}, stats).
 
     The Sigma block of the objective is, up to a factor n,
     -logdet W + tr(S0 W) + (lambda_o / n) ||W||_1 with
@@ -383,27 +381,26 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, precision_init=None):
     the monitored objective.
 
     The KKT tolerance is GLASSO_TOL times the spectral norm of the input
-    (near-singular correlation states inflate S0). ``stats`` holds the solver's
+    (near-singular correlation states inflate S0). The solver starts warm
+    from W, and the step keeps W when that scores a lower block objective,
+    so a sweep never ascends. ``stats`` holds the solver's
     ``iterations`` and ``kkt``, W's residual over that tolerance.
     """
     n = data.n
     _check_rate("lambda_o", lambda_o)
     _check_matrix("choR", choR, n)
-    if precision_init is not None:
-        precision_init = _check_matrix("precision_init", precision_init, data.m)
+    incumbent = _check_matrix("W", W, data.m)
     E = data.residuals(beta)
     S0 = E.T @ solve_factored(choR, E) / n
     S0 = 0.5 * (S0 + S0.T)
     rho = lambda_o / n
     W0 = S0 + rho * np.eye(data.m)
     target = GLASSO_TOL * max(1.0, float(np.linalg.norm(W0, 2)))
-    W, iterations, residual = glasso_newton(W0, rho, target, precision_init)
-    if precision_init is not None:
-        # never ascend: keep the incoming W if it scores lower beyond rounding
-        incumbent = precision_init.copy()
-        f_inc = _glasso_objective(W0, rho, incumbent)
-        if f_inc < _glasso_objective(W0, rho, W) - 1e-9 * max(1.0, abs(f_inc)):
-            W, residual = incumbent, glasso_kkt_residual(W0, incumbent, rho)
+    W, iterations, residual = glasso_newton(W0, rho, target, incumbent)
+    # never ascend: keep the incoming W if it scores lower beyond rounding
+    f_inc = _glasso_objective(W0, rho, incumbent)
+    if f_inc < _glasso_objective(W0, rho, W) - 1e-9 * max(1.0, abs(f_inc)):
+        W, residual = incumbent.copy(), glasso_kkt_residual(W0, incumbent, rho)
     choW = cholesky(W.copy())
     if choW is None:
         raise SingularMatrixError("glasso returned an indefinite precision")
@@ -436,7 +433,7 @@ def beta_step(data: FitData, choR, W) -> np.ndarray:
         beta = np.linalg.solve(Sq, A.T @ ybar)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
-            "GLS normal matrix is singular; mean basis columns are collinear") from exc
+            "GLS normal matrix P'WP is singular; W is singular on the mean basis") from exc
     q = beta.size
     if q >= 2 and beta[1] <= 0.0:
         keep = [k for k in range(q) if k != 1]
@@ -574,8 +571,7 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int)
     for sweep in range(1, MAX_SWEEPS + 1):
         t0 = time.perf_counter()
         R, choR = data.chol(z)
-        Sigma, W, stats = sigma_step(data, choR, beta, config.lambda_o,
-                                     precision_init=W)
+        Sigma, W, stats = sigma_step(data, choR, beta, config.lambda_o, W)
         t1 = time.perf_counter()
         record["sigma_iterations"].append(stats["iterations"])
         record["sigma_kkt"].append(stats["kkt"])

@@ -148,7 +148,7 @@ class TestSigmaStep:
         z = rng.uniform(0.05, 0.3, data.nz)
         R, choR = data.chol(z)
         beta = np.array([0.5, 1.0])
-        Sigma, W, _ = sigma_step(data, choR, beta, lambda_o=0.0)
+        Sigma, W, _ = sigma_step(data, choR, beta, lambda_o=0.0, W=np.eye(data.m))
         E = Y - np.outer(np.ones(data.n), data.P @ beta)
         S0 = np.linalg.solve(R, E).T @ E / data.n
         np.testing.assert_allclose(Sigma, (S0 + S0.T) / 2, rtol=1e-8, atol=1e-10)
@@ -163,7 +163,7 @@ class TestSigmaStep:
         R, choR = data.chol(z)
         beta = np.array([0.1, 0.8])
         lam_o = 0.9
-        Sigma, W, stats = sigma_step(data, choR, beta, lambda_o=lam_o)
+        Sigma, W, stats = sigma_step(data, choR, beta, lambda_o=lam_o, W=np.eye(data.m))
         assert stats["kkt"] <= 1.0
         E = Y - np.outer(np.ones(3), data.P @ beta)
         S0 = np.linalg.solve(R, E).T @ E / 3.0
@@ -180,7 +180,7 @@ class TestSigmaStep:
             R, choR = data.chol(z)
             f0 = neg_log_posterior(beta, z, Sigma0, data, 0.0, 0.4)
             Sigma1, W1, _ = sigma_step(data, choR, beta, lambda_o=0.4,
-                                       precision_init=np.linalg.inv(Sigma0))
+                                       W=np.linalg.inv(Sigma0))
             f1 = neg_log_posterior(beta, z, Sigma1, data, 0.0, 0.4)
             assert f1 <= f0 + 1e-8 * max(1.0, abs(f0))
 
@@ -375,9 +375,14 @@ def block_state():
                            Sigma=Sigma, choR=choR)
 
 
+#: a 4 x 4 nesting with one short row
+RAGGED = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+
+
 class TestBlockArguments:
     """Malformed arguments to the public block functions raise
-    InvalidInputError before any work, with m = 4 strain levels."""
+    InvalidInputError before any work, with m = 4 strain levels; a
+    well-formed but singular matrix raises SingularMatrixError."""
 
     @pytest.mark.parametrize("call,message", [
         (lambda s: theta_step(s.data, s.beta, s.W, s.z[:-1], 0.5),
@@ -388,11 +393,15 @@ class TestBlockArguments:
          "lambda_I must be finite and nonnegative"),
         (lambda s: theta_step(s.data, s.beta, np.eye(3), s.z, 0.5),
          "W must be a finite m x m matrix"),
-        (lambda s: sigma_step(s.data, s.choR, np.ones(3), 0.1), "beta length"),
-        (lambda s: sigma_step(s.data, s.choR, s.beta, -1.0),
+        (lambda s: sigma_step(s.data, s.choR, np.ones(3), 0.1, s.W), "beta length"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, -1.0, s.W),
          "lambda_o must be finite and nonnegative"),
-        (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, precision_init=np.eye(3)),
-         "precision_init must be a finite m x m matrix"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, W=np.eye(3)),
+         "W must be a finite m x m matrix"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, W=RAGGED),
+         "W must be a finite m x m matrix"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, W=np.full((4, 4), np.nan)),
+         "W must be a finite m x m matrix"),
         (lambda s: beta_step(s.data, s.choR, np.eye(3)), "W must be a finite m x m matrix"),
         (lambda s: beta_step(s.data, s.choR[:-1, :-1], s.W),
          "choR must be a finite m x m matrix"),
@@ -401,10 +410,21 @@ class TestBlockArguments:
         (lambda s: neg_log_posterior(np.array([0.1, np.nan]), s.z, s.Sigma, s.data, 0.1, 0.1),
          "beta must be finite"),
     ], ids=["theta z0 length", "theta z0 negative", "theta lambda_I", "theta W",
-            "sigma beta", "sigma lambda_o", "sigma precision_init", "beta W",
-            "beta choR", "nlp beta length", "nlp beta nan"])
+            "sigma beta", "sigma lambda_o", "sigma W", "sigma W ragged", "sigma W nan",
+            "beta W", "beta choR", "nlp beta length", "nlp beta nan"])
     def test_raises_typed_error(self, block_state, call, message):
         with pytest.raises(InvalidInputError, match=message):
+            call(block_state)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda s: neg_log_posterior(s.beta, s.z, -s.Sigma, s.data, 0.1, 0.1),
+         "Sigma is not positive definite"),
+        # P = [1, log s] has independent columns on an increasing grid
+        (lambda s: beta_step(s.data, s.choR, np.zeros((4, 4))),
+         "P'WP is singular; W is singular on the mean basis"),
+    ], ids=["nlp indefinite Sigma", "beta singular W"])
+    def test_singular_matrix_raises_typed_error(self, block_state, call, message):
+        with pytest.raises(SingularMatrixError, match=re.escape(message)):
             call(block_state)
 
 
@@ -491,6 +511,25 @@ class TestFit:
             assert lines[0].startswith("restart=0 sweep=1 ")
             assert lines[-1].startswith("restart=1 ")
 
+    def test_objective_rise_stops_the_restart(self, tiny_set, monkeypatch):
+        # every sweep's objective reads above the start's, so sweep 1 rises
+        nlp, values = est.neg_log_posterior, []
+
+        def rising(*args):
+            f = nlp(*args)
+            if values:
+                f = values[0] + 1.0 + abs(values[0])
+            values.append(f)
+            return f
+
+        monkeypatch.setattr(est, "neg_log_posterior", rising)
+        model, trace = fit(tiny_set, FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=1))
+        record = trace.restarts[0]
+        assert record["sweeps"] == 1 and not record["converged"]
+        assert record["warnings"][-1].startswith("sweep 1: objective increased by ")
+        assert record["objectives"] == values[:2]
+        assert model.fit_metadata["iterations"] == 1
+
     def test_duplicate_designs_rejected(self):
         grid = np.linspace(0.01, 0.15, 5)
         rng = np.random.default_rng(1)
@@ -565,6 +604,31 @@ class TestFit:
         monkeypatch.setattr(spectral, "dft_modulus", counted)
         fit(small_training_set, FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=1, seed=0))
         assert len(calls) == len(small_training_set.designs) == 10
+
+
+class TestNuggetCarry:
+    def test_unfactorizable_cut_is_carried(self, monkeypatch):
+        # designs 0 and 1 share a curve and differ only in diameter, so at
+        # theta_d = 0 their rows of R are identical: R factors only with the
+        # nugget, and the second pivot of R with no nugget is exactly 0
+        rng = np.random.default_rng(23)
+        curve = rng.standard_normal(9)
+        designs = [StructureDesign(0.8, curve), StructureDesign(1.4, curve)]
+        designs += [StructureDesign(rng.uniform(0.5, 1.5), rng.standard_normal(9))
+                    for _ in range(3)]
+        data = make_fit_data(designs, rng.standard_normal((5, 4)),
+                             np.linspace(0.01, 0.15, 4))
+        z = rng.uniform(0.05, 0.4, data.nz)
+        z[-1] = 0.0  # theta_d
+        beta = np.array([0.1, 1.0])
+        R = data.correlation(z)
+        np.testing.assert_array_equal(R[0], R[1, [1, 0, 2, 3, 4]])
+        assert est.nugget_carry(data, z, beta)["nugget_share_ratio"] is not None
+        monkeypatch.setattr(est, "NUGGET_CUT", np.inf)  # the cut nugget is 0
+        carry = est.nugget_carry(data, z, beta)
+        assert carry["nugget_share_ratio"] is None
+        assert carry["nugget_carried"] is True
+        assert 0.0 < carry["nugget_share"] < 1.0
 
 
 class TestParallelRestarts:

@@ -91,18 +91,22 @@ class TestKktCertificate:
 
 
 class TestWarmStart:
+    """glasso_newton from a warm precision, as sigma_step starts it."""
+
     def test_same_solution_from_warm_start(self):
         rng = np.random.default_rng(4)
         S = random_spd(rng, 8, cond=20.0)
         cold = graphical_lasso(S, 0.15, tol=1e-9)
-        warm = graphical_lasso(S, 0.15, tol=1e-9, precision_init=cold)
+        warm, _, residual = glasso_newton(S, 0.15, 1e-9, cold)
+        assert residual <= 1e-9
         np.testing.assert_allclose(warm, cold, rtol=1e-6, atol=1e-9)
 
     def test_warm_start_from_other_penalty(self):
         rng = np.random.default_rng(5)
         S = random_spd(rng, 8, cond=20.0)
         w_old = graphical_lasso(S, 0.5, tol=1e-9)
-        W = graphical_lasso(S, 0.1, tol=1e-9, precision_init=w_old)
+        W, _, residual = glasso_newton(S, 0.1, 1e-9, w_old)
+        assert residual <= 1e-9
         assert glasso_kkt_residual(S, W, 0.1) <= 1e-9
 
 
@@ -131,17 +135,6 @@ class TestFailureModes:
         for lam in (np.nan, np.inf):
             with pytest.raises(InvalidInputError, match="finite"):
                 graphical_lasso(np.eye(2), lam)
-
-    @pytest.mark.parametrize("precision_init", [
-        np.eye(3),  # a warm start of the wrong size
-        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
-        np.full((4, 4), np.nan),
-    ], ids=["3x3", "ragged", "nan"])
-    def test_precision_init_validation(self, precision_init):
-        S = random_spd(np.random.default_rng(8), 4)
-        with pytest.raises(InvalidInputError,
-                           match="precision_init must be a finite m x m matrix"):
-            graphical_lasso(S, 0.1, precision_init=precision_init)
 
 
 class TestDualStart:

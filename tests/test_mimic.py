@@ -450,6 +450,21 @@ class TestOptimize:
         with pytest.raises(InvalidInputError, match="seed must be nonnegative"):
             optimize(mimic_problem, starts=2, seed=-1)
 
+    def test_ascent_direction_resets_the_inverse_hessian(self, mimic_problem, mimic_result,
+                                                         monkeypatch):
+        # a negated update makes H negative definite, so the next direction
+        # of every updated start ascends; the search must reset that H to
+        # the identity. The starts then descend by projected gradient steps
+        # until MAX_ITER stops them, 1.7% or less above where the true
+        # updates take them.
+        update = mimic._bfgs_update
+        monkeypatch.setattr(mimic, "_bfgs_update", lambda *args: -update(*args))
+        result = optimize(mimic_problem, starts=8, seed=0)
+        for rec, ref in zip(result.trace, mimic_result.trace):
+            assert rec["initial_objective"] == ref["initial_objective"]
+            assert rec["final_objective"] <= rec["initial_objective"] + 1e-12
+            assert rec["final_objective"] == pytest.approx(ref["final_objective"], rel=0.05)
+
     def test_zero_diameter_weight_keeps_a_start_diameter(self):
         # theta_d = 0 gives s = 0 on the diameter: the search cannot move it,
         # and u / s must not turn it into 0 / 0
