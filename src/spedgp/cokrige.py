@@ -267,8 +267,12 @@ def hpd_interval(pred: Prediction, level: float):
     scipy.special.ndtri, the function scipy.stats.norm.ppf evaluates, with
     the same bits and without norm.ppf's per-call argument handling.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidInputError(f"level must be in (0,1), got {level}")
+    try:
+        valid = 0.0 < level < 1.0  # False for a bool, TypeError for a non-number
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidInputError(f"level must be a number in (0,1), got {level!r}")
     if pred.scale < -V_TOLERANCE:
         raise NumericalError(f"negative predictive scale {pred.scale:.3e}")
     z = ndtri(0.5 * (1.0 + level))

@@ -38,14 +38,20 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
+def check_increasing(strain) -> None:
+    """The rule for every strain vector, model grid or target: np.interp
+    and the log-strain basis read the levels in order."""
+    if np.any(np.diff(strain) <= 0):
+        raise InvalidInputError("strain levels must be strictly increasing")
+
+
 def as_strain_grid(levels) -> np.ndarray:
     s = np.asarray(levels, dtype=float)
     if s.ndim != 1 or s.size < 2:
         raise InvalidInputError("strain grid must be a vector of at least 2 levels")
     if not np.all(np.isfinite(s)) or np.any(s <= 0):
         raise InvalidInputError("strain levels must be finite and positive")
-    if np.any(np.diff(s) <= 0):
-        raise InvalidInputError("strain levels must be strictly increasing")
+    check_increasing(s)
     return s
 
 
@@ -229,8 +235,7 @@ def read_target(path):
     if data.shape[0] < 2:
         raise InvalidInputError("target needs at least two strain levels")
     strain, stress = data[:, 0], data[:, 1]
-    if np.any(np.diff(strain) <= 0):
-        raise InvalidInputError("target strain levels must be strictly increasing")
+    check_increasing(strain)
     return strain, stress
 
 

@@ -10,6 +10,7 @@ samplers cannot share points.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,8 @@ def sample_designs(n: int, seed: int = 0, scheme: str = "lhs") -> list[SinusoidS
     power of two and truncated, which keeps the generator warning-free
     and the points balanced).
     """
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (n, seed)):
+        raise InvalidInputError("n and seed must be integers")
     if n < 1:
         raise InvalidInputError("need n >= 1 design points")
     if seed < 0:

@@ -19,25 +19,27 @@ start's trial point in one batched objective call, one n x S kernel
 block and one Cholesky solve with S right-hand sides. A round keeps the
 state of the live starts only, and solves a bound block only for the
 starts with a coordinate held at a bound; on the benchmark model a
-round costs about 190 us with one live start and 440 us averaged over
-a 33-start search (1 BLAS thread, 2-vCPU VM). Boxes, start points and
-results are in x. Phases are not part of the search: any
-curve with the optimal moduli is equally optimal, and the reported curve
-is the zero-phase representative.
+round costs about 190 us with one live start and 410 us averaged over
+a 33-start search (1 BLAS thread, 2-vCPU VM; measured as README says).
+Boxes, start points and results are in x. Phases are not part of the
+search: any curve with the optimal moduli is equally optimal, and the
+reported curve is the zero-phase representative.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import qmc
 
 from .cokrige import Prediction, TrainedEmulator, log_stress, predict_from_point
+from .dataio import check_increasing
 from .design import DESIGN_BOX
 from .exceptions import InvalidInputError
-from .spectral import (correlation_from_features, half_size, kernel,
-                       solve_factored, sq_differences)
+from .spectral import (check_curve_length, correlation_from_features, half_size,
+                       kernel, solve_factored, sq_differences)
 
 COEF_BOUND_FACTOR = 1.5
 # starts searched together; the kernel block of a step holds n x S x k
@@ -49,6 +51,7 @@ MAX_TRIALS = 20
 PG_TOL = 1e-10  # projected-gradient inf-norm
 F_TOL = 1e-12  # relative reduction of the objective
 ARMIJO = 1e-4
+STOPS = np.array(["line search", "gradient", "reduction", "iterations"], dtype=object)
 
 
 @dataclass
@@ -62,8 +65,8 @@ class MimicProblem:
     the candidate are computed here, once per search: tr(Sigma), the
     searched feature columns ``cols`` (diameter first), their kernel scales
     s = sqrt(z[cols]), the training rows in whitened coordinates,
-    G = F[:, cols] * s, and Q = R^-1 resid, which turns the gradient's
-    second solve into a product.
+    G = F[:, cols] * s, and Q2T = 2 (R^-1 resid)', which turns the gradient's
+    second solve into a product; the gradient's factor 2 is exact in it.
     """
 
     model: TrainedEmulator
@@ -90,16 +93,16 @@ class MimicProblem:
         self.s = np.sqrt(self.model.z[self.cols])
         self.G = data.F[:, self.cols] * self.s
         self.unit_weights = np.ones(self.cols.size)
-        self.Q = solve_factored(self.model.chol_R, self.model.resid)
+        self.Q2T = 2.0 * solve_factored(self.model.chol_R, self.model.resid).T
 
 
 def build_problem(model: TrainedEmulator, target_strain, target_stress) -> MimicProblem:
     """Log-transform and regrid the target, freeze the active set and box.
 
-    The target may be tabulated on its own strain levels; it is linearly
-    interpolated onto the model grid, which must lie inside the target's
-    span. The active set is the fitted theta's support; the box is
-    derived as in :class:`MimicProblem`.
+    The target may be tabulated on its own strictly increasing strain
+    levels; it is linearly interpolated onto the model grid, which must lie
+    inside the target's span. The active set is the fitted theta's support;
+    the box is derived as in :class:`MimicProblem`.
     """
     if model.data.family != "sped":
         raise InvalidInputError(
@@ -113,6 +116,7 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress) -> Mimic
         raise InvalidInputError("target strain and stress must be finite")
     if np.any(target_stress <= 0):
         raise InvalidInputError("target stresses must be positive")
+    check_increasing(target_strain)
     if target_strain[0] > model.grid[0] or target_strain[-1] < model.grid[-1]:
         raise InvalidInputError("target strain range does not cover the model grid")
     on_grid = np.interp(model.grid, target_strain, target_stress)
@@ -144,11 +148,10 @@ def _objective_and_grad(U, problem: MimicProblem):
     r, alpha = np.ascontiguousarray(r.T), np.ascontiguousarray(alpha.T)
     g_m = model.mu + alpha @ model.resid - problem.target_log
     v = 1.0 - _row_dots(r, alpha)
-    tr_sigma = problem.tr_sigma
-    f = _row_dots(g_m, g_m) + np.maximum(v, 0.0) * tr_sigma
+    f = _row_dots(g_m, g_m) + np.maximum(v, 0.0) * problem.tr_sigma
     # d obj / d r, then chain through dr_i/du_k = -2 (u_k - G_ik) r_i
-    t = (2.0 * (g_m @ problem.Q.T) - 2.0 * tr_sigma * alpha) * r
-    grad = -2.0 * (U * t.sum(axis=1)[:, None] - t @ problem.G)
+    t = (g_m @ problem.Q2T - 2.0 * problem.tr_sigma * alpha) * r
+    grad = -2.0 * (U * np.add.reduce(t, axis=1)[:, None] - t @ problem.G)
     return f, grad
 
 
@@ -205,7 +208,7 @@ def _start_points(problem: MimicProblem, starts: int, seed: int) -> np.ndarray:
 
 def _settled(U, g, lo, hi):
     """Rows whose projected gradient has inf-norm <= PG_TOL."""
-    return np.abs(np.clip(U - g, lo, hi) - U).max(axis=1) <= PG_TOL
+    return np.maximum.reduce(np.abs((U - g).clip(lo, hi) - U), axis=1) <= PG_TOL
 
 
 def _free_directions(U, g, H, lo, hi):
@@ -221,8 +224,8 @@ def _free_directions(U, g, H, lo, hi):
     bound = ((U <= lo) & (g > 0)) | ((U >= hi) & (g < 0))
     free = ~bound
     g_free = (g * free)[:, :, None]
-    held = bound.any(axis=1)
-    if held.any():
+    held = np.logical_or.reduce(bound, axis=1).nonzero()[0]
+    if held.size:
         b, H_b = bound[held], H[held]
         H_BB = H_b * (b[:, :, None] & b[:, None, :]) + np.eye(U.shape[1]) * ~b[:, None, :]
         g_free[held] -= np.linalg.solve(H_BB, (H_b @ g_free[held]) * b[:, :, None])
@@ -233,14 +236,14 @@ def _bfgs_update(H, s, y, sy, fresh):
     """Inverse BFGS updates of a stack of H, given each row's s'y; an
     unscaled identity (fresh) is first scaled to (s'y / y'y) I, as Shanno
     and Phua propose."""
-    if fresh.any():
+    if np.logical_or.reduce(fresh):
         H = H.copy()
         H[fresh] *= (sy[fresh] / _row_dots(y[fresh], y[fresh]))[:, None, None]
     Hy = (H @ y[:, :, None])[:, :, 0]
     rho = 1.0 / sy
     ss = (rho + rho * rho * _row_dots(y, Hy))[:, None, None] * (s[:, :, None] * s[:, None, :])
-    return H + ss - rho[:, None, None] * (Hy[:, :, None] * s[:, None, :]
-                                          + s[:, :, None] * Hy[:, None, :])
+    Hys = Hy[:, :, None] * s[:, None, :]  # s Hy' is its transpose, the same products
+    return H + ss - rho[:, None, None] * (Hys + Hys.transpose(0, 2, 1))
 
 
 def _search(U0, lo, hi, problem: MimicProblem):
@@ -274,7 +277,7 @@ def _search(U0, lo, hi, problem: MimicProblem):
     f, g = _objective_and_grad(U0, problem)
     U_end, f_end, f_start = U0.copy(), f.copy(), f.copy()
     iterations_end = np.zeros(S, dtype=int)
-    stop = np.full(S, "gradient", dtype=object)  # until a running start ends
+    stop = np.ones(S, dtype=int)  # an index into STOPS; "gradient" until a running start ends
 
     # live state: one row per running start, in start order
     ids = np.flatnonzero(~_settled(U0, g, lo, hi))
@@ -282,21 +285,20 @@ def _search(U0, lo, hi, problem: MimicProblem):
     H = np.tile(np.eye(k), (ids.size, 1, 1))
     fresh = np.ones(ids.size, dtype=bool)  # H is an unscaled identity
     D = np.zeros_like(U)
-    step_len = np.ones(ids.size)
-    trials = np.zeros(ids.size, dtype=int)
+    step_len, trials = np.ones(ids.size), np.zeros(ids.size, dtype=int)
     iterations = np.zeros(ids.size, dtype=int)
     aim = np.ones(ids.size, dtype=bool)  # starts that begin a line search
     while ids.size:
-        if aim.any():
+        if np.logical_or.reduce(aim):
             d, free = _free_directions(U, g, H, lo, hi)
             reset = aim & (_row_dots(g, d) >= 0)
-            if reset.any():
+            if np.logical_or.reduce(reset):
                 H[reset], fresh[reset] = np.eye(k), True
                 d[reset] = -g[reset] * free[reset]
             np.copyto(D, d, where=aim[:, None])
             step_len[aim], trials[aim] = 1.0, 0
 
-        Ut = np.clip(U + step_len[:, None] * D, lo, hi)
+        Ut = (U + step_len[:, None] * D).clip(lo, hi)
         ft, gt = _objective_and_grad(Ut, problem)
         step = Ut - U
         slope = _row_dots(g, step)
@@ -304,18 +306,18 @@ def _search(U0, lo, hi, problem: MimicProblem):
 
         # shrink the rejected steps
         bad = ~ok
-        if bad.any():
+        if np.logical_or.reduce(bad):
             a, slope_bad = step_len[bad], slope[bad]
             quad = -slope_bad * a / (2.0 * (ft[bad] - f[bad] - slope_bad))
-            step_len[bad] = np.clip(quad, 0.1 * a, 0.5 * a)
-            trials[bad] += 1
+            step_len[bad] = quad.clip(0.1 * a, 0.5 * a)
+            trials += bad
 
         # move the accepted starts and update their H
         reduced = f - ft <= F_TOL * np.maximum(np.maximum(np.abs(f), np.abs(ft)), 1.0)
         y = gt - g
         sy = _row_dots(step, y)
-        upd = ok & (sy > 1e-12 * (np.linalg.norm(step, axis=1)
-                                   * np.linalg.norm(y, axis=1)))
+        upd = (ok & (sy > 1e-12 * (np.sqrt(np.add.reduce(step * step, axis=1))
+                                    * np.sqrt(np.add.reduce(y * y, axis=1))))).nonzero()[0]
         np.copyto(U, Ut, where=ok[:, None])
         np.copyto(f, ft, where=ok)
         np.copyto(g, gt, where=ok[:, None])
@@ -327,17 +329,16 @@ def _search(U0, lo, hi, problem: MimicProblem):
         settled = _settled(U, g, lo, hi)
         ended = np.where(ok, settled | reduced | (iterations >= MAX_ITER),
                          trials >= MAX_TRIALS)
-        if ended.any():
+        if np.logical_or.reduce(ended):
             out = ids[ended]
             U_end[out], f_end[out], iterations_end[out] = U[ended], f[ended], iterations[ended]
-            stop[out] = np.select([bad[ended], settled[ended], reduced[ended]],
-                                  ["line search", "gradient", "reduction"], "iterations")
-            keep = ~ended
+            stop[out] = np.where(bad, 0, np.where(settled, 1, np.where(reduced, 2, 3)))[ended]
+            keep = (~ended).nonzero()[0]
             ids, U, f, g, H, fresh, D, step_len, trials, iterations, ok = (
                 state[keep] for state in (ids, U, f, g, H, fresh, D, step_len,
                                           trials, iterations, ok))
         aim = ok
-    return U_end, f_end, f_start, iterations_end, stop
+    return U_end, f_end, f_start, iterations_end, STOPS[stop]
 
 
 def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicResult:
@@ -351,13 +352,13 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
     objective, so the returned objective also beats the best training
     design's own point (it is injected as an extra start).
     """
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (starts, seed)):
+        raise InvalidInputError("starts and seed must be integers")
     if starts < 1:
         raise InvalidInputError("need at least one start")
     if seed < 0:
         raise InvalidInputError(f"seed must be nonnegative, got {seed}")
-    model = problem.model
-    s = problem.s
-    lo, hi = problem.lo, problem.hi
+    model, s, lo, hi = problem.model, problem.s, problem.lo, problem.hi
     X0 = _start_points(problem, starts, seed)
     blocks = [_search(s * X0[i:i + MAX_BLOCK], lo * s, hi * s, problem)
               for i in range(0, len(X0), MAX_BLOCK)]
@@ -366,14 +367,13 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
               "final_objective": float(f[j]), "iterations": int(iterations[j]),
               "stop": str(stop[j])} for j in range(len(X0))]
     best = int(np.argmin(f))
-    u_best = U[best]
     live = s > 0
     x_best = X0[best].copy()
-    x_best[live] = np.clip(u_best[live] / s[live], lo[live], hi[live])
+    x_best[live] = np.clip(U[best, live] / s[live], lo[live], hi[live])
     # the prediction the objective was scored on; the kernel is called
     # directly so that correlation_from_features counts evaluations only
     pred = predict_from_point(
-        model, kernel(sq_differences(problem.G, u_best), problem.unit_weights))
+        model, kernel(sq_differences(problem.G, U[best]), problem.unit_weights))
     spectrum = np.zeros(half_size(model.data.p))
     spectrum[problem.active_set] = x_best[1:]
     return MimicResult(
@@ -386,7 +386,7 @@ def reconstruct_structure(spectrum, p: int) -> np.ndarray:
     """Zero-phase curve with the requested DFT moduli s: their inverse real
     DFT x_l = (s_0 + 2 sum_k s_k cos(2 pi k l / p)) / p."""
     spectrum = np.asarray(spectrum, dtype=float)
-    h = half_size(p)
+    h = half_size(check_curve_length(p))
     if spectrum.shape != (h,):
         raise InvalidInputError(f"spectrum must have length {h} for p={p}")
     if np.any(spectrum < 0) or not np.all(np.isfinite(spectrum)):

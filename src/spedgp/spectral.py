@@ -21,6 +21,7 @@ factorizability.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,11 +80,16 @@ def dft_modulus(curve) -> np.ndarray:
     return np.abs(_dft_basis(x.size) @ x)
 
 
+def check_curve_length(p) -> int:
+    """p itself when it is a curve length: an odd integer >= 3 (not a bool)."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 3 or p % 2 == 0:
+        raise InvalidInputError(f"curve length must be odd and >= 3, got {p!r}")
+    return p
+
+
 def structure_times(p: int) -> np.ndarray:
     """Uniform sampling grid t_k = k * STRUCTURE_SPAN / (p - 1) of a structure curve."""
-    if p < 2 or p % 2 == 0:
-        raise InvalidInputError(f"curve length must be odd and >= 3, got {p}")
-    return np.arange(p) * (STRUCTURE_SPAN / (p - 1))
+    return np.arange(check_curve_length(p)) * (STRUCTURE_SPAN / (p - 1))
 
 
 @dataclass(frozen=True)

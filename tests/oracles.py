@@ -7,6 +7,7 @@ only to catch bugs in the real implementations.
 """
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from spedgp import mimic
 from spedgp.cokrige import mean_basis
@@ -220,6 +221,34 @@ def feature_sign_lasso(Q, b, lam, x0, max_steps=500):
         x = np.zeros_like(x)
         x[A] = best
     return x
+
+
+def objective_and_grad(U, problem):
+    """A frozen copy of the arithmetic of mimic._objective_and_grad, from
+    numpy and scipy alone.
+
+    The same kernel block (n, S, k) of squared differences, in numpy's
+    broadcast layout (with the Fortran-ordered G of a MimicProblem, a
+    one-row block flattens to a Fortran-order view, which sends dgemv down
+    another path than a copied block), the same Cholesky solve (cho_solve
+    calls dpotrs as the package does) and every product and sum in the
+    same order, so the two must agree bit for bit.
+    lockstep_search calls the package's objective, so that tests can patch
+    it for both searches; this copy is what pins the objective's own bits.
+    """
+    model = problem.model
+    D = (problem.G[:, None, :] - U[None, :, :]) ** 2
+    r = np.exp(-(D.reshape(-1, D.shape[-1]) @ problem.unit_weights)).reshape(D.shape[:-1])
+    alpha = cho_solve((model.chol_R, True), r)
+    r, alpha = np.ascontiguousarray(r.T), np.ascontiguousarray(alpha.T)
+    g_m = model.mu + alpha @ model.resid - problem.target_log
+    v = 1.0 - (r[:, None, :] @ alpha[:, :, None])[:, 0, 0]
+    tr_sigma = problem.tr_sigma
+    f = (g_m[:, None, :] @ g_m[:, :, None])[:, 0, 0] + np.maximum(v, 0.0) * tr_sigma
+    Q = cho_solve((model.chol_R, True), model.resid)
+    t = (2.0 * (g_m @ Q.T) - 2.0 * tr_sigma * alpha) * r
+    grad = -2.0 * (U * t.sum(axis=1)[:, None] - t @ problem.G)
+    return f, grad
 
 
 def lockstep_search(U0, lo, hi, problem):

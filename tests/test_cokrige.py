@@ -242,8 +242,9 @@ class TestHpdInterval:
     def test_level_validation(self):
         from spedgp.cokrige import Prediction
         pr = Prediction(mean=np.zeros(2), scale=0.5, Sigma=np.eye(2))
-        with pytest.raises(InvalidInputError):
-            hpd_interval(pr, 1.0)
+        for level in (1.0, 0.0, np.nan, "0.9", None, True):
+            with pytest.raises(InvalidInputError, match="level must be"):
+                hpd_interval(pr, level)
 
     def test_negative_scale_raises_numerical_error(self):
         from spedgp.cokrige import Prediction

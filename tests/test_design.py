@@ -86,9 +86,15 @@ class TestSampleDesigns:
     def test_nonpositive_n_rejected(self):
         with pytest.raises(InvalidInputError):
             sample_designs(0, seed=0)
+        for n in (2.5, True, "3"):
+            with pytest.raises(InvalidInputError, match="must be integers"):
+                sample_designs(n, seed=0)
 
     @pytest.mark.parametrize("scheme", ["lhs", "sobol"])
     def test_negative_seed_rejected(self, scheme):
         with pytest.raises(InvalidInputError, match="seed must be nonnegative"):
             sample_designs(4, seed=-1, scheme=scheme)
+        for seed in (1.5, True, None):
+            with pytest.raises(InvalidInputError, match="must be integers"):
+                sample_designs(3, seed=seed, scheme=scheme)
 

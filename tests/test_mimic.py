@@ -22,7 +22,7 @@ from spedgp.mimic import (MAX_BLOCK, MimicProblem, _objective_and_grad, _search,
 from spedgp.spectral import correlation_from_features, half_size
 
 from .oracles import (central_diff_gradient, dense_conditional, fft_half_modulus,
-                      lockstep_search, sped_corr_scalar)
+                      lockstep_search, objective_and_grad, sped_corr_scalar)
 
 
 def toy_emulator(rng, theta, theta_d=0.6, n=5, m=4, p=9, nugget=1e-8):
@@ -130,6 +130,10 @@ class TestReconstructStructure:
             reconstruct_structure([1.0, -0.1, 0.0, 0.0, 0.0], 9)
         with pytest.raises(InvalidInputError):
             reconstruct_structure([1.0, np.inf, 0.0, 0.0, 0.0], 9)
+        # the curve length is an odd integer >= 3 here as everywhere else
+        for p in (9.0, 8, 1, True, "9"):
+            with pytest.raises(InvalidInputError, match="curve length"):
+                reconstruct_structure(np.zeros(5), p)
 
 
 def objective_at_x(model, target, x, active_set=None):
@@ -304,6 +308,19 @@ class TestWhitenedObjective:
             np.testing.assert_allclose(grad[j], g1[0], rtol=1e-12,
                                        atol=1e-12 * np.abs(g1[0]).max())
 
+    @pytest.mark.parametrize("rows", [1, 7, 33])
+    def test_bits_match_frozen_objective(self, objective_problem, rows):
+        # search_both shares the package objective with the reference
+        # search, so only this comparison catches a bit change inside it
+        problem = objective_problem
+        lo, hi = problem.lo, problem.hi
+        rng = np.random.default_rng(18)
+        U = problem.s * (lo + rng.uniform(0.0, 1.0, (rows, lo.size)) * (hi - lo))
+        f, grad = _objective_and_grad(U, problem)
+        f_ref, grad_ref = objective_and_grad(U, problem)
+        assert np.array_equal(f, f_ref)
+        assert np.array_equal(grad, grad_ref)
+
     def test_every_kernel_call_is_an_evaluation(self, mimic_problem, monkeypatch):
         # perfbench counts correlation_from_features calls under optimize as
         # mimic's objective evaluations; each is one batched call
@@ -372,6 +389,13 @@ class TestBuildProblem:
         # an inf strain would otherwise hold the target flat past the last finite level
         with pytest.raises(InvalidInputError, match="target strain and stress must be finite"):
             build_problem(mimic_model, np.array(strain), np.array(stress))
+
+    def test_rejects_unsorted_target_strain(self, mimic_model, target_stress):
+        # np.interp would silently read a wrong target off unsorted levels
+        order = np.arange(TARGET_STRAIN.size)
+        order[[10, 11]] = 11, 10
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            build_problem(mimic_model, TARGET_STRAIN[order], target_stress[order])
 
     def test_rejects_short_target_span(self, mimic_model, target_stress):
         with pytest.raises(InvalidInputError):
@@ -449,6 +473,9 @@ class TestOptimize:
             optimize(mimic_problem, starts=0)
         with pytest.raises(InvalidInputError, match="seed must be nonnegative"):
             optimize(mimic_problem, starts=2, seed=-1)
+        for starts, seed in ((2.5, 0), (True, 0), (2, 1.5), (2, True), ("2", 0)):
+            with pytest.raises(InvalidInputError, match="must be integers"):
+                optimize(mimic_problem, starts=starts, seed=seed)
 
     def test_ascent_direction_resets_the_inverse_hessian(self, mimic_problem, mimic_result,
                                                          monkeypatch):
