@@ -240,7 +240,8 @@ def _clamp_scale(v: float) -> float:
 def predict_from_point(model: TrainedEmulator, r: np.ndarray) -> Prediction:
     """Conditional normal given a precomputed cross-correlation vector."""
     alpha = solve_factored(model.chol_R, r)
-    mean = model.mu + model.resid.T @ alpha
+    mean = model.resid.T @ alpha
+    mean += model.mu
     v = _clamp_scale(1.0 - float(r @ alpha))
     return Prediction(mean=mean, scale=v, Sigma=model.Sigma)
 
@@ -265,7 +266,9 @@ def hpd_interval(pred: Prediction, level: float):
     Gaussian marginals make the HPD interval the symmetric one:
     mean_j +/- z_(1+level)/2 sqrt(v Sigma_jj). The quantile comes from
     scipy.special.ndtri, the function scipy.stats.norm.ppf evaluates, with
-    the same bits and without norm.ppf's per-call argument handling.
+    the same bits and without norm.ppf's per-call argument handling. The
+    half width is built in place in one array, from a view of Sigma's
+    diagonal; the upper endpoint reuses it.
     """
     try:
         valid = 0.0 < level < 1.0  # False for a bool, TypeError for a non-number
@@ -275,9 +278,12 @@ def hpd_interval(pred: Prediction, level: float):
         raise InvalidInputError(f"level must be a number in (0,1), got {level!r}")
     if pred.scale < -V_TOLERANCE:
         raise NumericalError(f"negative predictive scale {pred.scale:.3e}")
-    z = ndtri(0.5 * (1.0 + level))
-    half = z * np.sqrt(max(pred.scale, 0.0) * np.diag(pred.Sigma))
-    return pred.mean - half, pred.mean + half
+    half = pred.Sigma.diagonal() * max(pred.scale, 0.0)
+    np.sqrt(half, out=half)
+    half *= ndtri(0.5 * (1.0 + level))
+    lower = pred.mean - half
+    half += pred.mean
+    return lower, half
 
 
 def save_model(model: TrainedEmulator, path) -> None:

@@ -72,14 +72,16 @@ def evaluate(model, test) -> MetricsReport:
     Per case: back-transformed MARE, true and predicted (E1, E9, kappa,
     label), and whether the pointwise HPD band at LEVEL covers the
     whole true curve. Summary: median and mean MARE, classification
-    accuracy, band coverage fraction.
+    accuracy, band coverage fraction (the share of whole curves covered)
+    and pointwise coverage (the share of (design, strain level) cells
+    inside the band).
     """
     test_grid = np.asarray(test.grid, dtype=float)
     if (test_grid.shape != model.grid.shape
             or not np.allclose(test_grid, model.grid, rtol=1e-12, atol=0.0)):
         raise InvalidInputError("test grid does not match the model's strain grid")
     report = MetricsReport()
-    mares, matches, covered_flags = [], [], []
+    mares, matches, covered_flags, inside_cells = [], [], [], 0
     for i, design in enumerate(test.designs):
         truth = np.asarray(test.responses[i], dtype=float)
         pred = predict(model, design)
@@ -87,7 +89,9 @@ def evaluate(model, test) -> MetricsReport:
         err = mare(truth, mean_stress)
         lo, hi = hpd_interval(pred, LEVEL)
         y_log = log_stress(truth)
-        covered = bool(np.all((y_log >= lo) & (y_log <= hi)))
+        inside = (y_log >= lo) & (y_log <= hi)
+        inside_cells += int(np.count_nonzero(inside))
+        covered = bool(inside.all())
         te1, te9, tk, tlabel = moduli_and_kappa(truth, model.grid)
         pe1, pe9, pk, plabel = moduli_and_kappa(mean_stress, model.grid)
         mares.append(err)
@@ -111,6 +115,7 @@ def evaluate(model, test) -> MetricsReport:
         "classification_correct": int(np.sum(matches)),
         "coverage_fraction": float(np.mean(covered_flags)),
         "covered_cases": int(np.sum(covered_flags)),
+        "pointwise_coverage": inside_cells / (len(mares) * model.grid.size),
         "level": LEVEL,
     }
     return report

@@ -124,31 +124,26 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress) -> Mimic
                         active_set=np.flatnonzero(model.data.unpack(model.z)[0] > 0))
 
 
-def _row_dots(a, b):
-    """Dot product of each row of a with the same row of b, as the BLAS dot
-    of a single prediction's ``r @ alpha``: v = 1 - r'alpha cancels to ~1e-8
-    near the training rows, where another summation order moves the
-    objective at 1e-9 relative. The kernel's matrix-vector product and
-    ``alpha @ resid`` still group rows, so a row's objective depends on its
-    block at rounding level (6e-11 relative on the benchmark model).
-    """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _objective_and_grad(U, problem: MimicProblem):
     """Expected squared mismatch at whitened points U = s * x, and its gradient in u.
 
     U is an (S, k) block of points; the objectives have shape (S,) and the
     gradients (S, k). The block costs one n x S kernel call and one
-    Cholesky solve with S right-hand sides.
+    Cholesky solve with S right-hand sides. Row dot products here and in
+    the search are np.vecdot, the BLAS dot of a single prediction's
+    ``r @ alpha``: v = 1 - r'alpha cancels to ~1e-8 near the training rows,
+    where another summation order moves the objective at 1e-9 relative.
+    The kernel's matrix-vector product and ``alpha @ resid`` still group
+    rows, so a row's objective depends on its block at rounding level
+    (6e-11 relative on the benchmark model).
     """
     model = problem.model
     r = correlation_from_features(problem.G, U, problem.unit_weights)
     alpha = solve_factored(model.chol_R, r)
     r, alpha = np.ascontiguousarray(r.T), np.ascontiguousarray(alpha.T)
     g_m = model.mu + alpha @ model.resid - problem.target_log
-    v = 1.0 - _row_dots(r, alpha)
-    f = _row_dots(g_m, g_m) + np.maximum(v, 0.0) * problem.tr_sigma
+    v = 1.0 - np.vecdot(r, alpha)
+    f = np.vecdot(g_m, g_m) + np.maximum(v, 0.0) * problem.tr_sigma
     # d obj / d r, then chain through dr_i/du_k = -2 (u_k - G_ik) r_i
     t = (g_m @ problem.Q2T - 2.0 * problem.tr_sigma * alpha) * r
     grad = -2.0 * (U * np.add.reduce(t, axis=1)[:, None] - t @ problem.G)
@@ -238,10 +233,10 @@ def _bfgs_update(H, s, y, sy, fresh):
     and Phua propose."""
     if np.logical_or.reduce(fresh):
         H = H.copy()
-        H[fresh] *= (sy[fresh] / _row_dots(y[fresh], y[fresh]))[:, None, None]
+        H[fresh] *= (sy[fresh] / np.vecdot(y[fresh], y[fresh]))[:, None, None]
     Hy = (H @ y[:, :, None])[:, :, 0]
     rho = 1.0 / sy
-    ss = (rho + rho * rho * _row_dots(y, Hy))[:, None, None] * (s[:, :, None] * s[:, None, :])
+    ss = (rho + rho * rho * np.vecdot(y, Hy))[:, None, None] * (s[:, :, None] * s[:, None, :])
     Hys = Hy[:, :, None] * s[:, None, :]  # s Hy' is its transpose, the same products
     return H + ss - rho[:, None, None] * (Hys + Hys.transpose(0, 2, 1))
 
@@ -291,7 +286,7 @@ def _search(U0, lo, hi, problem: MimicProblem):
     while ids.size:
         if np.logical_or.reduce(aim):
             d, free = _free_directions(U, g, H, lo, hi)
-            reset = aim & (_row_dots(g, d) >= 0)
+            reset = aim & (np.vecdot(g, d) >= 0)
             if np.logical_or.reduce(reset):
                 H[reset], fresh[reset] = np.eye(k), True
                 d[reset] = -g[reset] * free[reset]
@@ -301,7 +296,7 @@ def _search(U0, lo, hi, problem: MimicProblem):
         Ut = (U + step_len[:, None] * D).clip(lo, hi)
         ft, gt = _objective_and_grad(Ut, problem)
         step = Ut - U
-        slope = _row_dots(g, step)
+        slope = np.vecdot(g, step)
         ok = ft <= f + ARMIJO * slope
 
         # shrink the rejected steps
@@ -315,7 +310,7 @@ def _search(U0, lo, hi, problem: MimicProblem):
         # move the accepted starts and update their H
         reduced = f - ft <= F_TOL * np.maximum(np.maximum(np.abs(f), np.abs(ft)), 1.0)
         y = gt - g
-        sy = _row_dots(step, y)
+        sy = np.vecdot(step, y)
         upd = (ok & (sy > 1e-12 * (np.sqrt(np.add.reduce(step * step, axis=1))
                                     * np.sqrt(np.add.reduce(y * y, axis=1))))).nonzero()[0]
         np.copyto(U, Ut, where=ok[:, None])

@@ -54,7 +54,7 @@ def as_structure_curve(values) -> np.ndarray:
         raise InvalidInputError("structure curve must be a 1-d vector")
     if x.size % 2 == 0:
         raise InvalidInputError(f"curve length must be odd, got {x.size}")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise InvalidInputError("structure curve contains non-finite values")
     return x
 
@@ -148,7 +148,7 @@ def design_feature_row(design: StructureDesign, family: str) -> np.ndarray:
     folding the Riemann measure into the features). The families in
     DIAMETER_FAMILIES append the diameter as the last coordinate, so with
     the packed weights of :func:`check_weights` every family is the same
-    kernel.
+    kernel. Head and diameter are copied into one row allocated for them.
     """
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown kernel family {family!r}")
@@ -162,7 +162,10 @@ def design_feature_row(design: StructureDesign, family: str) -> np.ndarray:
         head = dft_modulus(design.curve)
     else:
         head = design.curve * np.sqrt(STRUCTURE_SPAN / (design.p - 1))
-    return np.concatenate((head, (design.diameter,)))
+    row = np.empty(head.size + 1)
+    row[:-1] = head
+    row[-1] = design.diameter
+    return row
 
 
 def design_feature_rows(designs: list[StructureDesign], family: str) -> np.ndarray:
@@ -185,11 +188,12 @@ def design_feature_rows(designs: list[StructureDesign], family: str) -> np.ndarr
 def sq_differences(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared coordinate differences between feature rows.
 
-    (na, nb, nz) for row sets A and B, or (na, nz) when B is one row.
+    (na, nb, nz) for row sets A and B, or (na, nz) when B is one row. The
+    differences are squared in place, in the array (and memory layout)
+    the broadcast subtraction allocates.
     """
-    if B.ndim == 1:
-        return (A - B) ** 2
-    return (A[:, None, :] - B[None, :, :]) ** 2
+    D = A - B if B.ndim == 1 else A[:, None, :] - B[None, :, :]
+    return np.square(D, out=D)
 
 
 def kernel(D: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -197,9 +201,12 @@ def kernel(D: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     This is the only place the kernel exponent is computed. D comes from
     :func:`sq_differences` and z from :func:`check_weights`; D is
-    flattened to one matrix-vector product over its last axis.
+    flattened to one matrix-vector product over its last axis, whose
+    result is negated and exponentiated in place.
     """
-    return np.exp(-(D.reshape(-1, D.shape[-1]) @ z)).reshape(D.shape[:-1])
+    e = D.reshape(-1, D.shape[-1]) @ z
+    np.negative(e, out=e)
+    return np.exp(e, out=e).reshape(D.shape[:-1])
 
 
 def correlation_with_nugget(D: np.ndarray, z: np.ndarray, nugget: float) -> np.ndarray:
@@ -278,7 +285,7 @@ def solve_factored(c, b) -> np.ndarray:
     trusted to come from a successful factorization; a non-finite b
     raises a numerical error.
     """
-    if not np.isfinite(b).all():
+    if not np.logical_and.reduce(np.isfinite(b), axis=None):
         raise NumericalError("right-hand side of a Cholesky solve is not finite")
     x, info = dpotrs(c, b, lower=True)
     if info != 0:

@@ -8,11 +8,12 @@ only to catch bugs in the real implementations.
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.special import ndtri
 
 from spedgp import mimic
 from spedgp.cokrige import mean_basis
 from spedgp.estimate import glasso_kkt_residual
-from spedgp.spectral import structure_times
+from spedgp.spectral import STRUCTURE_SPAN, structure_times
 
 
 def fft_half_modulus(curve):
@@ -223,6 +224,51 @@ def feature_sign_lasso(Q, b, lam, x0, max_steps=500):
     return x
 
 
+def frozen_feature_row(design, family):
+    """A design's kernel feature row as np.concatenate of its head (moduli
+    by direct summation, provenance or scaled curve values) and its
+    diameter; spectral.design_feature_row must give the same bits."""
+    if family == "feature_based":
+        return design.features.copy()
+    if family == "sped":
+        head = dft_modulus_direct(design.curve)
+    else:
+        head = design.curve * np.sqrt(STRUCTURE_SPAN / (design.p - 1))
+    return np.concatenate((head, (design.diameter,)))
+
+
+def frozen_correlation(model):
+    """The fitted R (nugget on the diagonal) from frozen feature rows, as
+    (F[:, None] - F[None]) ** 2 and np.exp(-(D @ z)) with fresh temporaries."""
+    data = model.data
+    F = np.array([frozen_feature_row(d, data.family) for d in data.designs])
+    D = (F[:, None, :] - F[None, :, :]) ** 2
+    R = np.exp(-(D.reshape(-1, D.shape[-1]) @ model.z)).reshape(D.shape[:-1])
+    np.fill_diagonal(R, 1.0 + data.nugget)
+    return R
+
+
+def predict_and_band(model, new, level):
+    """A frozen copy of the arithmetic of cokrige.predict plus
+    hpd_interval, from numpy and scipy alone: (mean, scale, lower, upper).
+
+    Every operation allocates its result, where the package reuses its
+    temporaries; each product and sum is the same operation on the same
+    operands, so the two must agree bit for bit. cho_solve calls dpotrs as
+    the package does, and ndtri is the quantile the package takes.
+    """
+    data = model.data
+    f = frozen_feature_row(new, data.family)
+    D = (data.F - f) ** 2
+    r = np.exp(-(D @ model.z))
+    alpha = cho_solve((model.chol_R, True), r)
+    mu = data.P @ model.beta
+    mean = mu + (data.Y - mu).T @ alpha
+    scale = min(max(1.0 - float(r @ alpha), 0.0), 1.0)
+    half = ndtri(0.5 * (1.0 + level)) * np.sqrt(max(scale, 0.0) * np.diag(model.Sigma))
+    return mean, scale, mean - half, mean + half
+
+
 def objective_and_grad(U, problem):
     """A frozen copy of the arithmetic of mimic._objective_and_grad, from
     numpy and scipy alone.
@@ -257,9 +303,11 @@ def lockstep_search(U0, lo, hi, problem):
     Each round gathers the live starts by index, solves a bound block for
     every row (the identity for a row with no bound coordinate) and labels
     stop reasons in an object array. The arithmetic per start is the
-    package's, so the two must agree bit for bit. MAX_ITER, MAX_TRIALS,
-    PG_TOL, F_TOL, ARMIJO and the objective are read from ``mimic`` at
-    call time, so a test that patches one patches both searches.
+    package's, except that row dot products are stacked matmuls, which the
+    package's np.vecdot must match; the two must agree bit for bit.
+    MAX_ITER, MAX_TRIALS, PG_TOL, F_TOL, ARMIJO and the objective are read
+    from ``mimic`` at call time, so a test that patches one patches both
+    searches.
     """
     S, k = U0.shape
     U = U0.copy()
@@ -272,7 +320,9 @@ def lockstep_search(U0, lo, hi, problem):
     trials = np.zeros(S, dtype=int)
     iterations = np.zeros(S, dtype=int)
     stop = np.full(S, "", dtype=object)
-    row_dots = mimic._row_dots
+
+    def row_dots(a, b):
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
     def settled(idx):
         return np.abs(np.clip(U[idx] - g[idx], lo, hi) - U[idx]).max(axis=1) <= mimic.PG_TOL

@@ -381,6 +381,10 @@ def test_c09_inverse_design_closed_loop(sped_fit):
 
     target = unlog_stress(problem.target_log)
     err = mare(target, unlog_stress(result.predicted.mean))
+    # the design itself, through the oracle, not only the emulator's
+    # prediction for it
+    found = StructureDesign(result.diameter, result.reconstructed_curve)
+    oracle_err = mare(target, synthetic_oracle(found, sped_fit.model.grid))
 
     pred = result.predicted
     assert pred.scale > 0.0
@@ -392,10 +396,13 @@ def test_c09_inverse_design_closed_loop(sped_fit):
     gap = abs(result.objective - float(sq.mean()))
     report(9, "inverse design closed loop", [
         ("predicted curve within 10% of the target", err < 0.10),
+        ("oracle curve of the found design within 10% of the target",
+         oracle_err <= 0.10),
         ("objective matches Monte Carlo expectation within 3 SE",
          gap <= 3.0 * se),
         ("runtime < 5 minutes", seconds < 300.0),
-    ], f"MARE {err:.4f}, MC gap {gap:.3e} vs 3SE {3 * se:.3e}, {seconds:.1f}s")
+    ], f"MARE predicted {err:.4f}, oracle {oracle_err:.4f}, "
+       f"MC gap {gap:.3e} vs 3SE {3 * se:.3e}, {seconds:.1f}s")
 
 
 def test_c10_byte_identical_reruns(tmp_path):

@@ -23,11 +23,12 @@ from spedgp.cokrige import (
     predict_from_point,
     unlog_stress,
 )
+from spedgp.design import gen_sinusoid, sample_designs
 from spedgp.spectral import (DIAMETER_FAMILIES, FAMILIES, cholesky,
                              correlation_from_features, design_feature_row,
                              design_feature_rows, half_size)
 
-from .oracles import dense_conditional
+from .oracles import dense_conditional, frozen_correlation, predict_and_band
 from .test_spectral import name_references
 
 
@@ -38,10 +39,11 @@ def random_design(rng, p, family):
     return StructureDesign(rng.uniform(0.3, 1.8), rng.standard_normal(p))
 
 
-def random_emulator(rng, n=4, m=3, p=5, nugget=1e-8, family="sped"):
-    designs = [random_design(rng, p, family) for _ in range(n)]
+def random_emulator(rng, n=4, m=3, p=5, nugget=1e-8, family="sped", designs=None):
+    if designs is None:
+        designs = [random_design(rng, p, family) for _ in range(n)]
     grid = np.linspace(0.01, 0.15, m)
-    Y = rng.standard_normal((n, m))
+    Y = rng.standard_normal((len(designs), m))
     A = rng.standard_normal((m, m))
     Sigma = A @ A.T + m * np.eye(m)
     n_theta = {"sped": half_size(p), "feature_based": 4, "l2_distance": p}[family]
@@ -279,6 +281,31 @@ def test_predict_and_band_match_the_list_path_bit_for_bit(family):
         half = norm.ppf(0.95) * np.sqrt(ref.scale * np.diag(ref.Sigma))
         assert np.array_equal(lo, ref.mean - half)
         assert np.array_equal(hi, ref.mean + half)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_query_path_bits_match_the_frozen_arithmetic(family):
+    # sinusoid training and query designs, so that the query correlations
+    # do not all vanish (at least half the scales lie in (0, 1)); the
+    # fitted R and every prediction and band edge must have the bits of
+    # fresh-temporary arithmetic
+    p = 21
+    train = [gen_sinusoid(s, p) for s in sample_designs(12, seed=3, scheme="lhs")]
+    model = random_emulator(np.random.default_rng(7), m=6, p=p, family=family,
+                            designs=train)
+    assert np.array_equal(model.R, frozen_correlation(model))
+    scales = []
+    for spec in sample_designs(64, seed=4, scheme="sobol"):
+        new = gen_sinusoid(spec, p)
+        pred = predict(model, new)
+        lo, hi = hpd_interval(pred, 0.9)
+        mean, scale, lo_ref, hi_ref = predict_and_band(model, new, 0.9)
+        assert np.array_equal(pred.mean, mean)
+        assert pred.scale == scale
+        assert np.array_equal(lo, lo_ref)
+        assert np.array_equal(hi, hi_ref)
+        scales.append(scale)
+    assert sum(0.0 < v < 1.0 for v in scales) >= 32
 
 
 class TestSerialization:

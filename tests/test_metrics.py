@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spedgp import Dataset, FitConfig, InvalidInputError, fit, mare, moduli_and_kappa
-from spedgp.cokrige import default_strain_grid
+from spedgp.cokrige import default_strain_grid, hpd_interval, predict
 from spedgp.design import gen_sinusoid, sample_designs
 from spedgp.estimate import CARRIED_RATIO
 from spedgp.metrics import SOFTENING, STIFFENING, evaluate
@@ -143,6 +143,24 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError,
                            match="test grid does not match the model's strain grid"):
             evaluate(model, short)
+
+    def test_pointwise_coverage_counts_cells_not_curves(self, model_and_test):
+        # truth at the predicted mean, pushed above the band at 0, 1 and 2
+        # strain levels: 1 of 3 curves covered, 3m - 3 of 3m cells
+        model, test = model_and_test
+        m = model.grid.size
+        responses = []
+        for k, dsn in enumerate(test.designs):
+            pred = predict(model, dsn)
+            _, hi = hpd_interval(pred, 0.9)
+            y = pred.mean.copy()
+            y[:k] = hi[:k] + 1.0
+            responses.append(np.exp(y))
+        rep = evaluate(model, Dataset(designs=test.designs,
+                                      responses=np.array(responses), grid=test.grid))
+        assert [row["covered"] for row in rep.per_case] == [True, False, False]
+        assert rep.summary["coverage_fraction"] == pytest.approx(1 / 3)
+        assert rep.summary["pointwise_coverage"] == pytest.approx((3 * m - 3) / (3 * m))
 
     def test_to_dict_round_trip(self, model_and_test):
         model, test = model_and_test

@@ -118,8 +118,14 @@ class TestDftModulus:
             dft_modulus([1.0, 2.0])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            as_structure_curve([1.0, np.nan, 2.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in range(3):
+                curve = [1.0, 3.0, 2.0]
+                curve[at] = bad
+                with pytest.raises(InvalidInputError, match="non-finite"):
+                    as_structure_curve(curve)
+                with pytest.raises(InvalidInputError, match="non-finite"):
+                    StructureDesign(1.0, np.array(curve))
 
 
 class TestGrids:
@@ -396,10 +402,13 @@ class TestSolveFactored:
         b[3] = bad
         with pytest.raises(NumericalError, match="not finite"):
             solve_factored(c, b)
-        B = rng.standard_normal((5, 4))
-        B[1, 2] = bad
-        with pytest.raises(NumericalError, match="not finite"):
-            solve_factored(c, B)
+        # the whole matrix is tested, not one row or column of it
+        for shape, at in (((5, 4), (1, 2)), ((5, 4), (0, 0)), ((5, 4), (4, 3)),
+                          ((5, 1), (4, 0))):
+            B = rng.standard_normal(shape)
+            B[at] = bad
+            with pytest.raises(NumericalError, match="not finite"):
+                solve_factored(c, B)
 
     def test_no_module_imports_cho_solve(self):
         # every Cholesky solve of the package goes through solve_factored
