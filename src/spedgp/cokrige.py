@@ -22,7 +22,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .dataio import as_strain_grid, read_json, write_json
-from .exceptions import InvalidInputError, NumericalError
+from .exceptions import (InvalidInputError, NumericalError, check_array, check_count,
+                         check_rate)
 from .spectral import (DIAMETER_FAMILIES, StructureDesign, check_weights,
                        cholesky, correlation_from_features, correlation_with_nugget,
                        design_feature_row, design_feature_rows, factor_correlation,
@@ -131,13 +132,7 @@ class FitData:
     def residuals(self, beta) -> np.ndarray:
         """Residual matrix E = Y - 1 (P beta)' of mean coefficients beta,
         which must be finite with one entry per column of P."""
-        beta = np.asarray(beta, dtype=float)
-        if beta.shape != (self.P.shape[1],):
-            raise InvalidInputError(f"beta length does not match the mean basis: shape "
-                                    f"{beta.shape}, expected ({self.P.shape[1]},)")
-        if not np.isfinite(beta).all():
-            raise InvalidInputError("beta must be finite")
-        return self.Y - self.P @ beta
+        return self.Y - self.P @ check_array("beta", beta, (self.P.shape[1],))
 
     def correlation(self, z: np.ndarray) -> np.ndarray:
         return correlation_with_nugget(self.D, z, self.nugget)
@@ -150,14 +145,9 @@ class FitData:
 def make_fit_data(designs, Y_log, grid, family: str = "sped",
                   nugget: float = NUGGET) -> FitData:
     """Assemble and validate the training state from log responses."""
-    if not np.isfinite(nugget) or nugget < 0:
-        raise InvalidInputError("nugget must be finite and nonnegative")
-    Y = np.asarray(Y_log, dtype=float)
+    check_rate("nugget", nugget)
     grid = np.asarray(grid, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != len(designs) or Y.shape[1] != grid.size:
-        raise InvalidInputError("response matrix shape does not match designs and grid")
-    if not np.all(np.isfinite(Y)):
-        raise InvalidInputError("responses must be finite")
+    Y = check_array("responses", Y_log, (len(designs), grid.size))
     if len(designs) < 2:
         raise InvalidInputError("need at least 2 designs to fit")
     F = design_feature_rows(designs, family)
@@ -200,14 +190,10 @@ class TrainedEmulator:
     def __post_init__(self):
         data = self.data
         self.z = check_weights(self.z, data.nz)
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.Sigma = np.asarray(self.Sigma, dtype=float)
+        self.beta = check_array("beta", self.beta, (data.P.shape[1],))
+        self.Sigma = check_array("Sigma", self.Sigma, (data.m, data.m))
         # grid and R (below) stay attributes: perfbench/workloads.py reads them
         self.grid = data.grid
-        if self.Sigma.shape != (data.m, data.m):
-            raise InvalidInputError("Sigma shape does not match the strain grid")
-        if not np.isfinite(self.Sigma).all():
-            raise InvalidInputError("Sigma must be finite")
         if not np.allclose(self.Sigma, self.Sigma.T, atol=1e-10):
             raise InvalidInputError("Sigma must be symmetric")
         if cholesky(self.Sigma.copy()) is None:
@@ -322,9 +308,12 @@ def load_model(path) -> TrainedEmulator:
     """Read a model written by :func:`save_model`.
 
     Training rows are validated by :func:`make_fit_data`, as a fit's are,
-    p against their curve length, and theta and theta_d, packed into z, by
-    :func:`check_weights`. A file :func:`read_json` rejects, a missing key
-    or a value of the wrong type raises an invalid-input error naming the file.
+    and p against their curve length. The values are handed to the rules
+    of :mod:`spedgp.exceptions` as the file holds them: p as a count,
+    nugget and theta_d as rates, Y, theta, beta and Sigma as numeric
+    arrays, so a string or a bool in any of them raises an invalid-input
+    error. So does a file :func:`read_json` rejects, a missing key or any
+    other value of the wrong type; those errors name the file.
     """
     doc, name = read_json(path), Path(path).name
     try:
@@ -347,18 +336,15 @@ def _model_from_doc(doc: dict) -> TrainedEmulator:
         for entry in doc["designs"]
     ]
     data = make_fit_data(designs, doc["Y"], doc["strain_grid"],
-                         family=doc["family"], nugget=float(doc["nugget"]))
-    p = doc["p"]
-    if isinstance(p, bool) or p != data.p:
+                         family=doc["family"], nugget=doc["nugget"])
+    p = check_count("p", doc["p"], 1)
+    if p != data.p:
         raise InvalidInputError(f"p = {p!r} does not match the curve length {data.p}")
-    theta = np.asarray(doc["theta"], dtype=float)
-    if theta.ndim != 1:
-        raise InvalidInputError("theta must be a 1-d vector")
+    theta = check_array("theta", doc["theta"],
+                        (data.nz - 1 if data.has_diameter else data.nz,))
     # theta_d is checked for every family and kept where the diameter has a column
-    z = check_weights(np.append(theta, doc["theta_d"]), theta.size + 1)
+    theta_d = check_rate("theta_d", doc["theta_d"])
     return TrainedEmulator(
-        data=data, z=z if data.has_diameter else z[:-1],
-        beta=np.array(doc["beta"], dtype=float),
-        Sigma=np.array(doc["Sigma"], dtype=float),
-        fit_metadata=doc.get("fit_metadata", {}),
+        data=data, z=np.append(theta, theta_d) if data.has_diameter else theta,
+        beta=doc["beta"], Sigma=doc["Sigma"], fit_metadata=doc.get("fit_metadata", {}),
     )

@@ -4,7 +4,8 @@
 raises :class:`InvalidInputError` from there. Floats are written with
 ``repr``, the shortest decimal string that round-trips the binary value,
 so write -> read is lossless and reruns under one seed write
-byte-identical files, with no timestamps or environment-dependent content.
+byte-identical files for a given BLAS thread count, with no timestamps or
+other environment-dependent content.
 
 Designs travel as bare (d, curve) rows. When every design carries its
 (d, A, omega, phi) sinusoid features (generated data), save_dataset writes

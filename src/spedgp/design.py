@@ -10,13 +10,12 @@ samplers cannot share points.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
 
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, check_count
 from .spectral import StructureDesign, structure_times
 
 DESIGN_BOX = {
@@ -71,12 +70,8 @@ def sample_designs(n: int, seed: int = 0, scheme: str = "lhs") -> list[SinusoidS
     power of two and truncated, which keeps the generator warning-free
     and the points balanced).
     """
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (n, seed)):
-        raise InvalidInputError("n and seed must be integers")
-    if n < 1:
-        raise InvalidInputError("need n >= 1 design points")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    check_count("n", n, 1)
+    check_count("seed", seed, 0)
     if scheme not in SCHEMES:
         raise InvalidInputError(f"unknown sampling scheme {scheme!r}")
     lo, hi = np.array([DESIGN_BOX[key] for key in BOX_KEYS]).T

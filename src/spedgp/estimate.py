@@ -36,9 +36,7 @@ to a carried restart, with a warning, only when every restart is carried.
 from __future__ import annotations
 
 import logging
-import math
 import multiprocessing
-import numbers
 import os
 import pickle
 import queue
@@ -56,7 +54,8 @@ from .cokrige import (FitData, TrainedEmulator, log_stress, make_fit_data, predi
                       unlog_stress)
 from .dataio import Dataset
 from .exceptions import (ConvergenceError, FitError, InvalidInputError,
-                         NumericalError, SingularMatrixError)
+                         NumericalError, SingularMatrixError, check_array,
+                         check_count, check_rate)
 from .metrics import mare
 from .spectral import FAMILIES, check_weights, cholesky, logdet, solve_factored
 
@@ -81,30 +80,6 @@ EPSILON_BETA = 1e-6
 PAIR_BLOCK = 64
 
 
-def _finite_nonnegative(*values) -> bool:
-    # NaN fails every comparison, so `x < 0` alone lets it through; a bool
-    # is a number to math.isfinite but is no rate
-    return all(not isinstance(v, bool) and math.isfinite(v) and v >= 0
-               for v in values)
-
-
-def _check_rate(name: str, value) -> None:
-    if not _finite_nonnegative(value):
-        raise InvalidInputError(f"{name} must be finite and nonnegative, got {value!r}")
-
-
-def _check_matrix(name: str, A, m: int) -> np.ndarray:
-    """A as a float array; InvalidInputError unless it is a finite m x m matrix."""
-    message = f"{name} must be a finite m x m matrix, m = {m}"
-    try:
-        A = np.asarray(A, dtype=float)
-    except (TypeError, ValueError) as exc:  # a ragged nesting, a string
-        raise InvalidInputError(message) from exc
-    if A.shape != (m, m) or not np.isfinite(A).all():
-        raise InvalidInputError(message)
-    return A
-
-
 @dataclass
 class FitConfig:
     """Estimation settings; lambda_I/lambda_o are the two penalty rates."""
@@ -116,15 +91,10 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.restarts, self.seed)):
-            raise InvalidInputError("restarts and seed must be integers")
-        if not _finite_nonnegative(self.lambda_I, self.lambda_o):
-            raise InvalidInputError("penalty rates must be finite and nonnegative")
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be at least 1")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
+        check_count("restarts", self.restarts, 1)
+        check_count("seed", self.seed, 0)
+        check_rate("lambda_I", self.lambda_I)
+        check_rate("lambda_o", self.lambda_o)
         if self.family not in FAMILIES:
             raise InvalidInputError(f"unknown kernel family {self.family!r}")
 
@@ -150,7 +120,6 @@ def neg_log_posterior(beta, z, Sigma, data: FitData,
     + lambda_o ||Sigma^{-1}||_1 + tr(R^{-1} E Sigma^{-1} E') with
     E = Y - 1 (P beta)'. Kronecker structure is exploited throughout.
     """
-    z = np.asarray(z, dtype=float)
     theta, _ = data.unpack(z)
     E = data.residuals(beta)
     _, choR = data.chol(z)
@@ -181,7 +150,7 @@ def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL) -> np.ndarray:
         raise InvalidInputError("S must be symmetric")
     if np.any(np.diag(S) <= 0):
         raise InvalidInputError("S must have a positive diagonal")
-    _check_rate("penalty", lam)
+    check_rate("penalty", lam)
     W, iterations, residual = glasso_newton(S, lam, tol)
     if residual > tol:
         raise ConvergenceError(
@@ -387,9 +356,9 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, W):
     ``iterations`` and ``kkt``, W's residual over that tolerance.
     """
     n = data.n
-    _check_rate("lambda_o", lambda_o)
-    _check_matrix("choR", choR, n)
-    incumbent = _check_matrix("W", W, data.m)
+    check_rate("lambda_o", lambda_o)
+    check_array("choR", choR, (n, n))
+    incumbent = check_array("W", W, (data.m, data.m))
     E = data.residuals(beta)
     S0 = E.T @ solve_factored(choR, E) / n
     S0 = 0.5 * (S0 + S0.T)
@@ -419,8 +388,8 @@ def beta_step(data: FitData, choR, W) -> np.ndarray:
     remaining coordinates are re-solved (active-set projection).
     """
     n = data.n
-    _check_matrix("choR", choR, n)
-    W = _check_matrix("W", W, data.m)
+    check_array("choR", choR, (n, n))
+    W = check_array("W", W, (data.m, data.m))
     ones = np.ones(n)
     u = solve_factored(choR, ones)
     c = float(ones @ u)
@@ -489,9 +458,9 @@ def theta_step(data: FitData, beta, W, z0, lambda_I: float):
     at the bound are what switches frequencies off.
     """
     z0 = check_weights(z0, data.nz)
-    _check_rate("lambda_I", lambda_I)
+    check_rate("lambda_I", lambda_I)
     E = data.residuals(beta)
-    M = E @ _check_matrix("W", W, data.m) @ E.T
+    M = E @ check_array("W", W, (data.m, data.m)) @ E.T
     f0 = _theta_value(z0, data, M, lambda_I)[0]
     res = minimize(
         theta_objective, z0, args=(data, M, lambda_I), jac=True,
@@ -551,7 +520,7 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int)
 
     Each sweep logs one INFO line on this module's logger with its block
     times. The times go only to the log, so the record stays
-    byte-identical between reruns.
+    byte-identical between reruns with the same BLAS thread count.
     """
     theta0, _ = data.unpack(z0)
     beta = np.zeros(data.P.shape[1])
@@ -845,17 +814,16 @@ def select_penalties(data, lambda_I_grid, lambda_o_grid, k: int,
     Scores each grid pair by the mean held-out back-transformed MARE and
     returns the minimizing pair, ties broken toward larger penalties.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise InvalidInputError(f"cv folds must be an integer, got {k!r}")
-    try:
-        li_grid = sorted(set(float(v) for v in np.atleast_1d(lambda_I_grid)))
-        lo_grid = sorted(set(float(v) for v in np.atleast_1d(lambda_o_grid)))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"penalty grid value of the wrong type: {exc}") from exc
+    check_count("cv folds", k, 2)
+    # a list is read as it is, so that no bool or string in it becomes a number
+    li_grid, lo_grid = (
+        sorted({float(check_rate("penalty grid value", v))
+                for v in (grid if isinstance(grid, (list, tuple)) else np.atleast_1d(grid))})
+        for grid in (lambda_I_grid, lambda_o_grid))
     if not li_grid or not lo_grid:
         raise InvalidInputError("penalty grids must be non-empty")
     n = len(data.designs)
-    if k < 2 or n < 2 * k:
+    if n < 2 * k:
         raise InvalidInputError(f"need k >= 2 and n >= 2k folds, got n={n}, k={k}")
     perm = np.random.default_rng(config.seed).permutation(n)
     folds = np.array_split(perm, k)  # n >= 2k: every fold has 2 or more members

@@ -1,4 +1,15 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the three argument rules.
+
+Every count or seed, every rate and every numeric array that the package
+reads from a caller, a config or a model file is checked by one of
+:func:`check_count`, :func:`check_rate` and :func:`check_array`, which
+raise :class:`InvalidInputError` on a value of the wrong type or range.
+"""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -34,3 +45,45 @@ class FitError(RuntimeError):
     def __init__(self, message: str, traces=None):
         super().__init__(message)
         self.traces = traces
+
+
+def _real_type(t: type) -> bool:
+    # numbers.Real holds the Python and numpy ints and floats, but neither
+    # numpy's bool nor a string; Python's bool is an int, and no number here
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
+def check_count(name: str, value, minimum: int):
+    """value itself when it is a count or a seed: an integer, not a bool,
+    at or above minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        least = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise InvalidInputError(f"{name} must be {least}, got {value!r}")
+    return value
+
+
+def check_rate(name: str, value):
+    """value itself when it is a rate: a finite real >= 0, not a bool or a string."""
+    if not (_real_type(type(value)) and math.isfinite(value) and value >= 0):
+        raise InvalidInputError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
+def check_array(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a float array when it is a numeric array: of the given
+    shape, every entry finite, and none a string or a bool."""
+    try:
+        a = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    except ValueError as exc:  # arrays of different shapes nested in a list
+        raise InvalidInputError(f"{name}: no array shape, expected {shape}") from exc
+    if a.shape != shape:
+        raise InvalidInputError(f"{name}: shape {a.shape}, expected {shape}")
+    if not (a.dtype.kind in "iuf"
+            or a.dtype == object and all(map(_real_type, set(map(type, a.flat))))):
+        raise InvalidInputError(f"{name} must hold real numbers, not strings or booleans")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{name} must be finite")
+    return a

@@ -28,7 +28,6 @@ reported curve is the zero-phase representative.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ from scipy.stats import qmc
 from .cokrige import Prediction, TrainedEmulator, log_stress, predict_from_point
 from .dataio import check_increasing
 from .design import DESIGN_BOX
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, check_count
 from .spectral import (check_curve_length, correlation_from_features, half_size,
                        kernel, solve_factored, sq_differences)
 
@@ -347,12 +346,8 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
     objective, so the returned objective also beats the best training
     design's own point (it is injected as an extra start).
     """
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (starts, seed)):
-        raise InvalidInputError("starts and seed must be integers")
-    if starts < 1:
-        raise InvalidInputError("need at least one start")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    check_count("starts", starts, 1)
+    check_count("seed", seed, 0)
     model, s, lo, hi = problem.model, problem.s, problem.lo, problem.hi
     X0 = _start_points(problem, starts, seed)
     blocks = [_search(s * X0[i:i + MAX_BLOCK], lo * s, hi * s, problem)

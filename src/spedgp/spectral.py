@@ -21,14 +21,14 @@ factorizability.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .exceptions import InvalidInputError, NumericalError, SingularMatrixError
+from .exceptions import (InvalidInputError, NumericalError, SingularMatrixError,
+                         check_array, check_count)
 
 FAMILIES = ("sped", "feature_based", "l2_distance")
 #: families whose feature rows end with the diameter, weighted by theta_d
@@ -82,7 +82,7 @@ def dft_modulus(curve) -> np.ndarray:
 
 def check_curve_length(p) -> int:
     """p itself when it is a curve length: an odd integer >= 3 (not a bool)."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 3 or p % 2 == 0:
+    if check_count("curve length", p, 3) % 2 == 0:
         raise InvalidInputError(f"curve length must be odd and >= 3, got {p!r}")
     return p
 
@@ -131,10 +131,8 @@ def check_weights(z, nz: int) -> np.ndarray:
     diameter weight theta_d. It must have shape (nz,) and be finite and
     nonnegative.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (nz,):
-        raise InvalidInputError(f"kernel weights have shape {z.shape}, expected ({nz},)")
-    if not np.isfinite(z).all() or (z < 0).any():
+    z = check_array("kernel weights", z, (nz,))
+    if (z < 0).any():
         raise InvalidInputError("kernel weights must be finite and nonnegative")
     return z
 

@@ -8,7 +8,9 @@ discretized at p = 81 on the default strain grid) is shared by the
 slower criteria through module-scoped fixtures, and by one more check
 that the nugget does not carry the benchmark fit. A second training set
 (training seed 1) must pass criterion 7's bounds and that check too, so
-that no fit is judged on one draw of designs.
+that no fit is judged on one draw of designs. Both training sets are
+also scored on a 512-design held-out yardstick, large enough to show the
+tail of the error distribution that 18 designs hide.
 """
 
 import dataclasses
@@ -50,6 +52,8 @@ from .test_spectral import correlation_of, pair_correlation
 
 GRID = default_strain_grid()
 BENCH_CONFIG = FitConfig(lambda_I=1.0, lambda_o=0.5, restarts=5, seed=0)
+#: Sobol seed of the 512-design yardstick; no other check draws it
+YARDSTICK_SEED = 20
 
 
 def report(num, name, checks, detail=""):
@@ -86,6 +90,19 @@ def feature_fit(bench):
     config = dataclasses.replace(BENCH_CONFIG, family="feature_based")
     model, _ = fit(bench.train, config)
     return model
+
+
+@pytest.fixture(scope="module")
+def second_fit():
+    """The benchmark fit on training seed 1."""
+    train = oracle_dataset(sample_designs(58, seed=1, scheme="lhs"))
+    model, trace = fit(train, BENCH_CONFIG)
+    return SimpleNamespace(train=train, model=model, trace=trace)
+
+
+@pytest.fixture(scope="module")
+def yardstick_set():
+    return oracle_dataset(sample_designs(512, seed=YARDSTICK_SEED, scheme="sobol"))
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +143,25 @@ def accuracy_checks(model, feature_model, test, randomized):
     ]
     return checks, (f"median {med:.4f}, randomized {med_rand:.4f} vs feature "
                     f"{med_feat:.4f}, classified {correct}/18")
+
+
+def yardstick_checks(model, test, most, least):
+    """Bounds on a fit's MARE distribution over the yardstick (at most
+    ``most``) and on its 90% band coverage (at least ``least``), and the
+    measurements they read."""
+    scored = evaluate(model, test)
+    mares = np.array([case["mare"] for case in scored.per_case])
+    values = {
+        "median MARE": float(np.median(mares)),
+        "90th percentile MARE": float(np.percentile(mares, 90)),
+        "share above 0.10": float(np.mean(mares > 0.10)),
+        "worst MARE": float(mares.max()),
+        "curve coverage": scored.summary["coverage_fraction"],
+        "pointwise coverage": scored.summary["pointwise_coverage"],
+    }
+    checks = ([(f"{key} <= {bound}", values[key] <= bound) for key, bound in most.items()]
+              + [(f"{key} >= {bound}", values[key] >= bound) for key, bound in least.items()])
+    return checks, ", ".join(f"{key} {value:.4f}" for key, value in values.items())
 
 
 def random_designs(rng, n, p):
@@ -334,22 +370,45 @@ def test_c07_benchmark_accuracy(bench, sped_fit, feature_fit,
     report(7, "benchmark accuracy and shift robustness", checks, detail)
 
 
-def test_c07_second_training_set(randomized_phase_test):
+def test_c07_second_training_set(randomized_phase_test, second_fit):
     # criterion 7 and the nugget check on training seed 1, which scores
     # lower than seed 0 (16/18 classified, one carried restart)
-    train = oracle_dataset(sample_designs(58, seed=1, scheme="lhs"))
     test = oracle_dataset(sample_designs(18, seed=2, scheme="sobol"))
-    model, trace = fit(train, BENCH_CONFIG)
-    feature_model, _ = fit(train, dataclasses.replace(BENCH_CONFIG,
-                                                      family="feature_based"))
-    best = chosen_restart(trace, "training seed 1")
-    checks, detail = accuracy_checks(model, feature_model, test,
+    feature_model, _ = fit(second_fit.train,
+                           dataclasses.replace(BENCH_CONFIG, family="feature_based"))
+    best = chosen_restart(second_fit.trace, "training seed 1")
+    checks, detail = accuracy_checks(second_fit.model, feature_model, test,
                                      randomized_phase_test)
     report(7, "accuracy and shift robustness on training seed 1", checks + [
         ("chosen restart not carried by the nugget", best["nugget_carried"] is False),
         ("chosen restart's share ratio within the limit",
          best["nugget_share_ratio"] <= CARRIED_RATIO),
     ], detail)
+
+
+def test_c07_yardstick_training_seed_0(sped_fit, yardstick_set):
+    # the scores read the same with 1 BLAS thread and unpinned on 2 cores:
+    # median 0.0073, 90th percentile 0.143, share above 0.10 0.168, worst
+    # 2.71, coverage 0.762 / 0.803; the bounds leave about 10%
+    checks, detail = yardstick_checks(
+        sped_fit.model, yardstick_set,
+        most={"median MARE": 0.008, "90th percentile MARE": 0.16,
+              "share above 0.10": 0.19, "worst MARE": 3.0},
+        least={"curve coverage": 0.72, "pointwise coverage": 0.77})
+    report(7, "512-design yardstick on training seed 0", checks, detail)
+
+
+def test_c07_yardstick_training_seed_1(second_fit, yardstick_set):
+    # the fit depends on the BLAS thread count: with 1 thread median 0.0095,
+    # 90th percentile 0.065, share above 0.10 0.070, worst 0.525, coverage
+    # 0.609 / 0.730; unpinned on 2 cores 0.0034, 0.068, 0.061, 0.740 and
+    # 0.711 / 0.810. Each bound holds both with about 10% to spare
+    checks, detail = yardstick_checks(
+        second_fit.model, yardstick_set,
+        most={"median MARE": 0.0105, "90th percentile MARE": 0.075,
+              "share above 0.10": 0.08, "worst MARE": 0.82},
+        least={"curve coverage": 0.57, "pointwise coverage": 0.70})
+    report(7, "512-design yardstick on training seed 1", checks, detail)
 
 
 def test_c08_sparsity_recovery(bench):

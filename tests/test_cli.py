@@ -127,6 +127,19 @@ class TestFit:
         assert trace["cv"] == {"lambda_I": 0.4, "lambda_o": 0.6, "folds": 2}
         assert trace["config"]["lambda_I"] == 0.4
 
+    def test_integer_rates_stay_integers(self, ws, tmp_path, monkeypatch):
+        # the config rules return the values they check: a JSON integer rate
+        # is written back as that integer
+        monkeypatch.setattr(estimate, "MAX_SWEEPS", 2)
+        config = tmp_path / "int.json"
+        config.write_text(json.dumps({"lambda_i": 1, "lambda_o": 1, "restarts": 1}))
+        out = tmp_path / "model.json"
+        assert main(["fit", "--train", str(ws.data), "--config", str(config),
+                     "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["fit_metadata"]
+        assert type(meta["lambda_I"]) is int and type(meta["lambda_o"]) is int
+        assert '"lambda_I": 1,' in out.read_text()
+
     @pytest.mark.parametrize("text", [
         '{"lambda_eye": 1.0}', '{"sweep_tol": 1.0}', '{"glasso_tol": 1.0}',
         '{"glasso_max_iter": 1.0}', '{"theta_max_iter": 1.0}',
@@ -166,11 +179,20 @@ class TestFit:
         '{"seed": -1}',
         '{"cv": [2, [1.0], [0.5]]}',
         '{"cv": {"folds": 2, "lambda_i_grid": ["one"], "lambda_o_grid": [0.5]}}',
+        '{"lambda_o": "0.5"}',
+        '{"lambda_i": [1.0]}',
+        '{"seed": "0"}',
+        '{"restarts": 5.0}',
+        '{"cv": {"folds": 2, "lambda_i_grid": ["1"], "lambda_o_grid": [0.5]}}',
+        '{"cv": {"folds": 2, "lambda_i_grid": [1.0], "lambda_o_grid": [true]}}',
+        '{"cv": {"folds": 2.0, "lambda_i_grid": [1.0], "lambda_o_grid": [0.5]}}',
     ], ids=["array", "broken_json", "string_restarts", "float_restarts",
          "string_lambda", "string_folds", "fractional_folds", "nan_lambda_i",
          "nan_lambda_o", "inf_lambda_o", "bool_restarts", "bool_seed",
          "bool_lambda_i", "bool_lambda_o", "bool_folds", "negative_seed",
-         "cv_not_an_object", "string_cv_grid"])
+         "cv_not_an_object", "string_cv_grid", "string_lambda_o", "list_lambda_i",
+         "string_seed", "integral_float_restarts", "numeric_string_cv_grid",
+         "bool_cv_grid", "integral_float_folds"])
     def test_malformed_config_exits_2(self, ws, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
         config.write_text(text)

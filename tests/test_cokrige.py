@@ -104,7 +104,7 @@ class TestEmulatorValidation:
     def test_beta_length_must_match_mean_basis(self):
         rng = np.random.default_rng(0)
         good = random_emulator(rng)
-        with pytest.raises(InvalidInputError, match="beta length does not match"):
+        with pytest.raises(InvalidInputError, match="beta: shape"):
             TrainedEmulator(data=good.data, z=good.z, beta=np.append(good.beta, 1.0),
                             Sigma=good.Sigma)
 
@@ -123,7 +123,7 @@ class TestEmulatorValidation:
         (lambda S: np.zeros_like(S), "Sigma must be positive definite"),
         (lambda S: np.where(np.eye(len(S)) > 0, np.inf, S), "Sigma must be finite"),
         (lambda S: np.full_like(S, np.nan), "Sigma must be finite"),
-        (lambda S: S[:-1, :-1], "Sigma shape does not match the strain grid"),
+        (lambda S: S[:-1, :-1], "Sigma: shape"),
     ], ids=["negated", "indefinite", "zero", "inf_diagonal", "nan", "wrong_shape"])
     def test_sigma_must_be_finite_and_positive_definite(self, edit, message):
         # a non-PD Sigma would make predict's band a NaN and mimic's v tr(Sigma)
@@ -148,13 +148,19 @@ class TestEmulatorValidation:
         good = random_emulator(rng)
         z = good.z.copy()
         z[k] = bad
-        with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+        with pytest.raises(InvalidInputError, match="kernel weights must be finite"):
             TrainedEmulator(data=good.data, z=z, beta=good.beta, Sigma=good.Sigma)
+
+    @pytest.mark.parametrize("nugget", [True, np.True_, "1e-8", None])
+    def test_nugget_must_be_a_rate(self, nugget):
+        rng = np.random.default_rng(1)
+        with pytest.raises(InvalidInputError, match="nugget must be finite and nonnegative"):
+            random_emulator(rng, nugget=nugget)
 
     def test_weight_length_must_match_features(self):
         rng = np.random.default_rng(1)
         good = random_emulator(rng)
-        with pytest.raises(InvalidInputError, match="kernel weights have shape"):
+        with pytest.raises(InvalidInputError, match="kernel weights: shape"):
             TrainedEmulator(data=good.data, z=good.z[:-1], beta=good.beta,
                             Sigma=good.Sigma)
 
@@ -341,9 +347,9 @@ class TestSerialization:
         (lambda doc: doc["designs"].__setitem__(2, doc["designs"][0]),
          "designs 0 and 2 are identical up to cyclic shift"),
         (lambda doc: doc["theta"].__setitem__(1, -0.5), "finite and nonnegative"),
-        (lambda doc: doc["theta"].__setitem__(1, float("nan")), "finite and nonnegative"),
-        (lambda doc: doc["theta"].pop(), "kernel weights have shape"),
-        (lambda doc: doc["theta"].append([0.1]), "holds a value of the wrong type"),
+        (lambda doc: doc["theta"].__setitem__(1, float("nan")), "theta must be finite"),
+        (lambda doc: doc["theta"].pop(), "theta: shape"),
+        (lambda doc: doc["theta"].append([0.1]), "theta: shape"),
         (lambda doc: doc.__setitem__("theta_d", float("nan")), "finite and nonnegative"),
         (lambda doc: doc.__setitem__("theta_d", -1.0), "finite and nonnegative"),
         (lambda doc: doc.__setitem__("nugget", float("nan")),
@@ -351,13 +357,13 @@ class TestSerialization:
         (lambda doc: doc.__setitem__("nugget", -1e-8),
          "nugget must be finite and nonnegative"),
         (lambda doc: doc.__setitem__("family", "cosine"), "unknown kernel family"),
-        (lambda doc: doc.__setitem__("theta", [[0.1, 0.2], [0.1, 0.2]]), "1-d vector"),
+        (lambda doc: doc.__setitem__("theta", [[0.1, 0.2], [0.1, 0.2]]), "theta: shape"),
         (lambda doc: doc.__setitem__("Sigma", (-np.eye(len(doc["Sigma"]))).tolist()),
          "Sigma must be positive definite"),
         (lambda doc: doc.__setitem__("p", 999), "p = 999 does not match the curve length"),
         (lambda doc: doc.pop("p"), "lacks the key 'p'"),
         (lambda doc: doc["Y"].pop(),
-         "response matrix shape does not match designs and grid"),
+         "responses: shape"),
         (lambda doc: doc["designs"][0].__setitem__("curve", [doc["designs"][0]["curve"]]),
          "structure curve must be a 1-d vector"),
         (lambda doc: doc["designs"][0].__setitem__("d", 0.0),
@@ -366,11 +372,34 @@ class TestSerialization:
          r"features must be a finite vector \[d, A, omega, phi\]"),
         (lambda doc: doc["designs"][1].__setitem__("curve", doc["designs"][1]["curve"][:3]),
          "design 1 has p=3, expected 5"),
+        # a value of the wrong type reaches its rule as the file holds it
+        (lambda doc: doc.__setitem__("nugget", True),
+         "nugget must be finite and nonnegative, got True"),
+        (lambda doc: doc.__setitem__("nugget", "1e-08"),
+         "nugget must be finite and nonnegative, got '1e-08'"),
+        (lambda doc: doc.__setitem__("p", float(doc["p"])), "p must be an integer, got 5.0"),
+        (lambda doc: doc.__setitem__("p", True), "p must be an integer, got True"),
+        (lambda doc: doc["beta"].__setitem__(0, str(doc["beta"][0])),
+         "beta must hold real numbers"),
+        (lambda doc: doc["beta"].__setitem__(1, True), "beta must hold real numbers"),
+        (lambda doc: doc["theta"].__setitem__(0, str(doc["theta"][0])),
+         "theta must hold real numbers"),
+        (lambda doc: doc.__setitem__("theta_d", str(doc["theta_d"])),
+         "theta_d must be finite and nonnegative, got '"),
+        (lambda doc: doc.__setitem__("theta_d", True),
+         "theta_d must be finite and nonnegative, got True"),
+        (lambda doc: doc["Sigma"][0].__setitem__(0, str(doc["Sigma"][0][0])),
+         "Sigma must hold real numbers"),
+        (lambda doc: doc["Y"][0].__setitem__(0, str(doc["Y"][0][0])),
+         "responses must hold real numbers"),
     ], ids=["nan_response", "duplicate_design", "negative_theta", "nan_theta",
             "short_theta", "ragged_theta", "nan_theta_d", "negative_theta_d",
             "nan_nugget", "negative_nugget", "unknown_family", "matrix_theta",
             "negative_sigma", "wrong_p", "missing_p", "short_Y", "matrix_curve",
-            "zero_diameter", "short_features", "mixed_p"])
+            "zero_diameter", "short_features", "mixed_p", "bool_nugget",
+            "string_nugget", "float_p", "bool_p", "string_beta", "bool_beta",
+            "string_theta", "string_theta_d", "bool_theta_d", "string_sigma",
+            "string_Y"])
     def test_load_validates_training_rows_as_fit_does(self, tmp_path, edit, message):
         rng = np.random.default_rng(10)
         path = tmp_path / "model.json"
@@ -380,6 +409,24 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidInputError, match=message):
             load_model(path)
+
+    def test_json_integers_load_as_written(self, tmp_path):
+        # integer p, nugget, theta_d, beta, Sigma and Y are numbers of the
+        # right type; the rules pass them on, so nugget stays the integer 0
+        rng = np.random.default_rng(12)
+        path = tmp_path / "model.json"
+        save_model(random_emulator(rng), path)
+        doc = json.loads(path.read_text())
+        m = len(doc["Sigma"])
+        doc.update(nugget=0, theta_d=1, beta=[0, 1], Sigma=np.eye(m, dtype=int).tolist(),
+                   Y=[[i + 2 * j for j in range(m)] for i in range(len(doc["Y"]))])
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert back.data.nugget == 0 and type(back.data.nugget) is int
+        assert back.z[-1] == 1.0 and back.z.dtype == float
+        np.testing.assert_array_equal(back.beta, [0.0, 1.0])
+        np.testing.assert_array_equal(back.Sigma, np.eye(m))
+        assert back.data.Y.dtype == float and back.data.Y[1, 2] == 5.0
 
     @pytest.mark.parametrize("family", ["sped", "feature_based"])
     def test_theta_d_checked_for_every_family(self, tmp_path, family):

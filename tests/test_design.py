@@ -87,7 +87,7 @@ class TestSampleDesigns:
         with pytest.raises(InvalidInputError):
             sample_designs(0, seed=0)
         for n in (2.5, True, "3"):
-            with pytest.raises(InvalidInputError, match="must be integers"):
+            with pytest.raises(InvalidInputError, match="must be an integer"):
                 sample_designs(n, seed=0)
 
     @pytest.mark.parametrize("scheme", ["lhs", "sobol"])
@@ -95,6 +95,6 @@ class TestSampleDesigns:
         with pytest.raises(InvalidInputError, match="seed must be nonnegative"):
             sample_designs(4, seed=-1, scheme=scheme)
         for seed in (1.5, True, None):
-            with pytest.raises(InvalidInputError, match="must be integers"):
+            with pytest.raises(InvalidInputError, match="must be an integer"):
                 sample_designs(3, seed=seed, scheme=scheme)
 

@@ -118,7 +118,7 @@ class TestNegLogPosterior:
         rng = np.random.default_rng(1)
         data, *_ = random_fit_data(rng)
         beta, z, Sigma = random_state(rng, data)
-        with pytest.raises(InvalidInputError, match="kernel weights have shape"):
+        with pytest.raises(InvalidInputError, match="kernel weights: shape"):
             neg_log_posterior(beta, z[:-1], Sigma, data, 0.0, 0.0)
 
     def test_nan_sigma_raises(self):
@@ -386,32 +386,52 @@ class TestBlockArguments:
 
     @pytest.mark.parametrize("call,message", [
         (lambda s: theta_step(s.data, s.beta, s.W, s.z[:-1], 0.5),
-         "kernel weights have shape"),
+         "kernel weights: shape"),
         (lambda s: theta_step(s.data, s.beta, s.W, -s.z, 0.5),
          "kernel weights must be finite and nonnegative"),
         (lambda s: theta_step(s.data, s.beta, s.W, s.z, -0.5),
          "lambda_I must be finite and nonnegative"),
         (lambda s: theta_step(s.data, s.beta, np.eye(3), s.z, 0.5),
-         "W must be a finite m x m matrix"),
-        (lambda s: sigma_step(s.data, s.choR, np.ones(3), 0.1, s.W), "beta length"),
+         "W: shape"),
+        (lambda s: sigma_step(s.data, s.choR, np.ones(3), 0.1, s.W), "beta: shape"),
         (lambda s: sigma_step(s.data, s.choR, s.beta, -1.0, s.W),
          "lambda_o must be finite and nonnegative"),
         (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, W=np.eye(3)),
-         "W must be a finite m x m matrix"),
+         "W: shape"),
         (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, W=RAGGED),
-         "W must be a finite m x m matrix"),
+         "W: shape"),
         (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, W=np.full((4, 4), np.nan)),
-         "W must be a finite m x m matrix"),
-        (lambda s: beta_step(s.data, s.choR, np.eye(3)), "W must be a finite m x m matrix"),
+         "W must be finite"),
+        (lambda s: beta_step(s.data, s.choR, np.eye(3)), "W: shape"),
         (lambda s: beta_step(s.data, s.choR[:-1, :-1], s.W),
-         "choR must be a finite m x m matrix"),
+         "choR: shape"),
         (lambda s: neg_log_posterior(np.ones(3), s.z, s.Sigma, s.data, 0.1, 0.1),
-         "beta length"),
+         "beta: shape"),
         (lambda s: neg_log_posterior(np.array([0.1, np.nan]), s.z, s.Sigma, s.data, 0.1, 0.1),
          "beta must be finite"),
+        (lambda s: theta_step(s.data, s.beta, s.W, s.z, "0.5"),
+         "lambda_I must be finite and nonnegative, got '0.5'"),
+        (lambda s: theta_step(s.data, s.beta, s.W, s.z.astype(str), 0.5),
+         "kernel weights must hold real numbers"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, np.True_, s.W),
+         "lambda_o must be finite and nonnegative"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, True, s.W),
+         "lambda_o must be finite and nonnegative, got True"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, W=s.W.astype(str)),
+         "W must hold real numbers"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta.tolist()[:1] + [True], 0.1, s.W),
+         "beta must hold real numbers"),
+        (lambda s: beta_step(s.data, s.choR != 0, s.W), "choR must hold real numbers"),
+        (lambda s: beta_step(s.data, s.choR, [row[:3] + [True] for row in s.W.tolist()]),
+         "W must hold real numbers"),
+        (lambda s: neg_log_posterior([str(b) for b in s.beta], s.z, s.Sigma, s.data, 0.1, 0.1),
+         "beta must hold real numbers"),
     ], ids=["theta z0 length", "theta z0 negative", "theta lambda_I", "theta W",
             "sigma beta", "sigma lambda_o", "sigma W", "sigma W ragged", "sigma W nan",
-            "beta W", "beta choR", "nlp beta length", "nlp beta nan"])
+            "beta W", "beta choR", "nlp beta length", "nlp beta nan",
+            "theta lambda_I string", "theta z0 strings", "sigma lambda_o numpy bool",
+            "sigma lambda_o bool", "sigma W strings", "sigma beta bool",
+            "beta choR bools", "beta W bool entry", "nlp beta strings"])
     def test_raises_typed_error(self, block_state, call, message):
         with pytest.raises(InvalidInputError, match=message):
             call(block_state)
@@ -573,6 +593,14 @@ class TestFit:
         with pytest.raises(FitError) as exc_info:
             fit(ds, FitConfig(restarts=2))
         assert len(exc_info.value.traces) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_I", "1"), ("lambda_o", "0.5"), ("lambda_I", np.True_), ("lambda_o", True),
+        ("lambda_I", None), ("restarts", np.True_), ("restarts", "5"), ("seed", 0.0),
+    ])
+    def test_config_values_of_the_wrong_type(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+            FitConfig(**{field: value})
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
@@ -847,7 +875,7 @@ class TestSelectPenalties:
 
     def test_fold_requirements(self, tiny_set):
         cfg = FitConfig(restarts=1)
-        with pytest.raises(InvalidInputError, match="k >= 2"):
+        with pytest.raises(InvalidInputError, match="cv folds must be at least 2, got 1"):
             select_penalties(tiny_set, [0.1], [0.1], k=1, config=cfg)
         with pytest.raises(InvalidInputError, match="k >= 2"):
             select_penalties(tiny_set, [0.1], [0.1], k=7, config=cfg)
@@ -863,11 +891,14 @@ class TestSelectPenalties:
             select_penalties(tiny_set, [0.1], [0.1], k=k, config=cfg)
 
     @pytest.mark.parametrize("li,lo", [(["a"], [0.1]), ([0.1], [None]),
-                                       ([0.1], [[0.1, 0.2], [0.3]])],
-                             ids=["string", "null", "ragged"])
+                                       ([0.1], [[0.1, 0.2], [0.3]]), (["1"], [0.1]),
+                                       ([True], [0.1]), (["1", "10"], [0.1]),
+                                       ([0.1], [1.0, True]), (np.array([True]), [0.1])],
+                             ids=["string", "null", "ragged", "numeric_string", "bool",
+                                  "numeric_strings", "bool_among_floats", "bool_array"])
     def test_grids_must_be_numeric(self, tiny_set, li, lo):
         cfg = FitConfig(restarts=1)
-        with pytest.raises(InvalidInputError, match="penalty grid value of the wrong"):
+        with pytest.raises(InvalidInputError, match="penalty grid value must be"):
             select_penalties(tiny_set, li, lo, k=2, config=cfg)
 
     def test_empty_grid_rejected(self, tiny_set):

@@ -136,6 +136,11 @@ class TestFailureModes:
             with pytest.raises(InvalidInputError, match="finite"):
                 graphical_lasso(np.eye(2), lam)
 
+    @pytest.mark.parametrize("lam", ["0.1", True, np.True_, None])
+    def test_penalty_of_the_wrong_type(self, lam):
+        with pytest.raises(InvalidInputError, match="penalty must be finite and nonnegative"):
+            graphical_lasso(np.eye(2), lam)
+
 
 class TestDualStart:
     """The warm precision's projected inverse if it is definite, else the

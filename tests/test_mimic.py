@@ -474,7 +474,7 @@ class TestOptimize:
         with pytest.raises(InvalidInputError, match="seed must be nonnegative"):
             optimize(mimic_problem, starts=2, seed=-1)
         for starts, seed in ((2.5, 0), (True, 0), (2, 1.5), (2, True), ("2", 0)):
-            with pytest.raises(InvalidInputError, match="must be integers"):
+            with pytest.raises(InvalidInputError, match="must be an integer"):
                 optimize(mimic_problem, starts=starts, seed=seed)
 
     def test_ascent_direction_resets_the_inverse_hessian(self, mimic_problem, mimic_result,

@@ -459,7 +459,7 @@ class TestCheckWeights:
         (np.ones(3), 4), (np.ones(5), 4), (np.ones((2, 2)), 4), (1.0, 1)],
         ids=["short", "long", "matrix", "scalar"])
     def test_shape_rejected(self, z, nz):
-        with pytest.raises(InvalidInputError, match="kernel weights have shape"):
+        with pytest.raises(InvalidInputError, match="kernel weights: shape"):
             check_weights(z, nz)
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf])
@@ -467,7 +467,7 @@ class TestCheckWeights:
     def test_negative_or_non_finite_rejected(self, bad, k):
         z = np.ones(4)
         z[k] = bad
-        with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+        with pytest.raises(InvalidInputError, match="kernel weights must be finite"):
             check_weights(z, 4)
 
 
