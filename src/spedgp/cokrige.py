@@ -146,7 +146,7 @@ def make_fit_data(designs, Y_log, grid, family: str = "sped",
                   nugget: float = NUGGET) -> FitData:
     """Assemble and validate the training state from log responses."""
     check_rate("nugget", nugget)
-    grid = np.asarray(grid, dtype=float)
+    grid = as_strain_grid(grid)
     Y = check_array("responses", Y_log, (len(designs), grid.size))
     if len(designs) < 2:
         raise InvalidInputError("need at least 2 designs to fit")
@@ -310,10 +310,11 @@ def load_model(path) -> TrainedEmulator:
     Training rows are validated by :func:`make_fit_data`, as a fit's are,
     and p against their curve length. The values are handed to the rules
     of :mod:`spedgp.exceptions` as the file holds them: p as a count,
-    nugget and theta_d as rates, Y, theta, beta and Sigma as numeric
-    arrays, so a string or a bool in any of them raises an invalid-input
-    error. So does a file :func:`read_json` rejects, a missing key or any
-    other value of the wrong type; those errors name the file.
+    nugget and theta_d as rates, the curves, diameters, features, strain
+    grid, Y, theta, beta and Sigma as numeric arrays, so a string, a bool,
+    None or a ragged list in any of them raises an invalid-input error. So
+    does a file :func:`read_json` rejects, a missing key or any other value
+    of the wrong type; those errors name the file.
     """
     doc, name = read_json(path), Path(path).name
     try:
@@ -327,14 +328,15 @@ def load_model(path) -> TrainedEmulator:
 
 
 def _model_from_doc(doc: dict) -> TrainedEmulator:
-    designs = [
-        StructureDesign(
-            diameter=entry["d"],
-            curve=np.array(entry["curve"], dtype=float),
-            features=None if entry.get("features") is None else np.array(entry["features"]),
-        )
-        for entry in doc["designs"]
-    ]
+    entries = doc["designs"]
+    n = len(entries)
+    curves = check_array("curves", [entry["curve"] for entry in entries], (n, None))
+    diameters = check_array("diameters", [entry["d"] for entry in entries], (n,))
+    given = [entry["features"] for entry in entries if entry.get("features") is not None]
+    features = iter(check_array("features", given, (len(given), 4)) if given else ())
+    designs = [StructureDesign(d, curve,
+                               None if entry.get("features") is None else next(features))
+               for entry, d, curve in zip(entries, diameters, curves)]
     data = make_fit_data(designs, doc["Y"], doc["strain_grid"],
                          family=doc["family"], nugget=doc["nugget"])
     p = check_count("p", doc["p"], 1)

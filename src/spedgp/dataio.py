@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import SinusoidSpec
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, check_array
 from .spectral import StructureDesign
 
 DESIGNS_FILE = "designs.csv"
@@ -47,11 +47,11 @@ def check_increasing(strain) -> None:
 
 
 def as_strain_grid(levels) -> np.ndarray:
-    s = np.asarray(levels, dtype=float)
-    if s.ndim != 1 or s.size < 2:
+    s = check_array("strain grid", levels, (None,))
+    if s.size < 2:
         raise InvalidInputError("strain grid must be a vector of at least 2 levels")
-    if not np.all(np.isfinite(s)) or np.any(s <= 0):
-        raise InvalidInputError("strain levels must be finite and positive")
+    if np.any(s <= 0):
+        raise InvalidInputError("strain levels must be positive")
     check_increasing(s)
     return s
 

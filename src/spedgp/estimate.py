@@ -123,10 +123,12 @@ def neg_log_posterior(beta, z, Sigma, data: FitData,
     theta, _ = data.unpack(z)
     E = data.residuals(beta)
     _, choR = data.chol(z)
-    choS = cholesky(np.array(Sigma, dtype=float))
+    n, m = data.n, data.m
+    # cholesky overwrites its argument; the copy keeps Sigma's memory order,
+    # which decides the triangle dpotrf reads
+    choS = cholesky(check_array("Sigma", Sigma, (m, m)).copy(order="K"))
     if choS is None:
         raise SingularMatrixError("Sigma is not positive definite")
-    n, m = data.n, data.m
     logdet_R, logdet_S = logdet(choR), logdet(choS)
     W = solve_factored(choS, np.eye(m))
     quad = float(np.sum(solve_factored(choR, E) * (E @ W)))
@@ -142,9 +144,8 @@ def neg_log_posterior(beta, z, Sigma, data: FitData,
 def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL) -> np.ndarray:
     """min_W -logdet W + tr(S W) + lam * sum_{j != k} |W_jk| by
     :func:`glasso_newton`, certified by :func:`glasso_kkt_residual`."""
-    S = np.asarray(S, dtype=float)
-    m = S.shape[0]
-    if S.ndim != 2 or S.shape[1] != m:
+    S = check_array("S", S, (None, None))
+    if S.shape[0] != S.shape[1]:
         raise InvalidInputError("S must be square")
     if not np.allclose(S, S.T, atol=1e-10 * max(1.0, np.abs(S).max())):
         raise InvalidInputError("S must be symmetric")

@@ -73,12 +73,13 @@ def check_rate(name: str, value):
 
 def check_array(name: str, value, shape: tuple) -> np.ndarray:
     """value as a float array when it is a numeric array: of the given
-    shape, every entry finite, and none a string or a bool."""
+    shape, where a None length matches any, every entry finite, and none
+    a string, a bool or None."""
     try:
         a = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
     except ValueError as exc:  # arrays of different shapes nested in a list
         raise InvalidInputError(f"{name}: no array shape, expected {shape}") from exc
-    if a.shape != shape:
+    if len(a.shape) != len(shape) or any(k not in (None, n) for k, n in zip(shape, a.shape)):
         raise InvalidInputError(f"{name}: shape {a.shape}, expected {shape}")
     if not (a.dtype.kind in "iuf"
             or a.dtype == object and all(map(_real_type, set(map(type, a.flat))))):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cokrige import hpd_interval, log_stress, predict, unlog_stress
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, check_array
 
 STIFFENING = "stiffening"
 SOFTENING = "softening"
@@ -20,10 +20,8 @@ def mare(truth, pred) -> float:
 
     Both sums carry the same uniform grid weight, so it cancels.
     """
-    truth = np.asarray(truth, dtype=float)
-    pred = np.asarray(pred, dtype=float)
-    if truth.shape != pred.shape:
-        raise InvalidInputError("curves must share a grid")
+    truth = check_array("truth", truth, (None,))
+    pred = check_array("pred", pred, truth.shape)
     denom = float(np.sum(np.abs(truth)))
     if denom == 0.0:
         raise InvalidInputError("MARE undefined for an identically zero truth")
@@ -37,10 +35,8 @@ def moduli_and_kappa(curve, grid):
     kappa = (E9 - E1) / 0.08, label "stiffening" when kappa > 0 else
     "softening". Returns (E1, E9, kappa, label).
     """
-    curve = np.asarray(curve, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    if curve.shape != grid.shape:
-        raise InvalidInputError("curve and strain grid must have equal length")
+    grid = check_array("grid", grid, (None,))
+    curve = check_array("curve", curve, grid.shape)
     if grid[0] > 0.01 or grid[-1] < 0.09:
         raise InvalidInputError("strain grid must span [1%, 9%]")
     moduli = []
@@ -76,14 +72,13 @@ def evaluate(model, test) -> MetricsReport:
     and pointwise coverage (the share of (design, strain level) cells
     inside the band).
     """
-    test_grid = np.asarray(test.grid, dtype=float)
-    if (test_grid.shape != model.grid.shape
-            or not np.allclose(test_grid, model.grid, rtol=1e-12, atol=0.0)):
+    if (test.grid.shape != model.grid.shape
+            or not np.allclose(test.grid, model.grid, rtol=1e-12, atol=0.0)):
         raise InvalidInputError("test grid does not match the model's strain grid")
     report = MetricsReport()
     mares, matches, covered_flags, inside_cells = [], [], [], 0
     for i, design in enumerate(test.designs):
-        truth = np.asarray(test.responses[i], dtype=float)
+        truth = test.responses[i]
         pred = predict(model, design)
         mean_stress = unlog_stress(pred.mean)
         err = mare(truth, mean_stress)

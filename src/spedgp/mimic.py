@@ -36,7 +36,7 @@ from scipy.stats import qmc
 from .cokrige import Prediction, TrainedEmulator, log_stress, predict_from_point
 from .dataio import check_increasing
 from .design import DESIGN_BOX
-from .exceptions import InvalidInputError, check_count
+from .exceptions import InvalidInputError, check_array, check_count, check_rate
 from .spectral import (check_curve_length, correlation_from_features, half_size,
                        kernel, solve_factored, sq_differences)
 
@@ -74,9 +74,7 @@ class MimicProblem:
 
     def __post_init__(self):
         data = self.model.data
-        self.target_log = np.asarray(self.target_log, dtype=float)
-        if self.target_log.shape != (data.m,):
-            raise InvalidInputError("target length does not match the model grid")
+        self.target_log = check_array("target_log", self.target_log, (data.m,))
         self.active_set = np.asarray(self.active_set, dtype=int)
         if self.active_set.size == 0:
             raise InvalidInputError(
@@ -107,12 +105,8 @@ def build_problem(model: TrainedEmulator, target_strain, target_stress) -> Mimic
         raise InvalidInputError(
             "inverse design searches modulus spectra and needs a model "
             f"with the sped kernel family, not {model.data.family!r}")
-    target_strain = np.asarray(target_strain, dtype=float)
-    target_stress = np.asarray(target_stress, dtype=float)
-    if target_strain.shape != target_stress.shape or target_strain.ndim != 1:
-        raise InvalidInputError("target strain and stress must be equal-length vectors")
-    if not (np.isfinite(target_strain).all() and np.isfinite(target_stress).all()):
-        raise InvalidInputError("target strain and stress must be finite")
+    target_strain = check_array("target strain", target_strain, (None,))
+    target_stress = check_array("target stress", target_stress, target_strain.shape)
     if np.any(target_stress <= 0):
         raise InvalidInputError("target stresses must be positive")
     check_increasing(target_strain)
@@ -158,14 +152,14 @@ def mse_objective(model: TrainedEmulator, target, d: float, spectrum_active,
     modulus values on the active set (defaults to the fitted theta's
     support); inert coordinates are zero and drop out of the kernel.
     """
-    spectrum_active = np.asarray(spectrum_active, dtype=float)
-    if np.any(spectrum_active < 0) or not np.all(np.isfinite(spectrum_active)):
-        raise InvalidInputError("moduli must be finite and nonnegative")
-    if not np.isfinite(d) or d <= 0:
+    if check_rate("diameter", d) == 0:
         raise InvalidInputError("diameter must be positive")
     if active_set is None:
         active_set = np.flatnonzero(model.data.unpack(model.z)[0] > 0)
     problem = MimicProblem(model=model, target_log=target, active_set=active_set)
+    spectrum_active = check_array("spectrum_active", spectrum_active, problem.active_set.shape)
+    if np.any(spectrum_active < 0):
+        raise InvalidInputError("moduli must be nonnegative")
     x = np.concatenate([[d], spectrum_active])
     return float(_objective_and_grad((problem.s * x)[None], problem)[0][0])
 
@@ -375,10 +369,7 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
 def reconstruct_structure(spectrum, p: int) -> np.ndarray:
     """Zero-phase curve with the requested DFT moduli s: their inverse real
     DFT x_l = (s_0 + 2 sum_k s_k cos(2 pi k l / p)) / p."""
-    spectrum = np.asarray(spectrum, dtype=float)
-    h = half_size(check_curve_length(p))
-    if spectrum.shape != (h,):
-        raise InvalidInputError(f"spectrum must have length {h} for p={p}")
-    if np.any(spectrum < 0) or not np.all(np.isfinite(spectrum)):
-        raise InvalidInputError("moduli must be finite and nonnegative")
+    spectrum = check_array("spectrum", spectrum, (half_size(check_curve_length(p)),))
+    if np.any(spectrum < 0):
+        raise InvalidInputError("moduli must be nonnegative")
     return np.fft.irfft(spectrum, n=p)

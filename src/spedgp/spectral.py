@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import (InvalidInputError, NumericalError, SingularMatrixError,
-                         check_array, check_count)
+                         check_array, check_count, check_rate)
 
 FAMILIES = ("sped", "feature_based", "l2_distance")
 #: families whose feature rows end with the diameter, weighted by theta_d
@@ -306,8 +306,8 @@ def correlation_matrix(designs: list[StructureDesign], z, family: str,
                        nugget: float) -> np.ndarray:
     """n x n correlation matrix at packed weights z, ``1 + nugget`` on the diagonal."""
     F = design_feature_rows(designs, family)
-    return correlation_with_nugget(sq_differences(F, F),
-                                   check_weights(z, F.shape[1]), nugget)
+    return correlation_with_nugget(sq_differences(F, F), check_weights(z, F.shape[1]),
+                                   check_rate("nugget", nugget))
 
 
 def cross_correlation(new: StructureDesign, designs: list[StructureDesign],

@@ -368,10 +368,12 @@ def broken_path(ws, root, flag, case):
         path.write_bytes(b"\xff\xfe\x00")
     elif case == "invalid_json":
         path.write_text(ws.model.read_text()[:200])
-    elif case in ("missing_key", "non_pd_sigma"):
+    elif case in ("missing_key", "non_pd_sigma", "string_grid"):
         doc = json.loads(ws.model.read_text())
         if case == "missing_key":
             del doc["theta"]
+        elif case == "string_grid":
+            doc["strain_grid"] = [repr(s) for s in doc["strain_grid"]]
         else:
             doc["Sigma"] = (-np.eye(len(doc["Sigma"]))).tolist()
         path.write_text(json.dumps(doc))
@@ -412,7 +414,8 @@ BOUNDARY_CASES = (
        ("--train", "ragged_specs", "fit", "designs_specs.csv: ragged rows: row 0"),
        ("--train", "header_only", "fit", "need at least 2 designs"),
        ("--test", "header_only", "eval", "test dataset is empty"),
-       ("--target", "inf_strain", "mimic", "target strain and stress must be finite")]
+       ("--target", "inf_strain", "mimic", "target strain must be finite"),
+       ("--model", "string_grid", "predict", "strain grid must hold real numbers")]
 )
 
 

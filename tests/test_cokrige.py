@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from spedgp import (
+    Dataset,
     InvalidInputError,
     NumericalError,
     StructureDesign,
@@ -90,6 +91,24 @@ class TestMeanBasis:
         with pytest.raises(InvalidInputError,
                            match="^strain grid must be a vector of at least 2 levels$"):
             as_strain_grid(np.array([0.05]))
+
+    @pytest.mark.parametrize("levels,message", [
+        (["0.01", "0.05", "0.15"], "strain grid must hold real numbers"),
+        ([True, 0.05, 0.15], "strain grid must hold real numbers"),
+        (None, "strain grid: shape"),
+        ([[0.01, 0.05], 0.15], "strain grid must hold real numbers"),
+        ([[0.01, 0.05], [0.1, 0.15]], "strain grid: shape"),
+        ([0.01, np.nan, 0.15], "strain grid must be finite"),
+    ], ids=["strings", "bool", "None", "ragged", "matrix", "nan"])
+    @pytest.mark.parametrize("user", ["as_strain_grid", "mean_basis", "make_fit_data",
+                                      "Dataset"])
+    def test_every_grid_takes_the_array_rule(self, user, levels, message):
+        designs = [random_design(np.random.default_rng(i), 5, "sped") for i in range(3)]
+        call = {"as_strain_grid": as_strain_grid, "mean_basis": mean_basis,
+                "make_fit_data": lambda grid: make_fit_data(designs, np.zeros((3, 3)), grid),
+                "Dataset": lambda grid: Dataset(designs, np.ones((3, 3)), grid)}[user]
+        with pytest.raises(InvalidInputError, match=message):
+            call(levels)
 
 
 class TestEmulatorValidation:
@@ -365,13 +384,13 @@ class TestSerialization:
         (lambda doc: doc["Y"].pop(),
          "responses: shape"),
         (lambda doc: doc["designs"][0].__setitem__("curve", [doc["designs"][0]["curve"]]),
-         "structure curve must be a 1-d vector"),
+         "curves: shape"),
         (lambda doc: doc["designs"][0].__setitem__("d", 0.0),
          "diameter must be positive and finite, got 0.0"),
         (lambda doc: doc["designs"][0].__setitem__("features", [1.0, 2.0, 3.0]),
-         r"features must be a finite vector \[d, A, omega, phi\]"),
+         "features: shape"),
         (lambda doc: doc["designs"][1].__setitem__("curve", doc["designs"][1]["curve"][:3]),
-         "design 1 has p=3, expected 5"),
+         "curves: shape"),
         # a value of the wrong type reaches its rule as the file holds it
         (lambda doc: doc.__setitem__("nugget", True),
          "nugget must be finite and nonnegative, got True"),
@@ -392,6 +411,31 @@ class TestSerialization:
          "Sigma must hold real numbers"),
         (lambda doc: doc["Y"][0].__setitem__(0, str(doc["Y"][0][0])),
          "responses must hold real numbers"),
+        (lambda doc: doc.__setitem__("strain_grid", list(map(str, doc["strain_grid"]))),
+         "strain grid must hold real numbers"),
+        (lambda doc: doc["strain_grid"].__setitem__(0, True),
+         "strain grid must hold real numbers"),
+        (lambda doc: doc.__setitem__("strain_grid", None), "strain grid: shape"),
+        (lambda doc: doc.__setitem__("strain_grid", [doc["strain_grid"][:1],
+                                                     doc["strain_grid"][1:]]),
+         "strain grid must hold real numbers"),
+        (lambda doc: doc["designs"][0].__setitem__("d", str(doc["designs"][0]["d"])),
+         "diameters must hold real numbers"),
+        (lambda doc: doc["designs"][0].__setitem__("d", True),
+         "diameters must hold real numbers"),
+        (lambda doc: doc["designs"][0].__setitem__("d", None),
+         "diameters must hold real numbers"),
+        (lambda doc: doc["designs"][0].__setitem__("d", [0.5, 0.6]),
+         "diameters must hold real numbers"),
+        (lambda doc: doc["designs"][1]["curve"].__setitem__(0, True),
+         "curves must hold real numbers"),
+        (lambda doc: doc["designs"][1]["curve"].__setitem__(0, "0.5"),
+         "curves must hold real numbers"),
+        (lambda doc: doc["designs"][1].__setitem__("curve", None), "curves: shape"),
+        (lambda doc: doc["designs"][0].__setitem__("features", ["0.5"] * 4),
+         "features must hold real numbers"),
+        (lambda doc: doc["designs"][0].__setitem__("features", [True, 0.5, 0.5, 0.5]),
+         "features must hold real numbers"),
     ], ids=["nan_response", "duplicate_design", "negative_theta", "nan_theta",
             "short_theta", "ragged_theta", "nan_theta_d", "negative_theta_d",
             "nan_nugget", "negative_nugget", "unknown_family", "matrix_theta",
@@ -399,7 +443,9 @@ class TestSerialization:
             "zero_diameter", "short_features", "mixed_p", "bool_nugget",
             "string_nugget", "float_p", "bool_p", "string_beta", "bool_beta",
             "string_theta", "string_theta_d", "bool_theta_d", "string_sigma",
-            "string_Y"])
+            "string_Y", "string_grid", "bool_grid", "none_grid", "ragged_grid",
+            "string_d", "bool_d", "none_d", "list_d", "bool_curve", "string_curve",
+            "none_curve", "string_features", "bool_features"])
     def test_load_validates_training_rows_as_fit_does(self, tmp_path, edit, message):
         rng = np.random.default_rng(10)
         path = tmp_path / "model.json"
@@ -411,15 +457,19 @@ class TestSerialization:
             load_model(path)
 
     def test_json_integers_load_as_written(self, tmp_path):
-        # integer p, nugget, theta_d, beta, Sigma and Y are numbers of the
-        # right type; the rules pass them on, so nugget stays the integer 0
+        # integer p, nugget, theta_d, beta, Sigma, Y, diameters, curves and
+        # strain grid are numbers of the right type; the rules pass them on,
+        # so nugget stays the integer 0, and the model predicts
         rng = np.random.default_rng(12)
         path = tmp_path / "model.json"
         save_model(random_emulator(rng), path)
         doc = json.loads(path.read_text())
         m = len(doc["Sigma"])
         doc.update(nugget=0, theta_d=1, beta=[0, 1], Sigma=np.eye(m, dtype=int).tolist(),
-                   Y=[[i + 2 * j for j in range(m)] for i in range(len(doc["Y"]))])
+                   Y=[[i + 2 * j for j in range(m)] for i in range(len(doc["Y"]))],
+                   strain_grid=list(range(1, m + 1)))
+        for i, entry in enumerate(doc["designs"]):
+            entry.update(d=i + 1, curve=[round(10 * v) for v in entry["curve"]])
         path.write_text(json.dumps(doc))
         back = load_model(path)
         assert back.data.nugget == 0 and type(back.data.nugget) is int
@@ -427,6 +477,12 @@ class TestSerialization:
         np.testing.assert_array_equal(back.beta, [0.0, 1.0])
         np.testing.assert_array_equal(back.Sigma, np.eye(m))
         assert back.data.Y.dtype == float and back.data.Y[1, 2] == 5.0
+        assert back.grid.dtype == float and back.grid.tolist() == list(range(1, m + 1))
+        second = back.data.designs[1]
+        assert type(second.diameter) is float and second.diameter == 2.0
+        assert second.curve.dtype == float
+        assert second.curve.tolist() == doc["designs"][1]["curve"]
+        assert np.isfinite(predict(back, second).mean).all()
 
     @pytest.mark.parametrize("family", ["sped", "feature_based"])
     def test_theta_d_checked_for_every_family(self, tmp_path, family):

@@ -16,7 +16,6 @@ from spedgp import (
     FitConfig,
     FitError,
     InvalidInputError,
-    NumericalError,
     SingularMatrixError,
     StructureDesign,
     fit,
@@ -127,7 +126,7 @@ class TestNegLogPosterior:
         data, *_ = random_fit_data(rng)
         beta, z, Sigma = random_state(rng, data)
         Sigma[1, 0] = Sigma[0, 1] = np.nan
-        with pytest.raises(NumericalError, match="not finite"):
+        with pytest.raises(InvalidInputError, match="Sigma must be finite"):
             neg_log_posterior(beta, z, Sigma, data, 0.0, 0.0)
 
     def test_inf_sigma_is_not_reported_as_indefinite(self):
@@ -136,7 +135,7 @@ class TestNegLogPosterior:
         data, *_ = random_fit_data(rng)
         beta, z, Sigma = random_state(rng, data)
         Sigma[1, 0] = Sigma[0, 1] = np.inf
-        with pytest.raises(NumericalError, match="not finite"):
+        with pytest.raises(InvalidInputError, match="Sigma must be finite"):
             neg_log_posterior(beta, z, Sigma, data, 0.0, 0.0)
 
 
@@ -426,12 +425,22 @@ class TestBlockArguments:
          "W must hold real numbers"),
         (lambda s: neg_log_posterior([str(b) for b in s.beta], s.z, s.Sigma, s.data, 0.1, 0.1),
          "beta must hold real numbers"),
+        (lambda s: neg_log_posterior(s.beta, s.z, s.Sigma.astype(str), s.data, 0.1, 0.1),
+         "Sigma must hold real numbers"),
+        (lambda s: neg_log_posterior(s.beta, s.z, s.Sigma != 0, s.data, 0.1, 0.1),
+         "Sigma must hold real numbers"),
+        (lambda s: neg_log_posterior(s.beta, s.z, None, s.data, 0.1, 0.1), "Sigma: shape"),
+        (lambda s: neg_log_posterior(s.beta, s.z, RAGGED, s.data, 0.1, 0.1), "Sigma: shape"),
+        (lambda s: neg_log_posterior(s.beta, s.z, np.eye(3), s.data, 0.1, 0.1),
+         "Sigma: shape"),
     ], ids=["theta z0 length", "theta z0 negative", "theta lambda_I", "theta W",
             "sigma beta", "sigma lambda_o", "sigma W", "sigma W ragged", "sigma W nan",
             "beta W", "beta choR", "nlp beta length", "nlp beta nan",
             "theta lambda_I string", "theta z0 strings", "sigma lambda_o numpy bool",
             "sigma lambda_o bool", "sigma W strings", "sigma beta bool",
-            "beta choR bools", "beta W bool entry", "nlp beta strings"])
+            "beta choR bools", "beta W bool entry", "nlp beta strings",
+            "nlp Sigma strings", "nlp Sigma bools", "nlp Sigma None", "nlp Sigma ragged",
+            "nlp Sigma size"])
     def test_raises_typed_error(self, block_state, call, message):
         with pytest.raises(InvalidInputError, match=message):
             call(block_state)

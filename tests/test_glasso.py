@@ -141,6 +141,22 @@ class TestFailureModes:
         with pytest.raises(InvalidInputError, match="penalty must be finite and nonnegative"):
             graphical_lasso(np.eye(2), lam)
 
+    @pytest.mark.parametrize("S,message", [
+        ([["1", "0"], ["0", "1"]], "S must hold real numbers"),
+        ([[True, False], [False, True]], "S must hold real numbers"),
+        (np.eye(2, dtype=bool), "S must hold real numbers"),
+        ([[1.0, None], [None, 1.0]], "S must hold real numbers"),
+        (None, "S: shape"),
+        (1.0, "S: shape"),
+        ([1.0, 1.0], "S: shape"),
+        ([[1.0, 0.0], [0.0]], "S: shape"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "S must be finite"),
+    ], ids=["strings", "bools", "bool array", "None entries", "None", "scalar", "vector",
+            "ragged", "nan"])
+    def test_matrix_of_the_wrong_type(self, S, message):
+        with pytest.raises(InvalidInputError, match=message):
+            graphical_lasso(S, 0.1)
+
 
 class TestDualStart:
     """The warm precision's projected inverse if it is definite, else the

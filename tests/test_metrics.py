@@ -30,8 +30,24 @@ class TestMare:
             mare(np.zeros(3), np.ones(3))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError, match="grid"):
+        with pytest.raises(InvalidInputError, match="pred: shape"):
             mare(np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("truth,pred,message", [
+        (["1", "2"], [1.0, 2.0], "truth must hold real numbers"),
+        ([1.0, 2.0], ["1", "2"], "pred must hold real numbers"),
+        ([True, 2.0], [1.0, 2.0], "truth must hold real numbers"),
+        ([1.0, 2.0], np.array([True, False]), "pred must hold real numbers"),
+        (None, [1.0, 2.0], "truth: shape"),
+        ([1.0, 2.0], None, "pred: shape"),
+        ([[1.0, 2.0], [3.0]], [1.0, 2.0], "truth must hold real numbers"),
+        ([1.0, 2.0], [[1.0, 2.0], [3.0]], "pred must hold real numbers"),
+        ([1.0, np.nan], [1.0, 2.0], "truth must be finite"),
+    ], ids=["string truth", "string pred", "bool truth", "bool pred", "None truth",
+            "None pred", "ragged truth", "ragged pred", "nan truth"])
+    def test_curves_of_the_wrong_type_rejected(self, truth, pred, message):
+        with pytest.raises(InvalidInputError, match=message):
+            mare(truth, pred)
 
 
 class TestModuliAndKappa:
@@ -80,8 +96,26 @@ class TestModuliAndKappa:
             moduli_and_kappa(np.ones(3), grid)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError, match="equal length"):
+        with pytest.raises(InvalidInputError, match="curve: shape"):
             moduli_and_kappa(np.ones(5), np.linspace(0.005, 0.1, 6))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda curve, grid: (curve, grid.astype(str)), "grid must hold real numbers"),
+        (lambda curve, grid: (curve.astype(str), grid), "curve must hold real numbers"),
+        (lambda curve, grid: (curve > 0, grid), "curve must hold real numbers"),
+        (lambda curve, grid: (curve, None), "grid: shape"),
+        (lambda curve, grid: (None, grid), "curve: shape"),
+        (lambda curve, grid: (curve, [grid[:2].tolist(), *grid[2:]]),
+         "grid must hold real numbers"),
+        (lambda curve, grid: ([curve[:2].tolist(), *curve[2:]], grid), "curve: shape"),
+        (lambda curve, grid: (np.where(grid > 0.05, np.nan, curve), grid),
+         "curve must be finite"),
+    ], ids=["string grid", "string curve", "bool curve", "None grid", "None curve",
+            "ragged grid", "ragged curve", "nan curve"])
+    def test_arguments_of_the_wrong_type_rejected(self, edit, message):
+        grid = np.linspace(0.005, 0.1, 20)
+        with pytest.raises(InvalidInputError, match=message):
+            moduli_and_kappa(*edit(grid ** 2, grid))
 
 
 @pytest.fixture(scope="module")

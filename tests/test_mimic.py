@@ -135,6 +135,17 @@ class TestReconstructStructure:
             with pytest.raises(InvalidInputError, match="curve length"):
                 reconstruct_structure(np.zeros(5), p)
 
+    @pytest.mark.parametrize("spectrum,message", [
+        (["0.5"] * 5, "spectrum must hold real numbers"),
+        ([True, 0.0, 0.0, 0.0, 0.0], "spectrum must hold real numbers"),
+        (None, "spectrum: shape"),
+        ([[1.0, 0.5], 0.0, 0.0, 0.0, 0.0], "spectrum must hold real numbers"),
+        ([1.0, np.nan, 0.0, 0.0, 0.0], "spectrum must be finite"),
+    ], ids=["strings", "bool", "None", "ragged", "nan"])
+    def test_spectrum_of_the_wrong_type(self, spectrum, message):
+        with pytest.raises(InvalidInputError, match=message):
+            reconstruct_structure(spectrum, 9)
+
 
 def objective_at_x(model, target, x, active_set=None):
     """The search objective at one x = (d, moduli on the active set), by
@@ -213,6 +224,23 @@ class TestMseObjective:
             mse_objective(model, target, 0.0, [0.1, 0.2, 0.3, 0.4])
         with pytest.raises(InvalidInputError):
             mse_objective(model, target, 1.0, [np.nan, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("d,spectrum,message", [
+        ("1.0", [0.1, 0.2, 0.3, 0.4], "diameter must be finite and nonnegative, got '1.0'"),
+        (True, [0.1, 0.2, 0.3, 0.4], "diameter must be finite and nonnegative, got True"),
+        (None, [0.1, 0.2, 0.3, 0.4], "diameter must be finite and nonnegative, got None"),
+        (1.0, ["0.1", "0.2", "0.3", "0.4"], "spectrum_active must hold real numbers"),
+        (1.0, [True, 0.2, 0.3, 0.4], "spectrum_active must hold real numbers"),
+        (1.0, None, "spectrum_active: shape"),
+        (1.0, [[0.1, 0.2], 0.3, 0.4, 0.5], "spectrum_active must hold real numbers"),
+        (1.0, [0.1, 0.2, 0.3], "spectrum_active: shape"),
+    ], ids=["string d", "bool d", "None d", "string moduli", "bool modulus", "None moduli",
+            "ragged moduli", "short moduli"])
+    def test_arguments_of_the_wrong_type(self, d, spectrum, message):
+        rng = np.random.default_rng(7)
+        model = toy_emulator(rng, [0.1, 0.4, 0.0, 0.2, 0.15])
+        with pytest.raises(InvalidInputError, match=message):
+            mse_objective(model, np.zeros(model.data.m), d, spectrum)
 
 
 def brute_force_correlations(model, x, active):
@@ -387,7 +415,7 @@ class TestBuildProblem:
     ], ids=["inf_strain", "nan_strain", "inf_stress", "nan_stress"])
     def test_rejects_non_finite_target(self, mimic_model, strain, stress):
         # an inf strain would otherwise hold the target flat past the last finite level
-        with pytest.raises(InvalidInputError, match="target strain and stress must be finite"):
+        with pytest.raises(InvalidInputError, match="target (strain|stress) must be finite"):
             build_problem(mimic_model, np.array(strain), np.array(stress))
 
     def test_rejects_unsorted_target_strain(self, mimic_model, target_stress):
@@ -415,6 +443,40 @@ class TestBuildProblem:
         with pytest.raises(InvalidInputError):
             MimicProblem(model=mimic_model,
                          target_log=mimic_problem.target_log[:-1],
+                         active_set=mimic_problem.active_set)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda strain, stress: (strain.astype(str), stress),
+         "target strain must hold real numbers"),
+        (lambda strain, stress: (strain, stress.astype(str)),
+         "target stress must hold real numbers"),
+        (lambda strain, stress: (strain, stress > 0), "target stress must hold real numbers"),
+        (lambda strain, stress: (None, stress), "target strain: shape"),
+        (lambda strain, stress: (strain, None), "target stress: shape"),
+        (lambda strain, stress: ([strain[:2].tolist(), *strain[2:]], stress),
+         "target strain must hold real numbers"),
+        (lambda strain, stress: (strain, [stress[:2].tolist(), *stress[2:]]),
+         "target stress: shape"),
+        (lambda strain, stress: (np.column_stack([strain, strain]), stress),
+         "target strain: shape"),
+    ], ids=["string strain", "string stress", "bool stress", "None strain", "None stress",
+            "ragged strain", "ragged stress", "matrix strain"])
+    def test_rejects_target_of_the_wrong_type(self, mimic_model, target_stress, edit,
+                                              message):
+        with pytest.raises(InvalidInputError, match=message):
+            build_problem(mimic_model, *edit(TARGET_STRAIN, target_stress))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t.astype(str), "target_log must hold real numbers"),
+        (lambda t: t > 0, "target_log must hold real numbers"),
+        (lambda t: None, "target_log: shape"),
+        (lambda t: [t[:2].tolist(), *t[2:]], "target_log: shape"),
+        (lambda t: np.where(np.arange(t.size) == 0, np.nan, t), "target_log must be finite"),
+    ], ids=["strings", "bools", "None", "ragged", "nan"])
+    def test_rejects_target_log_of_the_wrong_type(self, mimic_model, mimic_problem, edit,
+                                                  message):
+        with pytest.raises(InvalidInputError, match=message):
+            MimicProblem(model=mimic_model, target_log=edit(mimic_problem.target_log),
                          active_set=mimic_problem.active_set)
 
 

@@ -22,6 +22,7 @@ from spedgp.spectral import (
     as_structure_curve,
     check_weights,
     cholesky,
+    correlation_cholesky,
     correlation_from_features,
     correlation_matrix,
     correlation_with_nugget,
@@ -322,6 +323,12 @@ class TestMatrixAssembly:
             check_weights(np.ones(3), half_size(self.p) + 1)
         with pytest.raises(InvalidInputError, match="expected"):
             correlation_matrix(self.designs, np.ones(3), "sped", self.nugget)
+
+    @pytest.mark.parametrize("nugget", [True, np.True_, "1e-8", None, np.nan, -1e-8])
+    @pytest.mark.parametrize("assemble", [correlation_matrix, correlation_cholesky])
+    def test_nugget_must_be_a_rate(self, assemble, nugget):
+        with pytest.raises(InvalidInputError, match="nugget must be finite and nonnegative"):
+            assemble(self.designs, self.z, "sped", nugget)
 
 
 def spd_matrix(rng, n):
