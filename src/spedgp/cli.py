@@ -27,7 +27,7 @@ from .dataio import (TEST_PREFIX, Dataset, load_dataset, load_eval_dataset,
 from .design import gen_sinusoid, sample_designs
 from .estimate import FitConfig, fit, select_penalties
 from .exceptions import (ConvergenceError, FitError, InvalidInputError,
-                         NumericalError, SingularMatrixError)
+                         NumericalError, SingularMatrixError, check_count)
 from .metrics import evaluate
 from .mimic import build_problem, optimize
 from .oracle import synthetic_oracle
@@ -40,8 +40,7 @@ CONFIG_KEY_MAP = {f.name.lower(): f.name for f in dataclasses.fields(FitConfig)}
 
 
 def _cmd_gen(args) -> int:
-    if args.test_n < 0:
-        raise InvalidInputError(f"--test-n must be nonnegative, got {args.test_n}")
+    check_count("--test-n", args.test_n, 0)
     grid = default_strain_grid()
     out = Path(args.out)
     for n, seed, scheme, prefix in ((args.n, args.seed, "lhs", ""),

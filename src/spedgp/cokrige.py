@@ -56,19 +56,17 @@ def mean_basis(grid) -> np.ndarray:
 
 
 def log_stress(values) -> np.ndarray:
-    """Elementwise log transform; stresses must be strictly positive."""
-    v = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(v)) or np.any(v <= 0):
-        raise InvalidInputError("stress values must be finite and positive for the log transform")
+    """Elementwise log transform of a numeric array of any shape; stresses
+    must be strictly positive."""
+    v = check_array("stress values", values, None)
+    if np.any(v <= 0):
+        raise InvalidInputError("stress values must be positive for the log transform")
     return np.log(v)
 
 
 def unlog_stress(values) -> np.ndarray:
     """Inverse of :func:`log_stress`."""
-    v = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("log-stress values must be finite")
-    return np.exp(v)
+    return np.exp(check_array("log-stress values", values, None))
 
 
 @dataclass
@@ -256,11 +254,7 @@ def hpd_interval(pred: Prediction, level: float):
     half width is built in place in one array, from a view of Sigma's
     diagonal; the upper endpoint reuses it.
     """
-    try:
-        valid = 0.0 < level < 1.0  # False for a bool, TypeError for a non-number
-    except TypeError:
-        valid = False
-    if not valid:
+    if not 0 < check_rate("level", level) < 1:
         raise InvalidInputError(f"level must be a number in (0,1), got {level!r}")
     if pred.scale < -V_TOLERANCE:
         raise NumericalError(f"negative predictive scale {pred.scale:.3e}")
@@ -336,7 +330,7 @@ def _model_from_doc(doc: dict) -> TrainedEmulator:
     features = iter(check_array("features", given, (len(given), 4)) if given else ())
     designs = [StructureDesign(d, curve,
                                None if entry.get("features") is None else next(features))
-               for entry, d, curve in zip(entries, diameters, curves)]
+               for entry, d, curve in zip(entries, diameters.tolist(), curves)]
     data = make_fit_data(designs, doc["Y"], doc["strain_grid"],
                          family=doc["family"], nugget=doc["nugget"])
     p = check_count("p", doc["p"], 1)

@@ -66,16 +66,14 @@ class Dataset:
 
     def __post_init__(self):
         self.grid = as_strain_grid(self.grid)
-        self.responses = np.asarray(self.responses, dtype=float)
-        if self.responses.ndim != 2:
-            raise InvalidInputError("responses must be a matrix of runs by strain levels")
+        self.responses = check_array("responses", self.responses, (None, None))
         n, m = self.responses.shape
         if len(self.designs) != n:
             raise InvalidInputError("design count does not match response rows")
         if m != self.grid.size:
             raise InvalidInputError("response columns do not match the strain grid")
-        if not np.all(np.isfinite(self.responses)) or np.any(self.responses <= 0):
-            raise InvalidInputError("stresses must be finite and positive")
+        if np.any(self.responses <= 0):
+            raise InvalidInputError("stresses must be positive")
 
 
 def _cannot(mode: str, path, exc) -> InvalidInputError:

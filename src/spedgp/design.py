@@ -9,13 +9,12 @@ samplers cannot share points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
 
-from .exceptions import InvalidInputError, check_count
+from .exceptions import InvalidInputError, check_count, check_rate
 from .spectral import StructureDesign, structure_times
 
 DESIGN_BOX = {
@@ -38,12 +37,11 @@ class SinusoidSpec:
     phi: float
 
     def __post_init__(self):
+        # every box floor is >= 0, so each field is a rate before the box test
         for key in BOX_KEYS:
-            value = float(getattr(self, key))
-            object.__setattr__(self, key, value)
+            value = check_rate(key, getattr(self, key))
             lo, hi = DESIGN_BOX[key]
-            # NaN fails every comparison; only the finiteness test rejects it
-            if not math.isfinite(value) or value < lo or value > hi:
+            if value < lo or value > hi:
                 raise InvalidInputError(
                     f"{key} = {value} outside the design box [{lo}, {hi}]")
 
@@ -81,5 +79,5 @@ def sample_designs(n: int, seed: int = 0, scheme: str = "lhs") -> list[SinusoidS
         mpow = max(int(np.ceil(np.log2(n))), 0)
         u = qmc.Sobol(d=4, scramble=True, seed=seed).random_base2(mpow)[:n]
     points = lo + u * (hi - lo)
-    return [SinusoidSpec(*row) for row in points]
+    return [SinusoidSpec(*row) for row in points.tolist()]
 

@@ -56,7 +56,9 @@ def _real_type(t: type) -> bool:
 def check_count(name: str, value, minimum: int):
     """value itself when it is a count or a seed: an integer, not a bool,
     at or above minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # an int is an integer (a bool's type is bool); the ABC test decides the rest
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         least = "nonnegative" if minimum == 0 else f"at least {minimum}"
@@ -66,25 +68,33 @@ def check_count(name: str, value, minimum: int):
 
 def check_rate(name: str, value):
     """value itself when it is a rate: a finite real >= 0, not a bool or a string."""
-    if not (_real_type(type(value)) and math.isfinite(value) and value >= 0):
+    # a float (numpy's float64 is one) is a real; the ABC test decides the rest
+    if not ((isinstance(value, float) or _real_type(type(value)))
+            and math.isfinite(value) and value >= 0):
         raise InvalidInputError(f"{name} must be finite and nonnegative, got {value!r}")
     return value
 
 
-def check_array(name: str, value, shape: tuple) -> np.ndarray:
+def _fits(expected, length) -> bool:
+    return expected is None or expected == length
+
+
+def check_array(name: str, value, shape: tuple | None) -> np.ndarray:
     """value as a float array when it is a numeric array: of the given
-    shape, where a None length matches any, every entry finite, and none
-    a string, a bool or None."""
+    shape, where a None length matches any length and a None shape any
+    shape, every entry finite, and none a string, a bool or None."""
     try:
         a = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
     except ValueError as exc:  # arrays of different shapes nested in a list
         raise InvalidInputError(f"{name}: no array shape, expected {shape}") from exc
-    if len(a.shape) != len(shape) or any(k not in (None, n) for k, n in zip(shape, a.shape)):
+    if shape is not None and (len(a.shape) != len(shape)
+                              or not all(map(_fits, shape, a.shape))):
         raise InvalidInputError(f"{name}: shape {a.shape}, expected {shape}")
     if not (a.dtype.kind in "iuf"
             or a.dtype == object and all(map(_real_type, set(map(type, a.flat))))):
         raise InvalidInputError(f"{name} must hold real numbers, not strings or booleans")
     a = a.astype(float, copy=False)
-    if not np.isfinite(a).all():
+    # counting is cheaper than a logical_and reduction on small arrays
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise InvalidInputError(f"{name} must be finite")
     return a

@@ -57,6 +57,8 @@ STOPS = np.array(["line search", "gradient", "reduction", "iterations"], dtype=o
 class MimicProblem:
     """Frozen search setup: model, log-space target, active set, box.
 
+    The active set is a vector of distinct spectral indices: integers, not
+    bools or floats, from 0 to below the diameter's column nz - 1.
     The box [lo, hi] of x = (d, moduli on the active set) is derived: the
     diameter searches the design box's ``DESIGN_BOX["d"]``, and each active
     modulus coordinate runs from 0 to COEF_BOUND_FACTOR x its largest
@@ -75,11 +77,17 @@ class MimicProblem:
     def __post_init__(self):
         data = self.model.data
         self.target_log = check_array("target_log", self.target_log, (data.m,))
-        self.active_set = np.asarray(self.active_set, dtype=int)
-        if self.active_set.size == 0:
+        check_array("active set", self.active_set, (None,))
+        active = np.array([check_count("active set index", k, 0) for k in self.active_set],
+                          dtype=int)
+        if active.size == 0:
             raise InvalidInputError(
                 "every spectral weight is zero; mimicking degenerates to "
                 "diameter-only and is not supported")
+        if active.max() >= data.nz - 1 or np.unique(active).size < active.size:
+            raise InvalidInputError(f"active set must hold distinct spectral indices "
+                                    f"below {data.nz - 1}, got {active.tolist()}")
+        self.active_set = active
         d_lo, d_hi = DESIGN_BOX["d"]
         top = COEF_BOUND_FACTOR * data.F[:, self.active_set].max(axis=0)
         self.lo = np.concatenate([[d_lo], np.zeros(self.active_set.size)])

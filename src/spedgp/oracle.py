@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, check_array
 from .spectral import StructureDesign, dft_modulus
 
 # frequency indices (half-spectrum) that drive the response, and their weights
@@ -48,12 +48,11 @@ MIN_ORACLE_P = 17  # band index 8 must sit inside the half spectrum
 
 def band_feature(curve) -> float:
     """Weighted mean of the active-band DFT moduli, normalized by 2/p."""
-    curve = np.asarray(curve, dtype=float)
-    p = curve.size
+    moduli = dft_modulus(curve)
+    p = 2 * moduli.size - 1  # the curve length of a half spectrum of that size
     if p < MIN_ORACLE_P:
         raise InvalidInputError(
             f"oracle needs p >= {MIN_ORACLE_P} so the active band fits, got {p}")
-    moduli = dft_modulus(curve)
     return float(2.0 / p * (BAND_WEIGHTS @ moduli[ACTIVE_BAND]))
 
 
@@ -82,7 +81,7 @@ def quad_gain(d: float, w: float) -> float:
 
 def power_curve(a: float, b: float, grid) -> np.ndarray:
     """Evaluate a s^b on a positive strain grid."""
-    grid = np.asarray(grid, dtype=float)
+    grid = check_array("strain grid", grid, (None,))
     if np.any(grid <= 0):
         raise InvalidInputError("power-law responses need strictly positive strain")
     return a * grid ** b
@@ -93,5 +92,5 @@ def synthetic_oracle(design: StructureDesign, grid) -> np.ndarray:
     w = band_feature(design.curve)
     a, b = power_params(design.diameter, w)
     g = quad_gain(design.diameter, w)
-    grid = np.asarray(grid, dtype=float)
+    grid = check_array("strain grid", grid, (None,))
     return power_curve(a, b, grid) + g * grid ** 2

@@ -43,19 +43,19 @@ def half_size(p: int) -> int:
     return (p - 1) // 2 + 1
 
 
-def as_structure_curve(values) -> np.ndarray:
-    """Validate and return a structure curve as a float array.
+def check_curve_length(p) -> int:
+    """p itself when it is a curve length: an odd integer >= 3 (not a bool),
+    so the half spectrum has exactly (p-1)/2 + 1 bins."""
+    if check_count("curve length", p, 0) % 2 == 0 or p < 3:
+        raise InvalidInputError(f"curve length must be odd and >= 3, got {p!r}")
+    return p
 
-    The curve must have odd length (so the half spectrum has exactly
-    (p-1)/2 + 1 bins) and finite entries.
-    """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidInputError("structure curve must be a 1-d vector")
-    if x.size % 2 == 0:
-        raise InvalidInputError(f"curve length must be odd, got {x.size}")
-    if not np.logical_and.reduce(np.isfinite(x)):
-        raise InvalidInputError("structure curve contains non-finite values")
+
+def as_structure_curve(values) -> np.ndarray:
+    """A structure curve as a float array: a numeric vector (see
+    :func:`check_array`) whose size is a curve length."""
+    x = check_array("structure curve", values, (None,))
+    check_curve_length(x.size)
     return x
 
 
@@ -80,13 +80,6 @@ def dft_modulus(curve) -> np.ndarray:
     return np.abs(_dft_basis(x.size) @ x)
 
 
-def check_curve_length(p) -> int:
-    """p itself when it is a curve length: an odd integer >= 3 (not a bool)."""
-    if check_count("curve length", p, 3) % 2 == 0:
-        raise InvalidInputError(f"curve length must be odd and >= 3, got {p!r}")
-    return p
-
-
 def structure_times(p: int) -> np.ndarray:
     """Uniform sampling grid t_k = k * STRUCTURE_SPAN / (p - 1) of a structure curve."""
     return np.arange(check_curve_length(p)) * (STRUCTURE_SPAN / (p - 1))
@@ -107,15 +100,10 @@ class StructureDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "curve", as_structure_curve(self.curve))
-        d = float(self.diameter)
-        if not np.isfinite(d) or d <= 0:
-            raise InvalidInputError(f"diameter must be positive and finite, got {d}")
-        object.__setattr__(self, "diameter", d)
+        if check_rate("diameter", self.diameter) == 0:
+            raise InvalidInputError(f"diameter must be positive and finite, got {self.diameter}")
         if self.features is not None:
-            f = np.asarray(self.features, dtype=float)
-            if f.shape != (4,) or not np.all(np.isfinite(f)):
-                raise InvalidInputError("features must be a finite vector [d, A, omega, phi]")
-            object.__setattr__(self, "features", f)
+            object.__setattr__(self, "features", check_array("features", self.features, (4,)))
 
     @property
     def p(self) -> int:

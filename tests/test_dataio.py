@@ -199,7 +199,8 @@ class TestDataset:
 
     def test_responses_must_be_a_matrix(self, tiny):
         _, _, _, grid, _ = tiny
-        with pytest.raises(InvalidInputError, match="matrix of runs"):
+        with pytest.raises(InvalidInputError,
+                           match=r"^responses: shape \(0,\), expected \(None, None\)$"):
             Dataset(designs=[], responses=[], grid=grid)
 
 

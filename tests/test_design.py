@@ -16,13 +16,13 @@ class TestSinusoidSpec:
             SinusoidSpec(1.0, 0.5, 0.9, 3.0)
         with pytest.raises(InvalidInputError):
             SinusoidSpec(1.0, 0.5, 0.4, 7.0)
-        # a NaN fails every comparison with the box, so only the finiteness
-        # test rejects it
-        for k in range(4):
+        # a NaN fails every comparison with the box; the rate rule rejects it
+        for k, key in enumerate(("d", "A", "omega", "phi")):
             for bad in (np.nan, np.inf, -np.inf):
                 values = [1.0, 0.5, 0.4, 3.0]
                 values[k] = bad
-                with pytest.raises(InvalidInputError, match="outside the design box"):
+                with pytest.raises(InvalidInputError,
+                                   match=f"^{key} must be finite and nonnegative, got"):
                     SinusoidSpec(*values)
 
     def test_as_array_order(self):

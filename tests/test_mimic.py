@@ -439,6 +439,36 @@ class TestBuildProblem:
                          target_log=mimic_problem.target_log,
                          active_set=np.array([], dtype=int))
 
+    @pytest.mark.parametrize("active_set,message", [
+        ([-1], "active set index must be nonnegative, got -1"),
+        ([1.7], "active set index must be an integer, got 1.7"),
+        ([1.0], "active set index must be an integer, got 1.0"),
+        (np.array([1.0, 2.0]), "active set index must be an integer"),
+        (["1"], "active set must hold real numbers"),
+        ([True], "active set must hold real numbers"),
+        ([np.True_], "active set must hold real numbers"),
+        ([999], "distinct spectral indices below 11, got \\[999\\]"),
+        ([11], "distinct spectral indices below 11, got \\[11\\]"),  # the diameter's
+        ([1, 2, 1], "distinct spectral indices below 11, got \\[1, 2, 1\\]"),
+        ([[1, 2]], "active set: shape"),
+        (None, "active set: shape"),
+        (1, "active set: shape"),
+    ])
+    def test_rejects_what_is_not_distinct_spectral_indices(self, mimic_model, mimic_problem,
+                                                           active_set, message):
+        # the mimic model has p = 21: spectral columns 0..10, the diameter last
+        assert mimic_model.data.nz == 12
+        with pytest.raises(InvalidInputError, match=message):
+            MimicProblem(model=mimic_model, target_log=mimic_problem.target_log,
+                         active_set=active_set)
+
+    def test_active_set_indices_are_kept_in_order(self, mimic_model, mimic_problem):
+        problem = MimicProblem(model=mimic_model, target_log=mimic_problem.target_log,
+                               active_set=[3, 0, 1])
+        assert problem.active_set.dtype == int
+        np.testing.assert_array_equal(problem.active_set, [3, 0, 1])
+        np.testing.assert_array_equal(problem.cols, [-1, 3, 0, 1])
+
     def test_rejects_target_length_mismatch(self, mimic_model, mimic_problem):
         with pytest.raises(InvalidInputError):
             MimicProblem(model=mimic_model,

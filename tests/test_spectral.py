@@ -118,14 +118,21 @@ class TestDftModulus:
         with pytest.raises(InvalidInputError, match="odd"):
             dft_modulus([1.0, 2.0])
 
+    def test_length_takes_the_curve_length_rule(self):
+        # the rule of structure_times: a 1-point curve has no half spectrum to weight
+        for curve in ([], [1.0], [1.0, 2.0]):
+            with pytest.raises(InvalidInputError,
+                               match=f"^curve length must be odd and >= 3, got {len(curve)}$"):
+                as_structure_curve(curve)
+
     def test_non_finite_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             for at in range(3):
                 curve = [1.0, 3.0, 2.0]
                 curve[at] = bad
-                with pytest.raises(InvalidInputError, match="non-finite"):
+                with pytest.raises(InvalidInputError, match="^structure curve must be finite$"):
                     as_structure_curve(curve)
-                with pytest.raises(InvalidInputError, match="non-finite"):
+                with pytest.raises(InvalidInputError, match="^structure curve must be finite$"):
                     StructureDesign(1.0, np.array(curve))
 
 
