@@ -35,6 +35,7 @@ to a carried restart, with a warning, only when every restart is carried.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import multiprocessing
 import os
@@ -202,19 +203,20 @@ def glasso_newton(S, lam: float, tol: float, precision_init=None):
         W = W_new
         residual = glasso_kkt_residual(S, W, lam)
         if residual <= tol:
-            objective = _glasso_objective(S, lam, W)
+            objective = _glasso_objective(S, lam, W)[0]
             if objective - (m - f) <= 1e-9 * max(1.0, abs(objective)):
                 break
     return W, iteration, residual
 
 
-def _glasso_objective(S, lam: float, W) -> float:
-    """-logdet W + tr(S W) + lam * sum_{j != k} |W_jk|; inf if W is indefinite."""
-    cho = cholesky(np.array(W, dtype=float))
+def _glasso_objective(S, lam: float, W):
+    """(-logdet W + tr(S W) + lam * sum_{j != k} |W_jk|, W's Cholesky factor);
+    (inf, None) if W is indefinite."""
+    cho = cholesky(W.copy())
     if cho is None:
-        return np.inf
+        return np.inf, None
     off = float(np.abs(W).sum() - np.abs(np.diag(W)).sum())
-    return -logdet(cho) + float(np.sum(S * W)) + lam * off
+    return -logdet(cho) + float(np.sum(S * W)) + lam * off, cho
 
 
 def _box(S, u, I, J):
@@ -322,7 +324,13 @@ def _support_newton_step(S, lam, W, I, J):
 
 def glasso_kkt_residual(S, W, lam: float) -> float:
     """Max stationarity violation of the off-diagonal-penalized glasso."""
-    cho = cholesky(np.array(W, dtype=float))
+    S = check_array("S", S, (None, None))
+    if S.shape[0] != S.shape[1]:
+        raise InvalidInputError("S must be square")
+    W = check_array("W", W, S.shape)
+    check_rate("penalty", lam)
+    # cholesky overwrites its argument; the copy keeps W's memory order
+    cho = cholesky(W.copy(order="K"))
     if cho is None:
         return np.inf
     G = solve_factored(cho, np.eye(W.shape[0])) - S
@@ -368,10 +376,10 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, W):
     target = GLASSO_TOL * max(1.0, float(np.linalg.norm(W0, 2)))
     W, iterations, residual = glasso_newton(W0, rho, target, incumbent)
     # never ascend: keep the incoming W if it scores lower beyond rounding
-    f_inc = _glasso_objective(W0, rho, incumbent)
-    if f_inc < _glasso_objective(W0, rho, W) - 1e-9 * max(1.0, abs(f_inc)):
-        W, residual = incumbent.copy(), glasso_kkt_residual(W0, incumbent, rho)
-    choW = cholesky(W.copy())
+    f_inc, cho_inc = _glasso_objective(W0, rho, incumbent)
+    f_new, choW = _glasso_objective(W0, rho, W)
+    if f_inc < f_new - 1e-9 * max(1.0, abs(f_inc)):
+        W, choW, residual = incumbent.copy(), cho_inc, glasso_kkt_residual(W0, incumbent, rho)
     if choW is None:
         raise SingularMatrixError("glasso returned an indefinite precision")
     Sigma = solve_factored(choW, np.eye(data.m))
@@ -397,28 +405,22 @@ def beta_step(data: FitData, choR, W) -> np.ndarray:
     if c <= 0:
         raise SingularMatrixError("correlation matrix produced a nonpositive 1'R^{-1}1")
     ybar = data.Y.T @ u / c
-    A = W @ data.P
-    Sq = data.P.T @ A
+    beta = _gls(W, data.P, ybar)
+    if beta.size >= 2 and beta[1] <= 0.0:
+        rest = np.arange(beta.size) != 1
+        beta[rest] = _gls(W, data.P[:, rest], ybar - EPSILON_BETA * data.P[:, 1])
+        beta[1] = EPSILON_BETA
+    return beta
+
+
+def _gls(W, P, y) -> np.ndarray:
+    """b solving the normal equations (P'WP) b = P'W y."""
+    A = W @ P
     try:
-        beta = np.linalg.solve(Sq, A.T @ ybar)
+        return np.linalg.solve(P.T @ A, A.T @ y)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             "GLS normal matrix P'WP is singular; W is singular on the mean basis") from exc
-    q = beta.size
-    if q >= 2 and beta[1] <= 0.0:
-        keep = [k for k in range(q) if k != 1]
-        P1 = data.P[:, keep]
-        target = ybar - EPSILON_BETA * data.P[:, 1]
-        A1 = W @ P1
-        try:
-            b1 = np.linalg.solve(P1.T @ A1, A1.T @ target)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                "GLS normal matrix is singular after the beta_2 projection") from exc
-        beta = np.empty(q)
-        beta[1] = EPSILON_BETA
-        beta[keep] = b1
-    return beta
 
 
 def theta_objective(z, data: FitData, M, lambda_I: float):
@@ -771,17 +773,15 @@ def fit(data, config: FitConfig):
     fd = make_fit_data(data.designs, log_stress(data.responses), data.grid,
                        family=config.family)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    trace = FitTrace(seed=config.seed)
-    results = []
-    for r, z, beta, Sigma, record in _run_restarts(fd, config, children):
-        trace.restarts.append(record)
-        if "failed" not in record:
-            results.append((record["final_objective"], r, z, beta, Sigma, record))
-    if not results:
+    outcomes = _run_restarts(fd, config, children)
+    # (r, z, beta, Sigma, record) in restart order: min ties to the lowest r
+    trace = FitTrace(seed=config.seed, restarts=[o[4] for o in outcomes])
+    done = [o for o in outcomes if "failed" not in o[4]]
+    if not done:
         raise FitError("every restart failed", traces=trace.restarts)
-    kernel_fits = [item for item in results if not item[5]["nugget_carried"]]
-    best = min(kernel_fits or results, key=lambda item: (item[0], item[1]))
-    _, best_r, z, beta, Sigma, record = best
+    best_r, z, beta, Sigma, record = min(
+        [o for o in done if not o[4]["nugget_carried"]] or done,
+        key=lambda o: o[4]["final_objective"])
     trace.best_index = best_r
     if record["nugget_carried"]:
         ratio = record["nugget_share_ratio"]
@@ -791,7 +791,7 @@ def fit(data, config: FitConfig):
             "nugget %s", best_r, record["nugget_share"], NUGGET_CUT,
             "leaves R unfactorizable" if ratio is None else
             f"scales that miss by {ratio:.3g}, not by about {1 / NUGGET_CUT:g}")
-    passed_over = [item[1] for item in results if item[0] < best[0]]
+    passed_over = [o[0] for o in done if o[4]["final_objective"] < record["final_objective"]]
     if passed_over:
         logger.warning(
             "restarts %s reach lower objectives only because the nugget "
@@ -828,26 +828,21 @@ def select_penalties(data, lambda_I_grid, lambda_o_grid, k: int,
         raise InvalidInputError(f"need k >= 2 and n >= 2k folds, got n={n}, k={k}")
     perm = np.random.default_rng(config.seed).permutation(n)
     folds = np.array_split(perm, k)  # n >= 2k: every fold has 2 or more members
+    # each fold's training set, built once for every grid pair
+    training = [Dataset(designs=[data.designs[i] for i in rest],
+                        responses=data.responses[rest], grid=data.grid)
+                for rest in (np.setdiff1d(np.arange(n), fold) for fold in folds)]
 
     best = None
-    for li in li_grid:
-        for lo in lo_grid:
-            cfg = replace(config, lambda_I=li, lambda_o=lo)
-            errors = []
-            for fold in folds:
-                mask = np.ones(n, dtype=bool)
-                mask[fold] = False
-                train_idx = np.flatnonzero(mask)
-                sub = Dataset(
-                    designs=[data.designs[i] for i in train_idx],
-                    responses=data.responses[train_idx],
-                    grid=data.grid)
-                model, _ = fit(sub, cfg)
-                for i in fold:
-                    pred = predict(model, data.designs[i])
-                    errors.append(mare(data.responses[i], unlog_stress(pred.mean)))
-            score = float(np.mean(errors))
-            logger.info("cv lambda_I=%g lambda_o=%g score=%.6f", li, lo, score)
-            if best is None or score <= best[0]:
-                best = (score, li, lo)
+    for li, lo in itertools.product(li_grid, lo_grid):
+        cfg = replace(config, lambda_I=li, lambda_o=lo)
+        errors = []
+        for fold, sub in zip(folds, training):
+            model, _ = fit(sub, cfg)
+            errors += [mare(data.responses[i],
+                            unlog_stress(predict(model, data.designs[i]).mean)) for i in fold]
+        score = float(np.mean(errors))
+        logger.info("cv lambda_I=%g lambda_o=%g score=%.6f", li, lo, score)
+        if best is None or score <= best[0]:
+            best = (score, li, lo)
     return best[1], best[2]

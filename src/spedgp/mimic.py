@@ -41,9 +41,6 @@ from .spectral import (check_curve_length, correlation_from_features, half_size,
                        kernel, solve_factored, sq_differences)
 
 COEF_BOUND_FACTOR = 1.5
-# starts searched together; the kernel block of a step holds n x S x k
-# squared differences
-MAX_BLOCK = 64
 MAX_ITER = 200
 # backtracking trials per step, as L-BFGS-B's maxls
 MAX_TRIALS = 20
@@ -341,7 +338,7 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
     """Multi-start lockstep quasi-Newton search; the lowest objective wins.
 
     Each start x0 is searched from u0 = s * x0 in the box scaled alike,
-    MAX_BLOCK starts at a time, and the winner is mapped back as
+    all starts in one lockstep search, and the winner is mapped back as
     x = clip(u / s) into the x box. A coordinate with zero weight (s = 0,
     only the diameter can have it) cannot change the objective and keeps
     its start's value. Every start only descends from its initial
@@ -352,9 +349,7 @@ def optimize(problem: MimicProblem, starts: int = 32, seed: int = 0) -> MimicRes
     check_count("seed", seed, 0)
     model, s, lo, hi = problem.model, problem.s, problem.lo, problem.hi
     X0 = _start_points(problem, starts, seed)
-    blocks = [_search(s * X0[i:i + MAX_BLOCK], lo * s, hi * s, problem)
-              for i in range(0, len(X0), MAX_BLOCK)]
-    U, f, f_start, iterations, stop = (np.concatenate(parts) for parts in zip(*blocks))
+    U, f, f_start, iterations, stop = _search(s * X0, lo * s, hi * s, problem)
     trace = [{"start": j, "initial_objective": float(f_start[j]),
               "final_objective": float(f[j]), "iterations": int(iterations[j]),
               "stop": str(stop[j])} for j in range(len(X0))]

@@ -183,6 +183,42 @@ class TestSigmaStep:
             f1 = neg_log_posterior(beta, z, Sigma1, data, 0.0, 0.4)
             assert f1 <= f0 + 1e-8 * max(1.0, abs(f0))
 
+    @staticmethod
+    def block_optimum():
+        """A Sigma block with its optimum W, reached from the identity."""
+        rng = np.random.default_rng(5)
+        data, *_ = random_fit_data(rng, n=5, m=4)
+        beta, z, _ = random_state(rng, data)
+        _, choR = data.chol(z)
+        _, W_opt, stats = sigma_step(data, choR, beta, 0.4, np.eye(data.m))
+        assert stats["kkt"] <= 1.0
+        return data, choR, beta, W_opt
+
+    @pytest.mark.parametrize("iterate", ["worse", "indefinite"])
+    def test_never_ascend_keeps_the_incoming_precision(self, monkeypatch, iterate):
+        # the glasso returns a worse or an indefinite iterate from the optimum
+        data, choR, beta, W_opt = self.block_optimum()
+        calls = []
+
+        def glasso(S, lam, tol, precision_init):
+            calls.append((S, lam, tol))
+            return (2.0 * W_opt if iterate == "worse" else -np.eye(data.m)), 7, 0.0
+
+        monkeypatch.setattr(est, "glasso_newton", glasso)
+        Sigma, W, stats = sigma_step(data, choR, beta, 0.4, W_opt)
+        [(S, lam, tol)] = calls
+        np.testing.assert_array_equal(W, W_opt)
+        assert stats == {"iterations": 7, "kkt": glasso_kkt_residual(S, W_opt, lam) / tol}
+        want = spectral.solve_factored(spectral.cholesky(W_opt.copy()), np.eye(data.m))
+        np.testing.assert_array_equal(Sigma, 0.5 * (want + want.T))
+
+    def test_neither_precision_definite_raises(self, monkeypatch):
+        data, choR, beta, _ = self.block_optimum()
+        monkeypatch.setattr(est, "glasso_newton",
+                            lambda S, lam, tol, precision_init: (-np.eye(data.m), 7, 0.0))
+        with pytest.raises(SingularMatrixError, match="indefinite precision"):
+            sigma_step(data, choR, beta, 0.4, -np.eye(data.m))
+
     def test_ill_conditioned_fit_certifies_within_iteration_bound(self, monkeypatch):
         # 20 designs against 41 strain levels: by sweep 4 cond(W) ~ 9e5.
         # The solver took 5, 9, 12 and 25 iterations (x86-64, OpenBLAS
@@ -520,6 +556,29 @@ class TestFit:
         messages = [rec.getMessage() for rec in caplog.records]
         assert len([m for m in messages if "as is every restart" in m]) == 1
         assert not any("only because the nugget carries them" in m for m in messages)
+
+    @pytest.mark.parametrize("objectives,best", [([2.0, 1.0, 1.0], 1), ([1.0, 2.0, 1.0], 0)])
+    def test_tie_goes_to_the_lowest_index(self, small_training_set, caplog, monkeypatch,
+                                          objectives, best):
+        # every restart is determined by the kernel, and two of them tie
+        inner, seen = est._run_restarts, []
+
+        def run(fd, config, children):
+            outcomes = inner(fd, config, children)
+            for (*_, rec), f in zip(outcomes, objectives):
+                rec.update(final_objective=f, nugget_share_ratio=1.0 / est.NUGGET_CUT,
+                           nugget_carried=False)
+            seen.extend(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(est, "_run_restarts", run)
+        cfg = FitConfig(lambda_I=0.5, lambda_o=0.5, restarts=3, seed=0)
+        with caplog.at_level(logging.WARNING, logger="spedgp.estimate"):
+            model, trace = fit(small_training_set, cfg)
+        assert trace.best_index == best
+        np.testing.assert_array_equal(model.z, seen[best][1])
+        assert model.fit_metadata["objective"] == objectives[best]
+        assert not any("nugget" in rec.getMessage() for rec in caplog.records)
 
     def test_one_info_line_per_sweep(self, small_training_set, caplog, monkeypatch):
         monkeypatch.setattr(est, "MAX_SWEEPS", 4)

@@ -89,6 +89,21 @@ class TestKktCertificate:
         assert f <= glasso_objective(S, np.diag(1.0 / np.diag(S)), lam) + 1e-10
         assert f <= glasso_objective(S, np.linalg.inv(S), lam) + 1e-10
 
+    @pytest.mark.parametrize("S,W,lam,message", [
+        (np.eye(2), [["1", "0"], ["0", "1"]], 0.1, "W must hold real numbers"),
+        (np.eye(2), np.eye(2, dtype=bool), 0.1, "W must hold real numbers"),
+        (np.eye(2), np.eye(3), 0.1, r"W: shape \(3, 3\), expected \(2, 2\)"),
+        (np.eye(2), [[1.0, np.nan], [np.nan, 1.0]], 0.1, "W must be finite"),
+        ([["1", "0"], ["0", "1"]], np.eye(2), 0.1, "S must hold real numbers"),
+        (np.ones((2, 3)), np.eye(2), 0.1, "S must be square"),
+        (np.eye(2), np.eye(2), True, "penalty must be finite and nonnegative, got True"),
+        (np.eye(2), np.eye(2), -0.1, "penalty must be finite and nonnegative"),
+    ], ids=["W strings", "W bools", "W size", "W nan", "S strings", "S not square",
+            "penalty bool", "penalty negative"])
+    def test_arguments_of_the_wrong_type(self, S, W, lam, message):
+        with pytest.raises(InvalidInputError, match=message):
+            glasso_kkt_residual(S, W, lam)
+
 
 class TestWarmStart:
     """glasso_newton from a warm precision, as sigma_step starts it."""

@@ -17,8 +17,8 @@ from spedgp import (
 from spedgp import estimate, mimic
 from spedgp.cokrige import (TrainedEmulator, log_stress, make_fit_data,
                             predict_from_point)
-from spedgp.mimic import (MAX_BLOCK, MimicProblem, _objective_and_grad, _search,
-                          _start_points, mse_objective)
+from spedgp.mimic import (MimicProblem, _objective_and_grad, _search, _start_points,
+                          mse_objective)
 from spedgp.spectral import correlation_from_features, half_size
 
 from .oracles import (central_diff_gradient, dense_conditional, fft_half_modulus,
@@ -634,7 +634,7 @@ class TestOptimize:
         assert result.objective <= min(rec["initial_objective"]
                                        for rec in result.trace)
 
-    def test_many_starts_run_in_blocks(self, monkeypatch):
+    def test_many_starts_run_in_one_block(self, monkeypatch):
         problem = toy_problem()
         rows = []
         inner = mimic._objective_and_grad
@@ -646,7 +646,7 @@ class TestOptimize:
         monkeypatch.setattr(mimic, "_objective_and_grad", recording)
         result = optimize(problem, starts=100, seed=0)
         assert len(result.trace) == 100 + 1
-        assert max(rows[1:]) == MAX_BLOCK < 101  # rows[0] screens the designs
+        assert max(rows[1:]) == 101  # rows[0] screens the designs
         lo, hi = problem.lo, problem.hi
         x = np.concatenate([[result.diameter], result.spectrum[problem.active_set]])
         assert np.all(lo <= x) and np.all(x <= hi)
@@ -696,7 +696,7 @@ class TestSearchMatchesReference:
         assert not bound.any(axis=1).all()
         search_both(U0, lo, hi, problem)
 
-    def test_optimize_over_several_blocks(self, mimic_problem, monkeypatch):
+    def test_optimize_over_one_block(self, mimic_problem, monkeypatch):
         blocks = []
 
         def checked(U0, lo, hi, problem):
@@ -705,7 +705,7 @@ class TestSearchMatchesReference:
 
         monkeypatch.setattr(mimic, "_search", checked)
         result = optimize(mimic_problem, starts=100, seed=0)
-        assert blocks == [MAX_BLOCK, 101 - MAX_BLOCK]
+        assert blocks == [101]
         assert len(result.trace) == 101
 
     def test_iterations_stop(self, mimic_problem, monkeypatch):
