@@ -301,12 +301,12 @@ def save_model(model: TrainedEmulator, path) -> None:
 def load_model(path) -> TrainedEmulator:
     """Read a model written by :func:`save_model`.
 
-    Training rows are validated by :func:`make_fit_data`, as a fit's are,
-    and p against their curve length. The values are handed to the rules
-    of :mod:`spedgp.exceptions` as the file holds them: p as a count,
-    nugget and theta_d as rates, the curves, diameters, features, strain
-    grid, Y, theta, beta and Sigma as numeric arrays, so a string, a bool,
-    None or a ragged list in any of them raises an invalid-input error. So
+    Each value reaches the rule of its owner as the file holds it:
+    :class:`StructureDesign` checks each design, :func:`make_fit_data` the
+    training rows, as a fit's are, and :class:`TrainedEmulator` theta with
+    theta_d, beta and Sigma. Only p (a count, against the curve length) and
+    theta_d (a rate, for every family) are checked here. A string, a bool,
+    None or a ragged list in any value raises an invalid-input error. So
     does a file :func:`read_json` rejects, a missing key or any other value
     of the wrong type; those errors name the file.
     """
@@ -322,25 +322,16 @@ def load_model(path) -> TrainedEmulator:
 
 
 def _model_from_doc(doc: dict) -> TrainedEmulator:
-    entries = doc["designs"]
-    n = len(entries)
-    curves = check_array("curves", [entry["curve"] for entry in entries], (n, None))
-    diameters = check_array("diameters", [entry["d"] for entry in entries], (n,))
-    given = [entry["features"] for entry in entries if entry.get("features") is not None]
-    features = iter(check_array("features", given, (len(given), 4)) if given else ())
-    designs = [StructureDesign(d, curve,
-                               None if entry.get("features") is None else next(features))
-               for entry, d, curve in zip(entries, diameters.tolist(), curves)]
+    designs = [StructureDesign(entry["d"], entry["curve"], entry.get("features"))
+               for entry in doc["designs"]]
     data = make_fit_data(designs, doc["Y"], doc["strain_grid"],
                          family=doc["family"], nugget=doc["nugget"])
     p = check_count("p", doc["p"], 1)
     if p != data.p:
         raise InvalidInputError(f"p = {p!r} does not match the curve length {data.p}")
-    theta = check_array("theta", doc["theta"],
-                        (data.nz - 1 if data.has_diameter else data.nz,))
     # theta_d is checked for every family and kept where the diameter has a column
     theta_d = check_rate("theta_d", doc["theta_d"])
     return TrainedEmulator(
-        data=data, z=np.append(theta, theta_d) if data.has_diameter else theta,
+        data=data, z=[*doc["theta"], theta_d] if data.has_diameter else doc["theta"],
         beta=doc["beta"], Sigma=doc["Sigma"], fit_metadata=doc.get("fit_metadata", {}),
     )

@@ -125,9 +125,8 @@ def neg_log_posterior(beta, z, Sigma, data: FitData,
     E = data.residuals(beta)
     _, choR = data.chol(z)
     n, m = data.n, data.m
-    # cholesky overwrites its argument; the copy keeps Sigma's memory order,
-    # which decides the triangle dpotrf reads
-    choS = cholesky(check_array("Sigma", Sigma, (m, m)).copy(order="K"))
+    # cholesky overwrites its argument
+    choS = cholesky(check_array("Sigma", Sigma, (m, m)).copy())
     if choS is None:
         raise SingularMatrixError("Sigma is not positive definite")
     logdet_R, logdet_S = logdet(choR), logdet(choS)
@@ -329,8 +328,8 @@ def glasso_kkt_residual(S, W, lam: float) -> float:
         raise InvalidInputError("S must be square")
     W = check_array("W", W, S.shape)
     check_rate("penalty", lam)
-    # cholesky overwrites its argument; the copy keeps W's memory order
-    cho = cholesky(W.copy(order="K"))
+    # cholesky overwrites its argument
+    cho = cholesky(W.copy())
     if cho is None:
         return np.inf
     G = solve_factored(cho, np.eye(W.shape[0])) - S

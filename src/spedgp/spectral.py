@@ -100,7 +100,8 @@ class StructureDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "curve", as_structure_curve(self.curve))
-        if check_rate("diameter", self.diameter) == 0:
+        object.__setattr__(self, "diameter", float(check_rate("diameter", self.diameter)))
+        if self.diameter == 0:
             raise InvalidInputError(f"diameter must be positive and finite, got {self.diameter}")
         if self.features is not None:
             object.__setattr__(self, "features", check_array("features", self.features, (4,)))

@@ -366,9 +366,10 @@ class TestSerialization:
         (lambda doc: doc["designs"].__setitem__(2, doc["designs"][0]),
          "designs 0 and 2 are identical up to cyclic shift"),
         (lambda doc: doc["theta"].__setitem__(1, -0.5), "finite and nonnegative"),
-        (lambda doc: doc["theta"].__setitem__(1, float("nan")), "theta must be finite"),
-        (lambda doc: doc["theta"].pop(), "theta: shape"),
-        (lambda doc: doc["theta"].append([0.1]), "theta: shape"),
+        (lambda doc: doc["theta"].__setitem__(1, float("nan")),
+         "kernel weights must be finite"),
+        (lambda doc: doc["theta"].pop(), "kernel weights: shape"),
+        (lambda doc: doc["theta"].append([0.1]), "kernel weights: shape"),
         (lambda doc: doc.__setitem__("theta_d", float("nan")), "finite and nonnegative"),
         (lambda doc: doc.__setitem__("theta_d", -1.0), "finite and nonnegative"),
         (lambda doc: doc.__setitem__("nugget", float("nan")),
@@ -376,7 +377,8 @@ class TestSerialization:
         (lambda doc: doc.__setitem__("nugget", -1e-8),
          "nugget must be finite and nonnegative"),
         (lambda doc: doc.__setitem__("family", "cosine"), "unknown kernel family"),
-        (lambda doc: doc.__setitem__("theta", [[0.1, 0.2], [0.1, 0.2]]), "theta: shape"),
+        (lambda doc: doc.__setitem__("theta", [[0.1, 0.2], [0.1, 0.2]]),
+         "kernel weights: shape"),
         (lambda doc: doc.__setitem__("Sigma", (-np.eye(len(doc["Sigma"]))).tolist()),
          "Sigma must be positive definite"),
         (lambda doc: doc.__setitem__("p", 999), "p = 999 does not match the curve length"),
@@ -384,13 +386,13 @@ class TestSerialization:
         (lambda doc: doc["Y"].pop(),
          "responses: shape"),
         (lambda doc: doc["designs"][0].__setitem__("curve", [doc["designs"][0]["curve"]]),
-         "curves: shape"),
+         "structure curve: shape"),
         (lambda doc: doc["designs"][0].__setitem__("d", 0.0),
          "diameter must be positive and finite, got 0.0"),
         (lambda doc: doc["designs"][0].__setitem__("features", [1.0, 2.0, 3.0]),
          "features: shape"),
         (lambda doc: doc["designs"][1].__setitem__("curve", doc["designs"][1]["curve"][:3]),
-         "curves: shape"),
+         "design 1 has p=3, expected 5"),
         # a value of the wrong type reaches its rule as the file holds it
         (lambda doc: doc.__setitem__("nugget", True),
          "nugget must be finite and nonnegative, got True"),
@@ -402,7 +404,7 @@ class TestSerialization:
          "beta must hold real numbers"),
         (lambda doc: doc["beta"].__setitem__(1, True), "beta must hold real numbers"),
         (lambda doc: doc["theta"].__setitem__(0, str(doc["theta"][0])),
-         "theta must hold real numbers"),
+         "kernel weights must hold real numbers"),
         (lambda doc: doc.__setitem__("theta_d", str(doc["theta_d"])),
          "theta_d must be finite and nonnegative, got '"),
         (lambda doc: doc.__setitem__("theta_d", True),
@@ -420,18 +422,18 @@ class TestSerialization:
                                                      doc["strain_grid"][1:]]),
          "strain grid must hold real numbers"),
         (lambda doc: doc["designs"][0].__setitem__("d", str(doc["designs"][0]["d"])),
-         "diameters must hold real numbers"),
+         "diameter must be finite and nonnegative, got '"),
         (lambda doc: doc["designs"][0].__setitem__("d", True),
-         "diameters must hold real numbers"),
+         "diameter must be finite and nonnegative, got True"),
         (lambda doc: doc["designs"][0].__setitem__("d", None),
-         "diameters must hold real numbers"),
+         "diameter must be finite and nonnegative, got None"),
         (lambda doc: doc["designs"][0].__setitem__("d", [0.5, 0.6]),
-         "diameters must hold real numbers"),
+         r"diameter must be finite and nonnegative, got \[0.5, 0.6\]"),
         (lambda doc: doc["designs"][1]["curve"].__setitem__(0, True),
-         "curves must hold real numbers"),
+         "structure curve must hold real numbers"),
         (lambda doc: doc["designs"][1]["curve"].__setitem__(0, "0.5"),
-         "curves must hold real numbers"),
-        (lambda doc: doc["designs"][1].__setitem__("curve", None), "curves: shape"),
+         "structure curve must hold real numbers"),
+        (lambda doc: doc["designs"][1].__setitem__("curve", None), "structure curve: shape"),
         (lambda doc: doc["designs"][0].__setitem__("features", ["0.5"] * 4),
          "features must hold real numbers"),
         (lambda doc: doc["designs"][0].__setitem__("features", [True, 0.5, 0.5, 0.5]),

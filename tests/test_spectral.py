@@ -388,6 +388,25 @@ class TestFactorCorrelation:
         self.assert_matches_cho_factor(R)
 
 
+class TestCholesky:
+    """cholesky reads A's upper triangle, whatever A's memory order."""
+
+    @pytest.mark.parametrize("n", [5, 9, 41])
+    def test_memory_order_does_not_decide_the_triangle(self, n):
+        # A is SPD above its diagonal and perturbed below it, so a factor
+        # of the other triangle would differ in its bits
+        rng = np.random.default_rng(n)
+        A = spd_matrix(rng, n)
+        A[np.tril_indices(n, -1)] += rng.uniform(-0.1, 0.1, n * (n - 1) // 2)
+        F = np.asfortranarray(A)
+        factors = [cholesky(A.copy()), cholesky(F.copy()), cholesky(F.copy(order="K"))]
+        for c in factors[1:]:
+            np.testing.assert_array_equal(c, factors[0])
+        mirrored = np.triu(A) + np.triu(A, 1).T
+        c_ref, _ = cho_factor(mirrored, lower=True)
+        np.testing.assert_array_equal(np.tril(factors[0]), np.tril(c_ref))
+
+
 class TestSolveFactored:
     @pytest.mark.parametrize("n", [1, 7, 58])
     def test_bit_identical_to_cho_solve(self, n):
