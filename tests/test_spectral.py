@@ -388,7 +388,7 @@ class TestFactorCorrelation:
         self.assert_matches_cho_factor(R)
 
 
-class TestCholesky:
+class TestCholeskyTriangle:
     """cholesky reads A's upper triangle, whatever A's memory order."""
 
     @pytest.mark.parametrize("n", [5, 9, 41])
@@ -398,8 +398,9 @@ class TestCholesky:
         rng = np.random.default_rng(n)
         A = spd_matrix(rng, n)
         A[np.tril_indices(n, -1)] += rng.uniform(-0.1, 0.1, n * (n - 1) // 2)
-        F = np.asfortranarray(A)
-        factors = [cholesky(A.copy()), cholesky(F.copy()), cholesky(F.copy(order="K"))]
+        copies = [A.copy(order="C"), A.copy(order="F"), np.asfortranarray(A).copy(order="K")]
+        assert [c.flags.f_contiguous for c in copies] == [False, True, True]
+        factors = [cholesky(c) for c in copies]
         for c in factors[1:]:
             np.testing.assert_array_equal(c, factors[0])
         mirrored = np.triu(A) + np.triu(A, 1).T
