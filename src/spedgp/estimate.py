@@ -47,6 +47,7 @@ import time
 import traceback
 from dataclasses import dataclass, field, replace
 from logging.handlers import QueueHandler
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -152,7 +153,7 @@ def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL) -> np.ndarray:
     if np.any(np.diag(S) <= 0):
         raise InvalidInputError("S must have a positive diagonal")
     check_rate("penalty", lam)
-    W, iterations, residual = glasso_newton(S, lam, tol)
+    W, iterations, residual, *_ = glasso_newton(S, lam, tol)
     if residual > tol:
         raise ConvergenceError(
             f"graphical lasso did not reach KKT tolerance {tol:g} in "
@@ -160,8 +161,22 @@ def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL) -> np.ndarray:
     return W
 
 
-def glasso_newton(S, lam: float, tol: float, precision_init=None):
-    """Projected-Newton graphical lasso; returns (W, iterations, residual).
+class GlassoResult(NamedTuple):
+    """What :func:`glasso_newton` returns."""
+
+    W: np.ndarray
+    iterations: int
+    residual: float
+    #: the last dual iterate u, V = S + u on the pairs j < k
+    dual: np.ndarray
+    #: the start :func:`_dual_start` took: "dual", "precision" or "shrunk"
+    start: str
+    #: the gap test's (objective, Cholesky factor) of W, None if it did not score W
+    scored: tuple | None
+
+
+def glasso_newton(S, lam: float, tol: float, precision_init=None, dual_init=None):
+    """Projected-Newton graphical lasso; returns a :class:`GlassoResult`.
 
     Dual steps: Newton on  max logdet V  over diag V = diag S, |V - S| <=
     lam, on the pairs Bertsekas' epsilon-rule leaves free, searched along
@@ -173,14 +188,16 @@ def glasso_newton(S, lam: float, tol: float, precision_init=None):
     iterate, early once the KKT residual is <= tol and the duality gap <= 1e-9
     of the objective (the one test that evaluates the objective: if tol > lam
     the residual alone admits W far above the minimum). At most
-    GLASSO_MAX_ITER iterations run.
+    GLASSO_MAX_ITER iterations run. The result carries the last dual
+    iterate, which starts the next solve on a nearby S as ``dual_init``, and
+    the gap test's objective and factor of W when that test scored it.
     """
     m = S.shape[0]
     I, J = np.triu_indices(m, 1)
-    u, cho = _dual_start(S, lam, I, J, precision_init)
+    u, cho, start = _dual_start(S, lam, I, J, precision_init, dual_init)
     f = -logdet(cho)
     V_inv = solve_factored(cho, np.eye(m))
-    W = binding = None
+    W = binding = scored = None
     residual = last = np.inf
     polish = stalled = False
     for iteration in range(1, GLASSO_MAX_ITER + 1):
@@ -199,13 +216,13 @@ def glasso_newton(S, lam: float, tol: float, precision_init=None):
                 polish = full and np.array_equal(bound, binding)
                 stalled, last, binding = False, np.inf, bound
             W_new = _snap(V_inv, u, lam, I, J)
-        W = W_new
+        W, scored = W_new, None
         residual = glasso_kkt_residual(S, W, lam)
         if residual <= tol:
-            objective = _glasso_objective(S, lam, W)[0]
-            if objective - (m - f) <= 1e-9 * max(1.0, abs(objective)):
+            scored = _glasso_objective(S, lam, W)
+            if scored[0] - (m - f) <= 1e-9 * max(1.0, abs(scored[0])):
                 break
-    return W, iteration, residual
+    return GlassoResult(W, iteration, residual, u, start, scored)
 
 
 def _glasso_objective(S, lam: float, W):
@@ -224,20 +241,26 @@ def _box(S, u, I, J):
     return V
 
 
-def _dual_start(S, lam, I, J, precision_init):
-    """(u, Cholesky factor of V) at the warm precision's inverse projected
-    into the box if that V is definite, else at S with its off-diagonal
-    shrunk into the box toward diag S (definite for semidefinite S, lam > 0)."""
+def _dual_start(S, lam, I, J, precision_init, dual_init=None):
+    """(u, Cholesky factor of V, start) at the first of three points whose V
+    is definite: "dual", a carried dual point clipped into the box;
+    "precision", the warm precision's inverse projected into the box; and
+    "shrunk", S with its off-diagonal shrunk into the box toward diag S
+    (definite for semidefinite S, lam > 0)."""
     s = S[I, J]
+    if dual_init is not None:
+        u = np.clip(dual_init, -lam, lam)
+        if (cho := cholesky(_box(S, u, I, J))) is not None:
+            return u, cho, "dual"
     if precision_init is not None and (
             cho := cholesky(np.array(precision_init, dtype=float))) is not None:
         u = np.clip(solve_factored(cho, np.eye(S.shape[0]))[I, J] - s, -lam, lam)
         if (cho := cholesky(_box(S, u, I, J))) is not None:
-            return u, cho
+            return u, cho, "precision"
     u = -min(1.0, lam / (np.abs(s).max(initial=0.0) or 1.0)) * s
     if (cho := cholesky(_box(S, u, I, J))) is None:
         raise SingularMatrixError("no positive-definite start for the graphical lasso")
-    return u, cho
+    return u, cho, "shrunk"
 
 
 def _snap(V_inv, u, lam, I, J):
@@ -344,9 +367,9 @@ def glasso_kkt_residual(S, W, lam: float) -> float:
 # BCD blocks
 
 
-def sigma_step(data: FitData, choR, beta, lambda_o: float, W):
-    """Sigma block update from the incoming precision W; returns
-    (Sigma, W = Sigma^{-1}, stats).
+def sigma_step(data: FitData, choR, beta, lambda_o: float, W, dual=None):
+    """Sigma block update from the incoming precision W and dual point;
+    returns (Sigma, W = Sigma^{-1}, dual, stats).
 
     The Sigma block of the objective is, up to a factor n,
     -logdet W + tr(S0 W) + (lambda_o / n) ||W||_1 with
@@ -359,31 +382,40 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, W):
 
     The KKT tolerance is GLASSO_TOL times the spectral norm of the input
     (near-singular correlation states inflate S0). The solver starts warm
-    from W, and the step keeps W when that scores a lower block objective,
-    so a sweep never ascends. ``stats`` holds the solver's
-    ``iterations`` and ``kkt``, W's residual over that tolerance.
+    from ``dual``, the glasso's last dual point of the previous sweep
+    (length m (m - 1) / 2, the pairs j < k; None at sweep 1); where that
+    does not factor against the new S0, from W's inverse. The step keeps W,
+    and returns the incoming ``dual`` with it, when W scores a lower block
+    objective, so a sweep never ascends. ``stats`` holds the solver's
+    ``iterations``, its ``start`` ("dual", "precision" or "shrunk") and
+    ``kkt``, W's residual over that tolerance.
     """
-    n = data.n
+    n, m = data.n, data.m
     check_rate("lambda_o", lambda_o)
     check_array("choR", choR, (n, n))
-    incumbent = check_array("W", W, (data.m, data.m))
+    incumbent = check_array("W", W, (m, m))
+    if dual is not None:
+        dual = check_array("dual", dual, (m * (m - 1) // 2,))
     E = data.residuals(beta)
     S0 = E.T @ solve_factored(choR, E) / n
     S0 = 0.5 * (S0 + S0.T)
     rho = lambda_o / n
-    W0 = S0 + rho * np.eye(data.m)
+    W0 = S0 + rho * np.eye(m)
     target = GLASSO_TOL * max(1.0, float(np.linalg.norm(W0, 2)))
-    W, iterations, residual = glasso_newton(W0, rho, target, incumbent)
+    result = glasso_newton(W0, rho, target, incumbent, dual)
+    W, residual, new_dual = result.W, result.residual, result.dual
     # never ascend: keep the incoming W if it scores lower beyond rounding
     f_inc, cho_inc = _glasso_objective(W0, rho, incumbent)
-    f_new, choW = _glasso_objective(W0, rho, W)
+    f_new, choW = result.scored or _glasso_objective(W0, rho, W)
     if f_inc < f_new - 1e-9 * max(1.0, abs(f_inc)):
-        W, choW, residual = incumbent.copy(), cho_inc, glasso_kkt_residual(W0, incumbent, rho)
+        W, choW, new_dual = incumbent.copy(), cho_inc, dual
+        residual = glasso_kkt_residual(W0, incumbent, rho)
     if choW is None:
         raise SingularMatrixError("glasso returned an indefinite precision")
-    Sigma = solve_factored(choW, np.eye(data.m))
-    return (0.5 * (Sigma + Sigma.T), W,
-            {"iterations": iterations, "kkt": residual / target})
+    Sigma = solve_factored(choW, np.eye(m))
+    return (0.5 * (Sigma + Sigma.T), W, new_dual,
+            {"iterations": result.iterations, "start": result.start,
+             "kkt": residual / target})
 
 
 def beta_step(data: FitData, choR, W) -> np.ndarray:
@@ -528,6 +560,7 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int)
     beta = np.zeros(data.P.shape[1])
     Sigma = np.eye(data.m)
     W = np.eye(data.m)
+    dual = None  # the glasso's dual point, carried from sweep to sweep
     z = z0.copy()
     record = {
         "init_theta_scale": float(z0.sum()),
@@ -535,16 +568,17 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int)
                                          config.lambda_I, config.lambda_o)],
         "active_theta": [int(np.count_nonzero(theta0 > 0))],
         "offdiag_nonzeros": [0],
-        "sigma_iterations": [], "sigma_kkt": [], "theta_exits": [],
+        "sigma_iterations": [], "sigma_start": [], "sigma_kkt": [], "theta_exits": [],
         "theta_iterations": [], "warnings": [],
         "converged": False,
     }
     for sweep in range(1, MAX_SWEEPS + 1):
         t0 = time.perf_counter()
         R, choR = data.chol(z)
-        Sigma, W, stats = sigma_step(data, choR, beta, config.lambda_o, W)
+        Sigma, W, dual, stats = sigma_step(data, choR, beta, config.lambda_o, W, dual)
         t1 = time.perf_counter()
         record["sigma_iterations"].append(stats["iterations"])
+        record["sigma_start"].append(stats["start"])
         record["sigma_kkt"].append(stats["kkt"])
         if stats["kkt"] > 1.0:
             record["warnings"].append(f"sweep {sweep}: glasso stopped at "
@@ -570,10 +604,10 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int)
         record["offdiag_nonzeros"].append(int(np.count_nonzero(off)))
         logger.info(
             "restart=%d sweep=%d objective=%.6f sigma_s=%.4f beta_s=%.4f "
-            "theta_s=%.4f glasso_iterations=%d sigma_kkt=%.3g "
+            "theta_s=%.4f glasso_iterations=%d sigma_start=%s sigma_kkt=%.3g "
             "theta_iterations=%d theta_exit=%r active=%d offdiag_nonzeros=%d",
             restart, sweep, obj, t1 - t0, t2 - t1, t3 - t2, stats["iterations"],
-            stats["kkt"], theta_stats["iterations"], theta_exit,
+            stats["start"], stats["kkt"], theta_stats["iterations"], theta_exit,
             record["active_theta"][-1], record["offdiag_nonzeros"][-1])
         prev = record["objectives"][-2]
         slack = SWEEP_TOL * max(1.0, abs(prev))

@@ -229,7 +229,8 @@ def cholesky(A):
         return None
     if info < 0:
         raise NumericalError(f"dpotrf rejected argument {-info}")
-    if not np.isfinite(np.diagonal(c)).all():
+    finite = np.isfinite(np.diagonal(c))
+    if np.count_nonzero(finite) != finite.size:
         raise NumericalError("Cholesky factor is not finite; the matrix holds a NaN or inf")
     return c
 
@@ -272,7 +273,9 @@ def solve_factored(c, b) -> np.ndarray:
     trusted to come from a successful factorization; a non-finite b
     raises a numerical error.
     """
-    if not np.logical_and.reduce(np.isfinite(b), axis=None):
+    # counting is cheaper than a logical_and reduction on small arrays
+    finite = np.isfinite(b)
+    if np.count_nonzero(finite) != finite.size:
         raise NumericalError("right-hand side of a Cholesky solve is not finite")
     x, info = dpotrs(c, b, lower=True)
     if info != 0:

@@ -313,6 +313,19 @@ def test_c05_benchmark_fit_descends(sped_fit):
     ], f"worst relative rise {worst_rise:.2e}, fit {sped_fit.seconds:.1f}s")
 
 
+def test_benchmark_fits_carry_the_glasso_dual(sped_fit, second_fit):
+    # each Sigma step after a restart's first starts from the dual point
+    # the previous sweep's glasso returned; started from the incoming
+    # precision instead, the two fits took 283 and 314 glasso passes with
+    # 1 BLAS thread and 218-282 unpinned on 2 cores
+    for label, trace in (("training seed 0", sped_fit.trace),
+                         ("training seed 1", second_fit.trace)):
+        passes = sum(sum(rec["sigma_iterations"]) for rec in trace.restarts)
+        print(f"[glasso] {label}: {passes} passes, starts "
+              f"{[rec['sigma_start'] for rec in trace.restarts]}")
+        assert passes <= 180, f"{label}: {passes} glasso passes"
+
+
 def test_c06_interpolation_and_calibration(bench, sped_fit):
     model = sped_fit.model
     exact = TrainedEmulator(

@@ -1,8 +1,10 @@
 """Gate for the committed benchmark runs under bench/.
 
-Each ``bench/BENCH_<date>_<workload>_s<seed>.json`` holds three runs of
-``perfbench/run.py``: for each, its ``env`` line and its final JSON line,
-unedited, plus the command and the 40-hex commit that was measured.
+Each ``bench/BENCH_<date>[_<label>]_<workload>_s<seed>.json`` holds three
+runs of ``perfbench/run.py``: for each, its ``env`` line and its final JSON
+line, unedited, plus the command and the 40-hex commit that was measured.
+The optional label (lower-case letters, digits and hyphens) tells apart
+two commits measured on the same date.
 """
 
 import json
@@ -19,20 +21,20 @@ ENV_KEYS = {"nproc", "blas_threads", "python", "numpy", "scipy", "blas"}
 #: request workloads at seed 1 too
 CASES = {("pipeline", 0), ("predict", 0), ("mimic", 0), ("cv", 0),
          ("predict", 1), ("mimic", 1)}
+#: a bench file's name; groups workload and seed
+NAME = re.compile(r"BENCH_[\d-]+(?:_[a-z0-9-]+)?_([a-z]+)_s(\d+)\.json")
 
 
 def test_every_case_has_a_file():
-    names = {f.name for f in FILES}
-    missing = [case for case in sorted(CASES)
-               if not any(re.fullmatch(rf"BENCH_[\d-]+_{case[0]}_s{case[1]}\.json", name)
-                          for name in names)]
+    named = {(match[1], int(match[2])) for f in FILES if (match := NAME.fullmatch(f.name))}
+    missing = sorted(CASES - named)
     assert not missing, f"no bench file for {missing}"
 
 
 @pytest.mark.parametrize("path", FILES, ids=[f.name for f in FILES])
 def test_bench_file(path):
     doc = json.loads(path.read_text())
-    workload, seed = re.fullmatch(r"BENCH_[\d-]+_(\w+)_s(\d+)\.json", path.name).groups()
+    workload, seed = NAME.fullmatch(path.name).groups()
     assert (doc["workload"], doc["seed"]) == (workload, int(seed))
     assert re.fullmatch(r"[0-9a-f]{40}", doc["commit"])
     assert f"perfbench/run.py --workload {workload} --seed {seed}" in doc["command"]

@@ -147,7 +147,7 @@ class TestSigmaStep:
         z = rng.uniform(0.05, 0.3, data.nz)
         R, choR = data.chol(z)
         beta = np.array([0.5, 1.0])
-        Sigma, W, _ = sigma_step(data, choR, beta, lambda_o=0.0, W=np.eye(data.m))
+        Sigma, W, _, _ = sigma_step(data, choR, beta, lambda_o=0.0, W=np.eye(data.m))
         E = Y - np.outer(np.ones(data.n), data.P @ beta)
         S0 = np.linalg.solve(R, E).T @ E / data.n
         np.testing.assert_allclose(Sigma, (S0 + S0.T) / 2, rtol=1e-8, atol=1e-10)
@@ -162,7 +162,7 @@ class TestSigmaStep:
         R, choR = data.chol(z)
         beta = np.array([0.1, 0.8])
         lam_o = 0.9
-        Sigma, W, stats = sigma_step(data, choR, beta, lambda_o=lam_o, W=np.eye(data.m))
+        Sigma, W, _, stats = sigma_step(data, choR, beta, lambda_o=lam_o, W=np.eye(data.m))
         assert stats["kkt"] <= 1.0
         E = Y - np.outer(np.ones(3), data.P @ beta)
         S0 = np.linalg.solve(R, E).T @ E / 3.0
@@ -178,46 +178,74 @@ class TestSigmaStep:
             beta, z, Sigma0 = random_state(rng, data)
             R, choR = data.chol(z)
             f0 = neg_log_posterior(beta, z, Sigma0, data, 0.0, 0.4)
-            Sigma1, W1, _ = sigma_step(data, choR, beta, lambda_o=0.4,
-                                       W=np.linalg.inv(Sigma0))
+            Sigma1, W1, _, _ = sigma_step(data, choR, beta, lambda_o=0.4,
+                                          W=np.linalg.inv(Sigma0))
             f1 = neg_log_posterior(beta, z, Sigma1, data, 0.0, 0.4)
             assert f1 <= f0 + 1e-8 * max(1.0, abs(f0))
 
     @staticmethod
     def block_optimum():
-        """A Sigma block with its optimum W, reached from the identity."""
+        """A Sigma block with its optimum W and dual point, reached from the
+        identity."""
         rng = np.random.default_rng(5)
         data, *_ = random_fit_data(rng, n=5, m=4)
         beta, z, _ = random_state(rng, data)
         _, choR = data.chol(z)
-        _, W_opt, stats = sigma_step(data, choR, beta, 0.4, np.eye(data.m))
-        assert stats["kkt"] <= 1.0
-        return data, choR, beta, W_opt
+        _, W_opt, dual, stats = sigma_step(data, choR, beta, 0.4, np.eye(data.m))
+        assert stats["kkt"] <= 1.0 and stats["start"] == "precision"
+        return data, choR, beta, W_opt, dual
 
     @pytest.mark.parametrize("iterate", ["worse", "indefinite"])
     def test_never_ascend_keeps_the_incoming_precision(self, monkeypatch, iterate):
         # the glasso returns a worse or an indefinite iterate from the optimum
-        data, choR, beta, W_opt = self.block_optimum()
+        data, choR, beta, W_opt, dual = self.block_optimum()
         calls = []
 
-        def glasso(S, lam, tol, precision_init):
-            calls.append((S, lam, tol))
-            return (2.0 * W_opt if iterate == "worse" else -np.eye(data.m)), 7, 0.0
+        def glasso(S, lam, tol, precision_init, dual_init):
+            calls.append((S, lam, tol, dual_init))
+            return est.GlassoResult(
+                2.0 * W_opt if iterate == "worse" else -np.eye(data.m), 7, 0.0,
+                np.zeros_like(dual), "dual", None)
 
         monkeypatch.setattr(est, "glasso_newton", glasso)
-        Sigma, W, stats = sigma_step(data, choR, beta, 0.4, W_opt)
-        [(S, lam, tol)] = calls
+        Sigma, W, kept_dual, stats = sigma_step(data, choR, beta, 0.4, W_opt, dual)
+        [(S, lam, tol, dual_init)] = calls
+        np.testing.assert_array_equal(dual_init, dual)
         np.testing.assert_array_equal(W, W_opt)
-        assert stats == {"iterations": 7, "kkt": glasso_kkt_residual(S, W_opt, lam) / tol}
+        np.testing.assert_array_equal(kept_dual, dual)  # the incoming point, not the glasso's
+        assert stats == {"iterations": 7, "start": "dual",
+                         "kkt": glasso_kkt_residual(S, W_opt, lam) / tol}
         want = spectral.solve_factored(spectral.cholesky(W_opt.copy()), np.eye(data.m))
         np.testing.assert_array_equal(Sigma, 0.5 * (want + want.T))
 
     def test_neither_precision_definite_raises(self, monkeypatch):
-        data, choR, beta, _ = self.block_optimum()
+        data, choR, beta, _, dual = self.block_optimum()
         monkeypatch.setattr(est, "glasso_newton",
-                            lambda S, lam, tol, precision_init: (-np.eye(data.m), 7, 0.0))
+                            lambda S, lam, tol, precision_init, dual_init: est.GlassoResult(
+                                -np.eye(data.m), 7, 0.0, dual, "shrunk", None))
         with pytest.raises(SingularMatrixError, match="indefinite precision"):
             sigma_step(data, choR, beta, 0.4, -np.eye(data.m))
+
+    def test_carried_dual_point_reaches_the_same_block_minimum(self):
+        # one step on, at new weights, from the first step's dual point and
+        # from the incoming precision alone: both certify, to the same objective
+        data, choR, beta, W_opt, dual = self.block_optimum()
+        rng = np.random.default_rng(6)
+        z = rng.uniform(0.05, 0.4, data.nz)
+        _, choR = data.chol(z)
+        runs = {start: sigma_step(data, choR, beta, 0.4, W_opt, carried)
+                for start, carried in (("dual", dual), ("precision", None))}
+        E = data.residuals(beta)
+        S0 = E.T @ spectral.solve_factored(choR, E) / data.n
+        rho = 0.4 / data.n
+        W0 = 0.5 * (S0 + S0.T) + rho * np.eye(data.m)
+        objectives = {}
+        for start, (_, W, new_dual, stats) in runs.items():
+            assert stats["start"] == start and stats["kkt"] <= 1.0
+            assert new_dual.shape == dual.shape
+            objectives[start] = est._glasso_objective(W0, rho, W)[0]
+        assert abs(objectives["dual"] - objectives["precision"]) <= 1e-9 * abs(
+            objectives["precision"])
 
     def test_ill_conditioned_fit_certifies_within_iteration_bound(self, monkeypatch):
         # 20 designs against 41 strain levels: by sweep 4 cond(W) ~ 9e5.
@@ -437,6 +465,10 @@ class TestBlockArguments:
          "W: shape"),
         (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, W=np.full((4, 4), np.nan)),
          "W must be finite"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, s.W, dual=np.zeros(5)),
+         "dual: shape"),
+        (lambda s: sigma_step(s.data, s.choR, s.beta, 0.1, s.W, dual=np.full(6, np.nan)),
+         "dual must be finite"),
         (lambda s: beta_step(s.data, s.choR, np.eye(3)), "W: shape"),
         (lambda s: beta_step(s.data, s.choR[:-1, :-1], s.W),
          "choR: shape"),
@@ -471,6 +503,7 @@ class TestBlockArguments:
          "Sigma: shape"),
     ], ids=["theta z0 length", "theta z0 negative", "theta lambda_I", "theta W",
             "sigma beta", "sigma lambda_o", "sigma W", "sigma W ragged", "sigma W nan",
+            "sigma dual length", "sigma dual nan",
             "beta W", "beta choR", "nlp beta length", "nlp beta nan",
             "theta lambda_I string", "theta z0 strings", "sigma lambda_o numpy bool",
             "sigma lambda_o bool", "sigma W strings", "sigma beta bool",
@@ -593,10 +626,12 @@ class TestFit:
             assert len(lines) == sum(rec["sweeps"] for rec in trace.restarts)
             fields = re.findall(r"(?:^| )(\w+)=", lines[0])
             assert fields == ["restart", "sweep", "objective", "sigma_s", "beta_s",
-                              "theta_s", "glasso_iterations", "sigma_kkt",
+                              "theta_s", "glasso_iterations", "sigma_start", "sigma_kkt",
                               "theta_iterations", "theta_exit", "active",
                               "offdiag_nonzeros"]
             assert lines[0].startswith("restart=0 sweep=1 ")
+            starts = [re.search(r" sigma_start=(\w+) ", line)[1] for line in lines]
+            assert starts == [start for rec in trace.restarts for start in rec["sigma_start"]]
             assert lines[-1].startswith("restart=1 ")
 
     def test_objective_rise_stops_the_restart(self, tiny_set, monkeypatch):

@@ -112,15 +112,33 @@ class TestWarmStart:
         rng = np.random.default_rng(4)
         S = random_spd(rng, 8, cond=20.0)
         cold = graphical_lasso(S, 0.15, tol=1e-9)
-        warm, _, residual = glasso_newton(S, 0.15, 1e-9, cold)
+        warm, _, residual, *_, scored = glasso_newton(S, 0.15, 1e-9, cold)
         assert residual <= 1e-9
         np.testing.assert_allclose(warm, cold, rtol=1e-6, atol=1e-9)
+        # the certified return hands back the gap test's objective and factor
+        f, cho = estimate._glasso_objective(S, 0.15, warm)
+        assert scored[0] == f
+        np.testing.assert_array_equal(scored[1], cho)
+
+    def test_carried_dual_point_restarts_the_solver(self):
+        # the dual point a solve returns starts the next on a nearby S and
+        # certifies in fewer passes than the precision start
+        rng = np.random.default_rng(12)
+        S = random_spd(rng, 8, cond=20.0)
+        first = glasso_newton(S, 0.15, 1e-9)
+        S2 = S + 0.01 * random_spd(rng, 8, cond=5.0)
+        carried = glasso_newton(S2, 0.15, 1e-9, first.W, first.dual)
+        warm = glasso_newton(S2, 0.15, 1e-9, first.W)
+        assert (carried.start, warm.start) == ("dual", "precision")
+        assert carried.residual <= 1e-9 and warm.residual <= 1e-9
+        assert carried.iterations < warm.iterations
+        np.testing.assert_allclose(carried.W, warm.W, rtol=1e-6, atol=1e-9)
 
     def test_warm_start_from_other_penalty(self):
         rng = np.random.default_rng(5)
         S = random_spd(rng, 8, cond=20.0)
         w_old = graphical_lasso(S, 0.5, tol=1e-9)
-        W, _, residual = glasso_newton(S, 0.1, 1e-9, w_old)
+        W, _, residual, *_ = glasso_newton(S, 0.1, 1e-9, w_old)
         assert residual <= 1e-9
         assert glasso_kkt_residual(S, W, 0.1) <= 1e-9
 
@@ -174,8 +192,8 @@ class TestFailureModes:
 
 
 class TestDualStart:
-    """The warm precision's projected inverse if it is definite, else the
-    shrunk S."""
+    """The carried dual point clipped into the box if it is definite, else
+    the warm precision's projected inverse if that is, else the shrunk S."""
 
     LAM = 0.1
 
@@ -193,7 +211,8 @@ class TestDualStart:
         I, J = np.triu_indices(6, 1)
         lam = scale * np.abs(S[I, J]).max()
         warm = graphical_lasso(S, 0.05, tol=1e-9)
-        u, cho = _dual_start(S, lam, I, J, warm)
+        u, cho, start = _dual_start(S, lam, I, J, warm)
+        assert start == "precision"
         want = np.clip(np.linalg.inv(warm)[I, J] - S[I, J], -lam, lam)
         np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-14)
         V, shrunk = S.copy(), S.copy()
@@ -207,34 +226,69 @@ class TestDualStart:
         rng = np.random.default_rng(9)
         S = random_spd(rng, 6, cond=30.0)
         I, J = np.triu_indices(6, 1)
-        u, _ = _dual_start(S, self.LAM, I, J, None)
+        u, _, start = _dual_start(S, self.LAM, I, J, None)
+        assert start == "shrunk"
         np.testing.assert_array_equal(u, self.shrunk(S, self.LAM, I, J))
 
     def test_shrunk_start_for_an_indefinite_warm_point(self):
         rng = np.random.default_rng(10)
         S = random_spd(rng, 6, cond=30.0)
         I, J = np.triu_indices(6, 1)
-        u, _ = _dual_start(S, self.LAM, I, J, -np.eye(6))
+        u, _, start = _dual_start(S, self.LAM, I, J, -np.eye(6))
+        assert start == "shrunk"
         np.testing.assert_array_equal(u, self.shrunk(S, self.LAM, I, J))
 
-    def test_shrunk_start_when_the_projected_warm_point_is_indefinite(self):
-        # S has eigenvalue 0.01 along v = 1/sqrt(3); the warm covariance's
-        # off-diagonal lies below the box, so the projection takes lam off
-        # every pair and v'Vv = 0.01 - 2 lam < 0
+    @staticmethod
+    def near_singular_s():
+        """S with eigenvalue 0.01 along v = 1/sqrt(3) and 1 across it: a V
+        that takes lam = 0.1 off every pair has v'Vv = 0.01 - 2 lam < 0."""
         v = np.ones(3) / np.sqrt(3.0)
-        S = 0.01 * np.outer(v, v) + np.eye(3) - np.outer(v, v)
+        return 0.01 * np.outer(v, v) + np.eye(3) - np.outer(v, v)
+
+    def test_shrunk_start_when_the_projected_warm_point_is_indefinite(self):
+        # the warm covariance's off-diagonal lies below the box, so the
+        # projection takes lam off every pair
+        S = self.near_singular_s()
         warm = np.linalg.inv(1.45 * np.eye(3) - 0.45 * np.ones((3, 3)))
         I, J = np.triu_indices(3, 1)
-        u, cho = _dual_start(S, self.LAM, I, J, warm)
+        u, cho, start = _dual_start(S, self.LAM, I, J, warm)
+        assert start == "shrunk"
         np.testing.assert_array_equal(u, self.shrunk(S, self.LAM, I, J))
         assert cho is not None
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0])
+    def test_definite_carried_point_comes_first(self, scale):
+        # a carried point inside the box is taken as it is, one outside it
+        # clipped into it, ahead of a definite warm precision
+        rng = np.random.default_rng(11)
+        S = random_spd(rng, 6, cond=30.0)
+        I, J = np.triu_indices(6, 1)
+        carried = scale * self.LAM * np.sin(np.arange(I.size))
+        u, cho, start = _dual_start(S, self.LAM, I, J, np.eye(6), carried)
+        assert start == "dual"
+        np.testing.assert_array_equal(u, np.clip(carried, -self.LAM, self.LAM))
+        V = S.copy()
+        V[I, J] = V[J, I] = S[I, J] + u
+        np.testing.assert_allclose(np.tril(cho), np.linalg.cholesky(V), rtol=1e-12,
+                                   atol=1e-14)
+
+    def test_precision_start_when_the_carried_point_is_indefinite(self):
+        # the carried point takes lam off every pair; the identity's
+        # projected inverse adds lam to each pair of S, whose off-diagonal
+        # is -0.33, and that V is definite
+        S = self.near_singular_s()
+        I, J = np.triu_indices(3, 1)
+        u, _, start = _dual_start(S, self.LAM, I, J, np.eye(3), np.full(3, -self.LAM))
+        assert start == "precision"
+        np.testing.assert_array_equal(u, np.full(3, self.LAM))
 
     def test_raises_when_neither_start_factors(self):
         S = np.array([[1.0, 2.0], [2.0, 1.0]])
         I, J = np.triu_indices(2, 1)
         for warm in (None, np.eye(2)):
-            with pytest.raises(SingularMatrixError, match="no positive-definite start"):
-                _dual_start(S, 0.0, I, J, warm)
+            for carried in (None, np.zeros(1)):
+                with pytest.raises(SingularMatrixError, match="no positive-definite start"):
+                    _dual_start(S, 0.0, I, J, warm, carried)
 
 
 class TestUncertifiedReturn:
@@ -246,10 +300,11 @@ class TestUncertifiedReturn:
         monkeypatch.setattr(estimate, "_glasso_objective",
                             lambda *args: calls.append(1) or objective(*args))
         monkeypatch.setattr(estimate, "GLASSO_MAX_ITER", 3)
-        W, iterations, residual = glasso_newton(S, 0.2, 1e-300)
+        W, iterations, residual, *_, scored = glasso_newton(S, 0.2, 1e-300)
         assert iterations <= 3
         assert residual == glasso_kkt_residual(S, W, 0.2)
         assert calls == []  # no residual came within tol, so no gap test ran
+        assert scored is None
 
 
 def low_rank_covariance(seed, rank, scale, m=41, lam=0.5 / 58):
@@ -277,7 +332,7 @@ class TestAgainstBlockwiseReference:
     def test_same_support_no_worse_objective(self, seed, rank, scale):
         S = low_rank_covariance(seed, rank, scale)
         tol = 1e-8 * np.linalg.norm(S, 2)
-        W, iterations, residual = glasso_newton(S, self.LAM, tol)
+        W, iterations, residual, *_ = glasso_newton(S, self.LAM, tol)
         ref, _, ref_residual = blockwise_glasso(S, self.LAM, tol, 500)
         assert ref_residual <= tol
         assert 1e3 <= np.linalg.cond(W) <= 2e5
@@ -340,7 +395,7 @@ class TestPairHessian:
         # on all 820 pairs (not a multiple of the block size) and on half
         S = low_rank_covariance(3, 30, 100.0)
         I, J = np.triu_indices(41, 1)
-        _, cho = _dual_start(S, 0.5 / 58, I, J, None)
+        _, cho, _ = _dual_start(S, 0.5 / 58, I, J, None)
         M = solve_factored(cho, np.eye(41))
         assert_matches_full_build(M, I, J)
         half = np.random.default_rng(0).random(I.size) < 0.5
