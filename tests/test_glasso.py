@@ -106,7 +106,8 @@ class TestKktCertificate:
 
 
 class TestWarmStart:
-    """glasso_newton from a warm precision, as sigma_step starts it."""
+    """glasso_newton from a warm precision or a carried dual point, as
+    sigma_step starts it."""
 
     def test_same_solution_from_warm_start(self):
         rng = np.random.default_rng(4)
