@@ -30,6 +30,7 @@ from spedgp import (
     fit,
     gen_sinusoid,
     graphical_lasso,
+    mimic,
     neg_log_posterior,
     predict,
     sample_designs,
@@ -442,12 +443,18 @@ def test_c08_sparsity_recovery(bench):
        f"active {active_hit}/{ACTIVE_BAND.size}")
 
 
-def test_c09_inverse_design_closed_loop(sped_fit):
-    t0 = time.perf_counter()
+def c09_problem(model):
+    """c09's target: the oracle curve of one sinusoid design, tabulated on
+    80 strain levels that span the model grid."""
     target_spec = SinusoidSpec(1.1, 0.62, 0.37, 2.2)
     strain = np.linspace(0.003, 0.155, 80)
     stress = synthetic_oracle(gen_sinusoid(target_spec, 81), strain)
-    problem = build_problem(sped_fit.model, strain, stress)
+    return build_problem(model, strain, stress)
+
+
+def test_c09_inverse_design_closed_loop(sped_fit):
+    t0 = time.perf_counter()
+    problem = c09_problem(sped_fit.model)
     result = optimize(problem, starts=32, seed=0)
     seconds = time.perf_counter() - t0
 
@@ -475,6 +482,34 @@ def test_c09_inverse_design_closed_loop(sped_fit):
         ("runtime < 5 minutes", seconds < 300.0),
     ], f"MARE predicted {err:.4f}, oracle {oracle_err:.4f}, "
        f"MC gap {gap:.3e} vs 3SE {3 * se:.3e}, {seconds:.1f}s")
+
+
+def test_c09_stop_tolerance_keeps_the_design(sped_fit, monkeypatch):
+    """c09's search at the shipped F_TOL, L-BFGS-B's default, finds a design
+    as good as the search at F_TOL = 1e-12. Each bound is about 5x the gap
+    measured on this problem with 1 BLAS thread and unpinned: objectives
+    2.3e-9 and 1.1e-9 relative, predicted MARE 5.7e-8 and 1.5e-8, oracle
+    MARE 2.9e-8 and 8.8e-8."""
+    problem = c09_problem(sped_fit.model)
+    target = unlog_stress(problem.target_log)
+
+    def solve():
+        result = optimize(problem, starts=32, seed=0)
+        found = StructureDesign(result.diameter, result.reconstructed_curve)
+        return (result.objective,
+                mare(target, unlog_stress(result.predicted.mean)),
+                mare(target, synthetic_oracle(found, sped_fit.model.grid)))
+
+    shipped = solve()
+    monkeypatch.setattr(mimic, "F_TOL", 1e-12)
+    tight = solve()
+    rel = abs(shipped[0] - tight[0]) / abs(tight[0])
+    pred_gap, oracle_gap = abs(shipped[1] - tight[1]), abs(shipped[2] - tight[2])
+    print(f"objective {shipped[0]:.9e} vs {tight[0]:.9e} (relative {rel:.2e}); "
+          f"MARE gaps predicted {pred_gap:.2e}, oracle {oracle_gap:.2e}")
+    assert rel <= 1e-8
+    assert pred_gap <= 5e-7
+    assert oracle_gap <= 5e-7
 
 
 def test_c10_byte_identical_reruns(tmp_path):

@@ -21,20 +21,28 @@ ENV_KEYS = {"nproc", "blas_threads", "python", "numpy", "scipy", "blas"}
 #: request workloads at seed 1 too
 CASES = {("pipeline", 0), ("predict", 0), ("mimic", 0), ("cv", 0),
          ("predict", 1), ("mimic", 1)}
-#: a bench file's name; groups workload and seed
-NAME = re.compile(r"BENCH_[\d-]+(?:_[a-z0-9-]+)?_([a-z]+)_s(\d+)\.json")
+#: a bench file's name; groups label (None for the unlabeled baseline),
+#: workload and seed
+NAME = re.compile(r"BENCH_[\d-]+(?:_([a-z0-9-]+))?_([a-z]+)_s(\d+)\.json")
 
 
 def test_every_case_has_a_file():
-    named = {(match[1], int(match[2])) for f in FILES if (match := NAME.fullmatch(f.name))}
-    missing = sorted(CASES - named)
-    assert not missing, f"no bench file for {missing}"
+    """Each trajectory point, the unlabeled baseline or one ``_<label>``,
+    has a file for every case."""
+    named = {}
+    for f in FILES:
+        if match := NAME.fullmatch(f.name):
+            named.setdefault(match[1], set()).add((match[2], int(match[3])))
+    assert None in named, "no unlabeled baseline files"
+    missing = {label: sorted(CASES - cases) for label, cases in named.items()
+               if CASES - cases}
+    assert not missing, f"bench files missing, by label: {missing}"
 
 
 @pytest.mark.parametrize("path", FILES, ids=[f.name for f in FILES])
 def test_bench_file(path):
     doc = json.loads(path.read_text())
-    workload, seed = NAME.fullmatch(path.name).groups()
+    _, workload, seed = NAME.fullmatch(path.name).groups()
     assert (doc["workload"], doc["seed"]) == (workload, int(seed))
     assert re.fullmatch(r"[0-9a-f]{40}", doc["commit"])
     assert f"perfbench/run.py --workload {workload} --seed {seed}" in doc["command"]

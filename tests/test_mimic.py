@@ -63,8 +63,10 @@ def mimic_model():
     a squared-exponential correlation over the 9 levels (length 5 levels)
     scaled by standard deviations falling from 2,600 to 575, plus 0.1 I:
     cond(Sigma) = 1.9e8, tr(Sigma) = 2.6e7. Next to a training row, where
-    v = 1 - r'alpha cancels to ~1e-8, its rounding times tr(Sigma) moves the
-    objective by more than F_TOL, and a line search can stop there.
+    v = 1 - r'alpha cancels to ~1e-8, one rounding of v times tr(Sigma)
+    moves the objective by 5.9e-9, as much as the reduction that F_TOL
+    accepts at such points (4.5e-9 to 6.2e-9), and a line search can stop
+    there.
     """
     grid = np.linspace(0.005, 0.15, 9)
     designs = [gen_sinusoid(s, 21) for s in sample_designs(12, seed=41)]
