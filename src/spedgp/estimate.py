@@ -169,13 +169,13 @@ class GlassoResult(NamedTuple):
     residual: float
     #: the last dual iterate u, V = S + u on the pairs j < k
     dual: np.ndarray
-    #: the start :func:`_dual_start` took: "dual", "precision" or "shrunk"
+    #: the start :func:`_dual_start` took: "dual", "threshold" or "shrunk"
     start: str
     #: the gap test's (objective, Cholesky factor) of W, None if it did not score W
     scored: tuple | None
 
 
-def glasso_newton(S, lam: float, tol: float, precision_init=None, dual_init=None):
+def glasso_newton(S, lam: float, tol: float, dual_init=None):
     """Projected-Newton graphical lasso; returns a :class:`GlassoResult`.
 
     Dual steps: Newton on  max logdet V  over diag V = diag S, |V - S| <=
@@ -184,17 +184,19 @@ def glasso_newton(S, lam: float, tol: float, precision_init=None, dual_init=None
     with zeros on the pairs strictly inside the box. Once the dual settles,
     primal steps run while they halve the residual: Newton for W^{-1} =
     S + lam sign(W) on W's support and signs, exact where an ill-conditioned
-    V^{-1} is not. It starts at :func:`_dual_start` and returns its last
-    iterate, early once the KKT residual is <= tol and the duality gap <= 1e-9
-    of the objective (the one test that evaluates the objective: if tol > lam
-    the residual alone admits W far above the minimum). At most
-    GLASSO_MAX_ITER iterations run. The result carries the last dual
-    iterate, which starts the next solve on a nearby S as ``dual_init``, and
-    the gap test's objective and factor of W when that test scored it.
+    V^{-1} is not. It starts at :func:`_dual_start`: ``dual_init`` clipped
+    into the box where its V is definite, else the soft-thresholded S, else
+    the shrunk S. It returns its last iterate, early once the KKT residual
+    is <= tol and the duality gap <= 1e-9 of the objective (the one test
+    that evaluates the objective: if tol > lam the residual alone admits W
+    far above the minimum). At most GLASSO_MAX_ITER iterations run. The
+    result carries the last dual iterate, which starts the next solve on a
+    nearby S as ``dual_init``, and the gap test's objective and factor of W
+    when that test scored it.
     """
     m = S.shape[0]
     I, J = np.triu_indices(m, 1)
-    u, cho, start = _dual_start(S, lam, I, J, precision_init, dual_init)
+    u, cho, start = _dual_start(S, lam, I, J, dual_init)
     f = -logdet(cho)
     V_inv = solve_factored(cho, np.eye(m))
     W = binding = scored = None
@@ -241,22 +243,20 @@ def _box(S, u, I, J):
     return V
 
 
-def _dual_start(S, lam, I, J, precision_init, dual_init=None):
+def _dual_start(S, lam, I, J, dual_init=None):
     """(u, Cholesky factor of V, start) at the first of three points whose V
     is definite: "dual", a carried dual point clipped into the box;
-    "precision", the warm precision's inverse projected into the box; and
-    "shrunk", S with its off-diagonal shrunk into the box toward diag S
-    (definite for semidefinite S, lam > 0)."""
-    s = S[I, J]
+    "threshold", S's off-diagonal soft-thresholded by lam, u = clip(-s, -lam,
+    lam); and "shrunk", S with its off-diagonal shrunk into the box toward
+    diag S (definite for semidefinite S, lam > 0)."""
     if dual_init is not None:
         u = np.clip(dual_init, -lam, lam)
         if (cho := cholesky(_box(S, u, I, J))) is not None:
             return u, cho, "dual"
-    if precision_init is not None and (
-            cho := cholesky(np.array(precision_init, dtype=float))) is not None:
-        u = np.clip(solve_factored(cho, np.eye(S.shape[0]))[I, J] - s, -lam, lam)
-        if (cho := cholesky(_box(S, u, I, J))) is not None:
-            return u, cho, "precision"
+    s = S[I, J]
+    u = np.clip(-s, -lam, lam)
+    if (cho := cholesky(_box(S, u, I, J))) is not None:
+        return u, cho, "threshold"
     u = -min(1.0, lam / (np.abs(s).max(initial=0.0) or 1.0)) * s
     if (cho := cholesky(_box(S, u, I, J))) is None:
         raise SingularMatrixError("no positive-definite start for the graphical lasso")
@@ -383,11 +383,12 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, W, dual=None):
     The KKT tolerance is GLASSO_TOL times the spectral norm of the input
     (near-singular correlation states inflate S0). The solver starts warm
     from ``dual``, the glasso's last dual point of the previous sweep
-    (length m (m - 1) / 2, the pairs j < k; None at sweep 1); where that
-    does not factor against the new S0, from W's inverse. The step keeps W,
+    (length m (m - 1) / 2, the pairs j < k; None at sweep 1); where that is
+    None or does not factor against the new S0, from the soft-thresholded
+    S0 (:func:`_dual_start`). W does not enter the start: the step keeps W,
     and returns the incoming ``dual`` with it, when W scores a lower block
     objective, so a sweep never ascends. ``stats`` holds the solver's
-    ``iterations``, its ``start`` ("dual", "precision" or "shrunk") and
+    ``iterations``, its ``start`` ("dual", "threshold" or "shrunk") and
     ``kkt``, W's residual over that tolerance.
     """
     n, m = data.n, data.m
@@ -402,7 +403,7 @@ def sigma_step(data: FitData, choR, beta, lambda_o: float, W, dual=None):
     rho = lambda_o / n
     W0 = S0 + rho * np.eye(m)
     target = GLASSO_TOL * max(1.0, float(np.linalg.norm(W0, 2)))
-    result = glasso_newton(W0, rho, target, incumbent, dual)
+    result = glasso_newton(W0, rho, target, dual)
     W, residual, new_dual = result.W, result.residual, result.dual
     # never ascend: keep the incoming W if it scores lower beyond rounding
     f_inc, cho_inc = _glasso_objective(W0, rho, incumbent)
@@ -487,9 +488,10 @@ def theta_step(data: FitData, beta, W, z0, lambda_I: float):
     """Bound-constrained quasi-Newton descent on the theta block.
 
     Returns (z, objective, stats), ``stats`` holding the L-BFGS-B ``exit``
-    message and its ``iterations``. Weights live on the nonnegative
-    orthant, where the l1 penalty is linear and hence smooth; exact zeros
-    at the bound are what switches frequencies off.
+    message, its ``iterations`` and its objective ``evaluations``. Weights
+    live on the nonnegative orthant, where the l1 penalty is linear and
+    hence smooth; exact zeros at the bound are what switches frequencies
+    off.
     """
     z0 = check_weights(z0, data.nz)
     check_rate("lambda_I", lambda_I)
@@ -503,9 +505,10 @@ def theta_step(data: FitData, beta, W, z0, lambda_I: float):
     if res.fun > f0:
         # line search failed to improve; keep the incoming point
         return z0, f0, {"exit": f"kept incoming point: {res.message}",
-                        "iterations": res.nit}
+                        "iterations": res.nit, "evaluations": res.nfev}
     z, f = _truncate_inactive(res.x, float(res.fun), data, M, lambda_I)
-    return z, f, {"exit": str(res.message), "iterations": res.nit}
+    return z, f, {"exit": str(res.message), "iterations": res.nit,
+                  "evaluations": res.nfev}
 
 
 def _truncate_inactive(z, f, data: FitData, M, lambda_I: float):
@@ -569,7 +572,7 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int)
         "active_theta": [int(np.count_nonzero(theta0 > 0))],
         "offdiag_nonzeros": [0],
         "sigma_iterations": [], "sigma_start": [], "sigma_kkt": [], "theta_exits": [],
-        "theta_iterations": [], "warnings": [],
+        "theta_iterations": [], "theta_evaluations": [], "warnings": [],
         "converged": False,
     }
     for sweep in range(1, MAX_SWEEPS + 1):
@@ -590,6 +593,7 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int)
         theta_exit = theta_stats["exit"]
         record["theta_exits"].append(theta_exit)
         record["theta_iterations"].append(theta_stats["iterations"])
+        record["theta_evaluations"].append(theta_stats["evaluations"])
         # stopped early: neither converged nor at the rounding-error limit
         early = not (theta_exit.startswith("CONVERGENCE") or "ROUNDING" in theta_exit)
         if early:
@@ -605,9 +609,11 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int)
         logger.info(
             "restart=%d sweep=%d objective=%.6f sigma_s=%.4f beta_s=%.4f "
             "theta_s=%.4f glasso_iterations=%d sigma_start=%s sigma_kkt=%.3g "
-            "theta_iterations=%d theta_exit=%r active=%d offdiag_nonzeros=%d",
+            "theta_iterations=%d theta_evaluations=%d theta_exit=%r active=%d "
+            "offdiag_nonzeros=%d",
             restart, sweep, obj, t1 - t0, t2 - t1, t3 - t2, stats["iterations"],
-            stats["start"], stats["kkt"], theta_stats["iterations"], theta_exit,
+            stats["start"], stats["kkt"], theta_stats["iterations"],
+            theta_stats["evaluations"], theta_exit,
             record["active_theta"][-1], record["offdiag_nonzeros"][-1])
         prev = record["objectives"][-2]
         slack = SWEEP_TOL * max(1.0, abs(prev))

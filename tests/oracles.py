@@ -137,23 +137,18 @@ def pair_hessian_full(M, a, b):
     return K
 
 
-def blockwise_glasso(S, lam, tol, max_iter=500, precision_init=None):
+def blockwise_glasso(S, lam, tol, max_iter=500):
     """Friedman's blockwise graphical lasso; returns (W, passes, residual).
 
     Each pass solves one lasso per column on the working covariance V,
-    which starts at S; a warm precision only seeds the per-column
-    coefficients -W_12 / W_22. The pass loop keeps the iterate with the
-    lowest KKT residual and stops once it is <= tol, after max_iter passes
-    or when the working covariance turns indefinite.
+    which starts at S, from zero coefficients. The pass loop keeps the
+    iterate with the lowest KKT residual and stops once it is <= tol, after
+    max_iter passes or when the working covariance turns indefinite.
     """
     m = S.shape[0]
     V = np.array(S, dtype=float)
     B = np.zeros((m - 1, m))
     idx = [np.array([k for k in range(m) if k != j]) for j in range(m)]
-    if precision_init is not None:
-        Wp = np.asarray(precision_init, dtype=float)
-        for j in range(m):
-            B[:, j] = -Wp[idx[j], j] / Wp[j, j]
     best_W, best_res, passes = None, np.inf, 0
     for passes in range(1, max_iter + 1):
         for j in range(m):

@@ -315,16 +315,20 @@ def test_c05_benchmark_fit_descends(sped_fit):
 
 
 def test_benchmark_fits_carry_the_glasso_dual(sped_fit, second_fit):
-    # each Sigma step after a restart's first starts from the dual point
-    # the previous sweep's glasso returned; started from the incoming
-    # precision instead, the two fits took 283 and 314 glasso passes with
-    # 1 BLAS thread and 218-282 unpinned on 2 cores
+    # each restart's first Sigma step starts from the threshold and each
+    # later one from the dual point the previous sweep's glasso returned;
+    # without the carried point (each step started from its incoming
+    # precision) the two fits took 283 and 314 glasso passes with 1 BLAS
+    # thread and 218-282 unpinned on 2 cores
     for label, trace in (("training seed 0", sped_fit.trace),
                          ("training seed 1", second_fit.trace)):
         passes = sum(sum(rec["sigma_iterations"]) for rec in trace.restarts)
-        print(f"[glasso] {label}: {passes} passes, starts "
-              f"{[rec['sigma_start'] for rec in trace.restarts]}")
+        starts = [rec["sigma_start"] for rec in trace.restarts]
+        print(f"[glasso] {label}: {passes} passes, starts {starts}")
         assert passes <= 180, f"{label}: {passes} glasso passes"
+        for k, rec in enumerate(starts):
+            assert rec == ["threshold"] + ["dual"] * (len(rec) - 1), (
+                f"{label}, restart {k}: starts {rec}")
 
 
 def test_c06_interpolation_and_calibration(bench, sped_fit):

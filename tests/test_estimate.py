@@ -192,7 +192,7 @@ class TestSigmaStep:
         beta, z, _ = random_state(rng, data)
         _, choR = data.chol(z)
         _, W_opt, dual, stats = sigma_step(data, choR, beta, 0.4, np.eye(data.m))
-        assert stats["kkt"] <= 1.0 and stats["start"] == "precision"
+        assert stats["kkt"] <= 1.0 and stats["start"] == "threshold"
         return data, choR, beta, W_opt, dual
 
     @pytest.mark.parametrize("iterate", ["worse", "indefinite"])
@@ -201,7 +201,7 @@ class TestSigmaStep:
         data, choR, beta, W_opt, dual = self.block_optimum()
         calls = []
 
-        def glasso(S, lam, tol, precision_init, dual_init):
+        def glasso(S, lam, tol, dual_init):
             calls.append((S, lam, tol, dual_init))
             return est.GlassoResult(
                 2.0 * W_opt if iterate == "worse" else -np.eye(data.m), 7, 0.0,
@@ -221,20 +221,20 @@ class TestSigmaStep:
     def test_neither_precision_definite_raises(self, monkeypatch):
         data, choR, beta, _, dual = self.block_optimum()
         monkeypatch.setattr(est, "glasso_newton",
-                            lambda S, lam, tol, precision_init, dual_init: est.GlassoResult(
+                            lambda S, lam, tol, dual_init: est.GlassoResult(
                                 -np.eye(data.m), 7, 0.0, dual, "shrunk", None))
         with pytest.raises(SingularMatrixError, match="indefinite precision"):
             sigma_step(data, choR, beta, 0.4, -np.eye(data.m))
 
     def test_carried_dual_point_reaches_the_same_block_minimum(self):
         # one step on, at new weights, from the first step's dual point and
-        # from the incoming precision alone: both certify, to the same objective
+        # from the threshold: both certify, to the same objective
         data, choR, beta, W_opt, dual = self.block_optimum()
         rng = np.random.default_rng(6)
         z = rng.uniform(0.05, 0.4, data.nz)
         _, choR = data.chol(z)
         runs = {start: sigma_step(data, choR, beta, 0.4, W_opt, carried)
-                for start, carried in (("dual", dual), ("precision", None))}
+                for start, carried in (("dual", dual), ("threshold", None))}
         E = data.residuals(beta)
         S0 = E.T @ spectral.solve_factored(choR, E) / data.n
         rho = 0.4 / data.n
@@ -244,8 +244,8 @@ class TestSigmaStep:
             assert stats["start"] == start and stats["kkt"] <= 1.0
             assert new_dual.shape == dual.shape
             objectives[start] = est._glasso_objective(W0, rho, W)[0]
-        assert abs(objectives["dual"] - objectives["precision"]) <= 1e-9 * abs(
-            objectives["precision"])
+        assert abs(objectives["dual"] - objectives["threshold"]) <= 1e-9 * abs(
+            objectives["threshold"])
 
     def test_ill_conditioned_fit_certifies_within_iteration_bound(self, monkeypatch):
         # 20 designs against 41 strain levels: by sweep 4 cond(W) ~ 9e5.
@@ -329,7 +329,7 @@ class TestThetaBlock:
                 lambda zz: theta_objective(zz, data, M, 0.3)[0], z, h=1e-5)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
-    def test_step_descends_and_respects_bounds(self):
+    def test_step_descends_and_respects_bounds(self, monkeypatch):
         rng = np.random.default_rng(9)
         data, designs, Y, grid = random_fit_data(rng, n=5, m=3)
         beta, z0, Sigma = random_state(rng, data)
@@ -337,9 +337,14 @@ class TestThetaBlock:
         E = Y - np.outer(np.ones(5), data.P @ beta)
         M = E @ W @ E.T
         f0, _ = theta_objective(z0, data, M, 0.5)
-        z1, f1, warn = theta_step(data, beta, W, z0, 0.5)
+        calls = []
+        monkeypatch.setattr(est, "theta_objective",
+                            lambda *args: calls.append(1) or theta_objective(*args))
+        z1, f1, stats = theta_step(data, beta, W, z0, 0.5)
         assert f1 <= f0
         assert np.all(z1 >= 0)
+        # the step counts every objective-and-gradient call L-BFGS-B made
+        assert stats["evaluations"] == len(calls) > stats["iterations"]
 
     def test_one_frequency_toy_matches_grid_search(self):
         # Single active coordinate: scan the scalar weight and check the
@@ -627,11 +632,15 @@ class TestFit:
             fields = re.findall(r"(?:^| )(\w+)=", lines[0])
             assert fields == ["restart", "sweep", "objective", "sigma_s", "beta_s",
                               "theta_s", "glasso_iterations", "sigma_start", "sigma_kkt",
-                              "theta_iterations", "theta_exit", "active",
-                              "offdiag_nonzeros"]
+                              "theta_iterations", "theta_evaluations", "theta_exit",
+                              "active", "offdiag_nonzeros"]
             assert lines[0].startswith("restart=0 sweep=1 ")
             starts = [re.search(r" sigma_start=(\w+) ", line)[1] for line in lines]
             assert starts == [start for rec in trace.restarts for start in rec["sigma_start"]]
+            evaluations = [int(re.search(r" theta_evaluations=(\d+) ", line)[1])
+                           for line in lines]
+            assert evaluations == [count for rec in trace.restarts
+                                   for count in rec["theta_evaluations"]]
             assert lines[-1].startswith("restart=1 ")
 
     def test_objective_rise_stops_the_restart(self, tiny_set, monkeypatch):

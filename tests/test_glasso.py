@@ -106,16 +106,15 @@ class TestKktCertificate:
 
 
 class TestWarmStart:
-    """glasso_newton from a warm precision or a carried dual point, as
-    sigma_step starts it."""
+    """glasso_newton from a carried dual point, as sigma_step starts it."""
 
     def test_same_solution_from_warm_start(self):
         rng = np.random.default_rng(4)
         S = random_spd(rng, 8, cond=20.0)
-        cold = graphical_lasso(S, 0.15, tol=1e-9)
-        warm, _, residual, *_, scored = glasso_newton(S, 0.15, 1e-9, cold)
+        cold = glasso_newton(S, 0.15, 1e-9)
+        warm, _, residual, *_, scored = glasso_newton(S, 0.15, 1e-9, cold.dual)
         assert residual <= 1e-9
-        np.testing.assert_allclose(warm, cold, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(warm, cold.W, rtol=1e-6, atol=1e-9)
         # the certified return hands back the gap test's objective and factor
         f, cho = estimate._glasso_objective(S, 0.15, warm)
         assert scored[0] == f
@@ -123,25 +122,17 @@ class TestWarmStart:
 
     def test_carried_dual_point_restarts_the_solver(self):
         # the dual point a solve returns starts the next on a nearby S and
-        # certifies in fewer passes than the precision start
+        # certifies in fewer passes than the threshold start
         rng = np.random.default_rng(12)
         S = random_spd(rng, 8, cond=20.0)
         first = glasso_newton(S, 0.15, 1e-9)
         S2 = S + 0.01 * random_spd(rng, 8, cond=5.0)
-        carried = glasso_newton(S2, 0.15, 1e-9, first.W, first.dual)
-        warm = glasso_newton(S2, 0.15, 1e-9, first.W)
-        assert (carried.start, warm.start) == ("dual", "precision")
-        assert carried.residual <= 1e-9 and warm.residual <= 1e-9
-        assert carried.iterations < warm.iterations
-        np.testing.assert_allclose(carried.W, warm.W, rtol=1e-6, atol=1e-9)
-
-    def test_warm_start_from_other_penalty(self):
-        rng = np.random.default_rng(5)
-        S = random_spd(rng, 8, cond=20.0)
-        w_old = graphical_lasso(S, 0.5, tol=1e-9)
-        W, _, residual, *_ = glasso_newton(S, 0.1, 1e-9, w_old)
-        assert residual <= 1e-9
-        assert glasso_kkt_residual(S, W, 0.1) <= 1e-9
+        carried = glasso_newton(S2, 0.15, 1e-9, first.dual)
+        cold = glasso_newton(S2, 0.15, 1e-9)
+        assert (carried.start, cold.start) == ("dual", "threshold")
+        assert carried.residual <= 1e-9 and cold.residual <= 1e-9
+        assert carried.iterations < cold.iterations
+        np.testing.assert_allclose(carried.W, cold.W, rtol=1e-6, atol=1e-9)
 
 
 class TestFailureModes:
@@ -194,7 +185,7 @@ class TestFailureModes:
 
 class TestDualStart:
     """The carried dual point clipped into the box if it is definite, else
-    the warm precision's projected inverse if that is, else the shrunk S."""
+    the soft-thresholded S if that is, else the shrunk S."""
 
     LAM = 0.1
 
@@ -203,41 +194,24 @@ class TestDualStart:
         s = S[I, J]
         return -min(1.0, lam / np.abs(s).max()) * s
 
+    @staticmethod
+    def assert_factors(S, u, cho, I, J):
+        V = S.copy()
+        V[I, J] = V[J, I] = S[I, J] + u
+        np.testing.assert_allclose(np.tril(cho), np.linalg.cholesky(V), rtol=1e-12,
+                                   atol=1e-14)
+
     @pytest.mark.parametrize("scale", [0.5, 2.0])
-    def test_definite_warm_point_is_kept(self, scale):
-        # at scale 2 the shrunk start is diag S, whose logdet no other point
-        # of the box reaches (Hadamard): the warm point wins without a race
+    def test_threshold_start_without_a_carried_point(self, scale):
+        # at scale 2 every pair lies inside the box, and the threshold is diag S
         rng = np.random.default_rng(8)
         S = random_spd(rng, 6, cond=30.0)
         I, J = np.triu_indices(6, 1)
         lam = scale * np.abs(S[I, J]).max()
-        warm = graphical_lasso(S, 0.05, tol=1e-9)
-        u, cho, start = _dual_start(S, lam, I, J, warm)
-        assert start == "precision"
-        want = np.clip(np.linalg.inv(warm)[I, J] - S[I, J], -lam, lam)
-        np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-14)
-        V, shrunk = S.copy(), S.copy()
-        V[I, J] = V[J, I] = S[I, J] + u
-        np.testing.assert_allclose(np.tril(cho), np.linalg.cholesky(V), rtol=1e-12,
-                                   atol=1e-14)
-        shrunk[I, J] = shrunk[J, I] = S[I, J] + self.shrunk(S, lam, I, J)
-        assert np.linalg.slogdet(V)[1] < np.linalg.slogdet(shrunk)[1]
-
-    def test_shrunk_start_without_a_warm_point(self):
-        rng = np.random.default_rng(9)
-        S = random_spd(rng, 6, cond=30.0)
-        I, J = np.triu_indices(6, 1)
-        u, _, start = _dual_start(S, self.LAM, I, J, None)
-        assert start == "shrunk"
-        np.testing.assert_array_equal(u, self.shrunk(S, self.LAM, I, J))
-
-    def test_shrunk_start_for_an_indefinite_warm_point(self):
-        rng = np.random.default_rng(10)
-        S = random_spd(rng, 6, cond=30.0)
-        I, J = np.triu_indices(6, 1)
-        u, _, start = _dual_start(S, self.LAM, I, J, -np.eye(6))
-        assert start == "shrunk"
-        np.testing.assert_array_equal(u, self.shrunk(S, self.LAM, I, J))
+        u, cho, start = _dual_start(S, lam, I, J)
+        assert start == "threshold"
+        np.testing.assert_array_equal(u, np.clip(-S[I, J], -lam, lam))
+        self.assert_factors(S, u, cho, I, J)
 
     @staticmethod
     def near_singular_s():
@@ -246,50 +220,54 @@ class TestDualStart:
         v = np.ones(3) / np.sqrt(3.0)
         return 0.01 * np.outer(v, v) + np.eye(3) - np.outer(v, v)
 
-    def test_shrunk_start_when_the_projected_warm_point_is_indefinite(self):
-        # the warm covariance's off-diagonal lies below the box, so the
-        # projection takes lam off every pair
-        S = self.near_singular_s()
-        warm = np.linalg.inv(1.45 * np.eye(3) - 0.45 * np.ones((3, 3)))
+    @staticmethod
+    def rank_one_s():
+        """xx' + 0.001 I with x = (0.1, 1, 0.5): thresholding by lam = 0.05
+        keeps S_12 = 0.1 at half its size and zeroes S_13 = 0.05, and that V
+        is indefinite; the shrunk S, 0.9 of each pair, is definite."""
+        x = np.array([0.1, 1.0, 0.5])
+        return np.outer(x, x) + 1e-3 * np.eye(3)
+
+    def test_shrunk_start_when_the_threshold_is_indefinite(self):
+        S = self.rank_one_s()
         I, J = np.triu_indices(3, 1)
-        u, cho, start = _dual_start(S, self.LAM, I, J, warm)
-        assert start == "shrunk"
-        np.testing.assert_array_equal(u, self.shrunk(S, self.LAM, I, J))
-        assert cho is not None
+        V = S.copy()
+        V[I, J] = V[J, I] = S[I, J] + np.clip(-S[I, J], -0.05, 0.05)
+        assert np.linalg.eigvalsh(V)[0] < 0.0
+        for carried in (None, np.full(3, -0.05)):
+            u, cho, start = _dual_start(S, 0.05, I, J, carried)
+            assert start == "shrunk"
+            np.testing.assert_array_equal(u, self.shrunk(S, 0.05, I, J))
+            self.assert_factors(S, u, cho, I, J)
 
     @pytest.mark.parametrize("scale", [0.5, 3.0])
     def test_definite_carried_point_comes_first(self, scale):
         # a carried point inside the box is taken as it is, one outside it
-        # clipped into it, ahead of a definite warm precision
+        # clipped into it, ahead of the definite threshold
         rng = np.random.default_rng(11)
         S = random_spd(rng, 6, cond=30.0)
         I, J = np.triu_indices(6, 1)
         carried = scale * self.LAM * np.sin(np.arange(I.size))
-        u, cho, start = _dual_start(S, self.LAM, I, J, np.eye(6), carried)
+        u, cho, start = _dual_start(S, self.LAM, I, J, carried)
         assert start == "dual"
         np.testing.assert_array_equal(u, np.clip(carried, -self.LAM, self.LAM))
-        V = S.copy()
-        V[I, J] = V[J, I] = S[I, J] + u
-        np.testing.assert_allclose(np.tril(cho), np.linalg.cholesky(V), rtol=1e-12,
-                                   atol=1e-14)
+        self.assert_factors(S, u, cho, I, J)
 
-    def test_precision_start_when_the_carried_point_is_indefinite(self):
-        # the carried point takes lam off every pair; the identity's
-        # projected inverse adds lam to each pair of S, whose off-diagonal
-        # is -0.33, and that V is definite
+    def test_threshold_start_when_the_carried_point_is_indefinite(self):
+        # the carried point takes lam off every pair; the threshold adds lam
+        # to each pair of S, whose off-diagonal is -0.33, and that V is definite
         S = self.near_singular_s()
         I, J = np.triu_indices(3, 1)
-        u, _, start = _dual_start(S, self.LAM, I, J, np.eye(3), np.full(3, -self.LAM))
-        assert start == "precision"
+        u, _, start = _dual_start(S, self.LAM, I, J, np.full(3, -self.LAM))
+        assert start == "threshold"
         np.testing.assert_array_equal(u, np.full(3, self.LAM))
 
-    def test_raises_when_neither_start_factors(self):
+    def test_raises_when_no_start_factors(self):
         S = np.array([[1.0, 2.0], [2.0, 1.0]])
         I, J = np.triu_indices(2, 1)
-        for warm in (None, np.eye(2)):
-            for carried in (None, np.zeros(1)):
-                with pytest.raises(SingularMatrixError, match="no positive-definite start"):
-                    _dual_start(S, 0.0, I, J, warm, carried)
+        for carried in (None, np.zeros(1)):
+            with pytest.raises(SingularMatrixError, match="no positive-definite start"):
+                _dual_start(S, 0.0, I, J, carried)
 
 
 class TestUncertifiedReturn:
@@ -392,11 +370,11 @@ class TestPairHessian:
         assert_matches_full_build(M, a, b)
 
     def test_glasso_iterate(self):
-        # Sigma = V^-1 at the dual start of a benchmark-shaped 41 x 41 block,
+        # Sigma = V^-1 at the threshold start of a benchmark-shaped 41 x 41 block,
         # on all 820 pairs (not a multiple of the block size) and on half
         S = low_rank_covariance(3, 30, 100.0)
         I, J = np.triu_indices(41, 1)
-        _, cho, _ = _dual_start(S, 0.5 / 58, I, J, None)
+        _, cho, _ = _dual_start(S, 0.5 / 58, I, J)
         M = solve_factored(cho, np.eye(41))
         assert_matches_full_build(M, I, J)
         half = np.random.default_rng(0).random(I.size) < 0.5
