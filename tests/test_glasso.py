@@ -195,11 +195,14 @@ class TestDualStart:
         return -min(1.0, lam / np.abs(s).max()) * s
 
     @staticmethod
-    def assert_factors(S, u, cho, I, J):
+    def box(S, u, I, J):
         V = S.copy()
         V[I, J] = V[J, I] = S[I, J] + u
-        np.testing.assert_allclose(np.tril(cho), np.linalg.cholesky(V), rtol=1e-12,
-                                   atol=1e-14)
+        return V
+
+    def assert_factors(self, S, u, cho, I, J):
+        np.testing.assert_allclose(np.tril(cho), np.linalg.cholesky(self.box(S, u, I, J)),
+                                   rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_threshold_start_without_a_carried_point(self, scale):
@@ -231,9 +234,8 @@ class TestDualStart:
     def test_shrunk_start_when_the_threshold_is_indefinite(self):
         S = self.rank_one_s()
         I, J = np.triu_indices(3, 1)
-        V = S.copy()
-        V[I, J] = V[J, I] = S[I, J] + np.clip(-S[I, J], -0.05, 0.05)
-        assert np.linalg.eigvalsh(V)[0] < 0.0
+        threshold = self.box(S, np.clip(-S[I, J], -0.05, 0.05), I, J)
+        assert np.linalg.eigvalsh(threshold)[0] < 0.0
         for carried in (None, np.full(3, -0.05)):
             u, cho, start = _dual_start(S, 0.05, I, J, carried)
             assert start == "shrunk"
