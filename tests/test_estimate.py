@@ -247,6 +247,24 @@ class TestSigmaStep:
         assert abs(objectives["dual"] - objectives["threshold"]) <= 1e-9 * abs(
             objectives["threshold"])
 
+    def test_start_ignores_the_incoming_precision(self):
+        # without a carried point the step starts from the threshold of S0,
+        # whatever precision comes in, and returns the same block bit for bit;
+        # the inverse of the ridged S0 would project to u = 0, not to -rho
+        data, choR, beta, W_opt, _ = self.block_optimum()
+        E = data.residuals(beta)
+        S0 = E.T @ spectral.solve_factored(choR, E) / data.n
+        W0 = 0.5 * (S0 + S0.T) + 0.4 / data.n * np.eye(data.m)
+        runs = [sigma_step(data, choR, beta, 0.4, W)
+                for W in (np.eye(data.m), 3.0 * np.eye(data.m), np.linalg.inv(W0))]
+        for Sigma, W, dual, stats in runs[1:]:
+            np.testing.assert_array_equal(Sigma, runs[0][0])
+            np.testing.assert_array_equal(W, runs[0][1])
+            np.testing.assert_array_equal(dual, runs[0][2])
+            assert stats == runs[0][3]
+            assert stats["start"] == "threshold"
+        np.testing.assert_array_equal(runs[0][1], W_opt)
+
     def test_ill_conditioned_fit_certifies_within_iteration_bound(self, monkeypatch):
         # 20 designs against 41 strain levels: by sweep 4 cond(W) ~ 9e5.
         # The solver took 5, 9, 12 and 25 iterations (x86-64, OpenBLAS

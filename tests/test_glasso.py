@@ -134,6 +134,18 @@ class TestWarmStart:
         assert carried.iterations < cold.iterations
         np.testing.assert_allclose(carried.W, cold.W, rtol=1e-6, atol=1e-9)
 
+    def test_warm_start_from_other_penalty(self):
+        # the dual point solved at penalty 0.5 is clipped into the box of 0.1
+        rng = np.random.default_rng(5)
+        S = random_spd(rng, 8, cond=20.0)
+        old = glasso_newton(S, 0.5, 1e-9)
+        W, _, residual, _, start, _ = glasso_newton(S, 0.1, 1e-9, old.dual)
+        assert start == "dual" and np.abs(old.dual).max() > 0.1
+        assert residual <= 1e-9
+        assert glasso_kkt_residual(S, W, 0.1) <= 1e-9
+        np.testing.assert_allclose(W, graphical_lasso(S, 0.1, tol=1e-9), rtol=1e-6,
+                                   atol=1e-9)
+
 
 class TestFailureModes:
     def test_impossible_tolerance_raises_with_residual(self, monkeypatch):
@@ -241,6 +253,23 @@ class TestDualStart:
             assert start == "shrunk"
             np.testing.assert_array_equal(u, self.shrunk(S, 0.05, I, J))
             self.assert_factors(S, u, cho, I, J)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_definite_warm_point_is_kept(self, scale):
+        # the dual point solved at penalty 0.05 lies inside both boxes and is
+        # taken as it is, although the threshold's V has the higher logdet:
+        # the starts are tried in order, not raced
+        rng = np.random.default_rng(8)
+        S = random_spd(rng, 6, cond=30.0)
+        I, J = np.triu_indices(6, 1)
+        lam = scale * np.abs(S[I, J]).max()
+        warm = glasso_newton(S, 0.05, 1e-9).dual
+        u, cho, start = _dual_start(S, lam, I, J, warm)
+        assert start == "dual"
+        np.testing.assert_array_equal(u, warm)
+        self.assert_factors(S, u, cho, I, J)
+        threshold = self.box(S, np.clip(-S[I, J], -lam, lam), I, J)
+        assert np.linalg.slogdet(self.box(S, u, I, J))[1] < np.linalg.slogdet(threshold)[1]
 
     @pytest.mark.parametrize("scale", [0.5, 3.0])
     def test_definite_carried_point_comes_first(self, scale):
