@@ -66,9 +66,13 @@ def _load_fit_config(path) -> tuple[FitConfig, dict | None]:
     if cv is not None:
         if not isinstance(cv, dict):
             raise InvalidInputError("cv block must be a JSON object")
-        missing = {"folds", "lambda_i_grid", "lambda_o_grid"} - set(cv)
+        cv_keys = {"folds", "lambda_i_grid", "lambda_o_grid"}
+        missing = cv_keys - set(cv)
         if missing:
             raise InvalidInputError(f"cv block is missing keys: {sorted(missing)}")
+        for key in cv:
+            if key not in cv_keys:
+                raise InvalidInputError(f"unknown config key {key!r} in the cv block")
     return config, cv
 
 

@@ -256,8 +256,9 @@ def hpd_interval(pred: Prediction, level: float):
     """
     if not 0 < check_rate("level", level) < 1:
         raise InvalidInputError(f"level must be a number in (0,1), got {level!r}")
-    if pred.scale < -V_TOLERANCE:
-        raise NumericalError(f"negative predictive scale {pred.scale:.3e}")
+    if not -V_TOLERANCE <= pred.scale < np.inf:  # NaN fails both
+        raise NumericalError(
+            f"expected a finite, nonnegative predictive scale, got {pred.scale:.3e}")
     half = pred.Sigma.diagonal() * max(pred.scale, 0.0)
     np.sqrt(half, out=half)
     half *= ndtri(0.5 * (1.0 + level))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .design import SinusoidSpec
 from .exceptions import InvalidInputError, check_array
-from .spectral import StructureDesign
+from .spectral import StructureDesign, curve_length
 
 DESIGNS_FILE = "designs.csv"
 RESPONSES_FILE = "responses.csv"
@@ -151,7 +151,7 @@ def specs_sidecar_path(designs_path) -> Path:
 
 
 def write_designs(path, designs) -> None:
-    _write_table(path, ["d"] + [f"x{k}" for k in range(designs[0].p)],
+    _write_table(path, ["d"] + [f"x{k}" for k in range(curve_length(designs))],
                  np.column_stack([[dsn.diameter for dsn in designs],
                                   [dsn.curve for dsn in designs]]))
 

@@ -552,37 +552,42 @@ def _initial_z(data: FitData, u: np.ndarray) -> np.ndarray:
     return z
 
 
+def _log_fields(fields: dict) -> str:
+    """``key=repr(value)`` per entry: the fields of a sweep or restart INFO line."""
+    return " ".join(f"{key}={value!r}" for key, value in fields.items())
+
+
+def _sweep_state(data: FitData, config: FitConfig, z, beta, Sigma, W) -> dict:
+    """The record's fields of the state after a sweep, or at the start."""
+    theta, _ = data.unpack(z)
+    return {"objectives": neg_log_posterior(beta, z, Sigma, data,
+                                            config.lambda_I, config.lambda_o),
+            "active_theta": int(np.count_nonzero(theta > 0)),
+            "offdiag_nonzeros": int(np.count_nonzero(W[~np.eye(data.m, dtype=bool)]))}
+
+
 def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int):
     """One restart of the sweep loop from weights z0; (z, beta, Sigma, record).
 
-    Each sweep logs one INFO line on this module's logger with its block
-    times. The times go only to the log, so the record stays
+    Each sweep appends each entry of its ``row`` to the record's list of
+    that name (entry 0 is the start's, where the start has one) and logs
+    one INFO line: ``restart=R sweep=S``, its block times, then the row's
+    :func:`_log_fields`. The times go only to the log, so the record stays
     byte-identical between reruns with the same BLAS thread count.
     """
-    theta0, _ = data.unpack(z0)
     beta = np.zeros(data.P.shape[1])
     Sigma = np.eye(data.m)
     W = np.eye(data.m)
     dual = None  # the glasso's dual point, carried from sweep to sweep
     z = z0.copy()
-    record = {
-        "init_theta_scale": float(z0.sum()),
-        "objectives": [neg_log_posterior(beta, z0, Sigma, data,
-                                         config.lambda_I, config.lambda_o)],
-        "active_theta": [int(np.count_nonzero(theta0 > 0))],
-        "offdiag_nonzeros": [0],
-        "sigma_iterations": [], "sigma_start": [], "sigma_kkt": [], "theta_exits": [],
-        "theta_iterations": [], "theta_evaluations": [], "warnings": [],
-        "converged": False,
-    }
+    record = {"init_theta_scale": float(z0.sum()), "warnings": [], "converged": False}
+    for key, value in _sweep_state(data, config, z, beta, Sigma, W).items():
+        record[key] = [value]
     for sweep in range(1, MAX_SWEEPS + 1):
         t0 = time.perf_counter()
-        R, choR = data.chol(z)
+        _, choR = data.chol(z)
         Sigma, W, dual, stats = sigma_step(data, choR, beta, config.lambda_o, W, dual)
         t1 = time.perf_counter()
-        record["sigma_iterations"].append(stats["iterations"])
-        record["sigma_start"].append(stats["start"])
-        record["sigma_kkt"].append(stats["kkt"])
         if stats["kkt"] > 1.0:
             record["warnings"].append(f"sweep {sweep}: glasso stopped at "
                                       f"{stats['kkt']:.3g}x its KKT tolerance")
@@ -591,31 +596,20 @@ def _run_restart(data: FitData, config: FitConfig, z0: np.ndarray, restart: int)
         z, _, theta_stats = theta_step(data, beta, W, z, config.lambda_I)
         t3 = time.perf_counter()
         theta_exit = theta_stats["exit"]
-        record["theta_exits"].append(theta_exit)
-        record["theta_iterations"].append(theta_stats["iterations"])
-        record["theta_evaluations"].append(theta_stats["evaluations"])
         # stopped early: neither converged nor at the rounding-error limit
         early = not (theta_exit.startswith("CONVERGENCE") or "ROUNDING" in theta_exit)
         if early:
             record["warnings"].append(
                 f"sweep {sweep}: theta optimizer stopped early: {theta_exit}")
-        theta, _ = data.unpack(z)
-        obj = neg_log_posterior(beta, z, Sigma, data,
-                                config.lambda_I, config.lambda_o)
-        record["objectives"].append(obj)
-        record["active_theta"].append(int(np.count_nonzero(theta > 0)))
-        off = W[~np.eye(data.m, dtype=bool)]
-        record["offdiag_nonzeros"].append(int(np.count_nonzero(off)))
-        logger.info(
-            "restart=%d sweep=%d objective=%.6f sigma_s=%.4f beta_s=%.4f "
-            "theta_s=%.4f glasso_iterations=%d sigma_start=%s sigma_kkt=%.3g "
-            "theta_iterations=%d theta_evaluations=%d theta_exit=%r active=%d "
-            "offdiag_nonzeros=%d",
-            restart, sweep, obj, t1 - t0, t2 - t1, t3 - t2, stats["iterations"],
-            stats["start"], stats["kkt"], theta_stats["iterations"],
-            theta_stats["evaluations"], theta_exit,
-            record["active_theta"][-1], record["offdiag_nonzeros"][-1])
-        prev = record["objectives"][-2]
+        row = {"sigma_iterations": stats["iterations"], "sigma_start": stats["start"],
+               "sigma_kkt": stats["kkt"], "theta_iterations": theta_stats["iterations"],
+               "theta_evaluations": theta_stats["evaluations"], "theta_exits": theta_exit,
+               **_sweep_state(data, config, z, beta, Sigma, W)}
+        for key, value in row.items():
+            record.setdefault(key, []).append(value)
+        logger.info("restart=%d sweep=%d sigma_s=%.4f beta_s=%.4f theta_s=%.4f %s",
+                    restart, sweep, t1 - t0, t2 - t1, t3 - t2, _log_fields(row))
+        prev, obj = record["objectives"][-2:]
         slack = SWEEP_TOL * max(1.0, abs(prev))
         if prev - obj < -slack:
             record["warnings"].append(
@@ -705,8 +699,10 @@ def _restart_workers(restarts: int) -> int:
 def _restart(fd: FitData, config: FitConfig, children, r: int):
     """Restart r from its own draw; (r, z, beta, Sigma, record).
 
-    A typed numerical failure gives (r, None, None, None, {"failed": ...})
-    and a warning.
+    A finished restart logs one INFO line: ``restart=R``, then the
+    :func:`_log_fields` of every scalar field of its record. A typed
+    numerical failure gives (r, None, None, None, {"failed": ...}) and a
+    warning.
     """
     if r == 0:
         u = np.ones(fd.nz)
@@ -718,8 +714,8 @@ def _restart(fd: FitData, config: FitConfig, children, r: int):
         logger.warning("restart %d failed: %s", r, exc)
         return r, None, None, None, {"failed": str(exc)}
     record["final_objective"] = record["objectives"][-1]
-    logger.info("restart %d: objective %.6f after %d sweeps",
-                r, record["final_objective"], record["sweeps"])
+    logger.info("restart=%d %s", r, _log_fields(
+        {key: value for key, value in record.items() if not isinstance(value, list)}))
     return r, z, beta, Sigma, record
 
 

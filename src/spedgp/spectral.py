@@ -155,16 +155,23 @@ def design_feature_row(design: StructureDesign, family: str) -> np.ndarray:
     return row
 
 
-def design_feature_rows(designs: list[StructureDesign], family: str) -> np.ndarray:
-    """Kernel feature rows F (n x nz) of a design list: one
-    :func:`design_feature_row` per design, all of one curve length."""
+def curve_length(designs: list[StructureDesign]) -> int:
+    """The curve length p shared by a nonempty design list."""
     if not designs:
         raise InvalidInputError("need at least one design")
     p = designs[0].p
-    rows = []
     for i, dsn in enumerate(designs):
         if dsn.p != p:
             raise InvalidInputError(f"design {i} has p={dsn.p}, expected {p}")
+    return p
+
+
+def design_feature_rows(designs: list[StructureDesign], family: str) -> np.ndarray:
+    """Kernel feature rows F (n x nz) of a design list: one
+    :func:`design_feature_row` per design, all of one curve length."""
+    curve_length(designs)
+    rows = []
+    for i, dsn in enumerate(designs):
         try:
             rows.append(design_feature_row(dsn, family))
         except InvalidInputError as exc:

@@ -147,10 +147,12 @@ class TestFit:
         '{"epsilon_beta": 1.0}', '{"cv_score": 1.0}',
         '{"nugget": 1e-8}', '{"max_sweeps": 60}',
         '{"nugget": NaN}', '{"max_sweeps": true}', '{"nugget": false}',
+        '{"cv": {"folds": 2, "lambda_i_grid": [1], "lambda_o_grid": [0.5], '
+        '"lambda_I_grid": [5]}}',
     ], ids=["lambda_eye", "sweep_tol", "glasso_tol", "glasso_max_iter",
             "theta_max_iter", "theta_grad_tol", "theta_memory", "epsilon_beta",
             "cv_score", "nugget", "max_sweeps", "nan_nugget", "bool_max_sweeps",
-            "bool_nugget"])
+            "bool_nugget", "cv_lambda_I_grid"])
     def test_unknown_config_key_exits_2(self, ws, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
         config.write_text(text)

@@ -279,6 +279,13 @@ class TestHpdInterval:
         with pytest.raises(NumericalError, match="negative predictive scale"):
             hpd_interval(pr, 0.9)
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_raises_numerical_error(self, scale):
+        from spedgp.cokrige import Prediction
+        pr = Prediction(mean=np.zeros(2), scale=scale, Sigma=np.eye(2))
+        with pytest.raises(NumericalError, match="finite, nonnegative predictive scale"):
+            hpd_interval(pr, 0.9)
+
     def test_width_scales_with_v(self):
         from spedgp.cokrige import Prediction
         pr1 = Prediction(mean=np.zeros(2), scale=0.25, Sigma=np.eye(2))

@@ -177,6 +177,15 @@ class TestDataset:
         assert not specs_sidecar_path(tmp / "run" / "designs.csv").exists()
         assert all(dsn.features is None for dsn in load_dataset(tmp / "run").designs)
 
+    def test_save_rejects_no_designs_and_mixed_curve_lengths(self, tiny):
+        tmp, _, designs, grid, Y = tiny
+        with pytest.raises(InvalidInputError, match="need at least one design"):
+            save_dataset(tmp / "empty", Dataset(designs=[], responses=Y[:0], grid=grid))
+        mixed = designs[:-1] + [StructureDesign(1.0, np.linspace(0.1, 0.9, 7))]
+        with pytest.raises(InvalidInputError, match=r"design 3 has p=7, expected 9"):
+            save_dataset(tmp / "mixed", Dataset(designs=mixed, responses=Y, grid=grid))
+        assert not (tmp / "mixed" / "designs.csv").exists()
+
     def test_eval_prefers_test_prefix(self, tiny):
         tmp, specs, designs, grid, Y = tiny
         ds = Dataset(designs=designs, responses=Y, grid=grid)

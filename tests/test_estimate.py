@@ -1,3 +1,4 @@
+import ast
 import logging
 import multiprocessing
 import os
@@ -644,22 +645,41 @@ class TestFit:
             with caplog.at_level(logging.INFO, logger="spedgp.estimate"):
                 _, trace = fit_with_workers(small_training_set, cfg, monkeypatch,
                                             workers)
-            lines = [rec.getMessage() for rec in caplog.records
-                     if rec.levelno == logging.INFO and " sweep=" in rec.getMessage()]
-            assert len(lines) == sum(rec["sweeps"] for rec in trace.restarts)
-            fields = re.findall(r"(?:^| )(\w+)=", lines[0])
-            assert fields == ["restart", "sweep", "objective", "sigma_s", "beta_s",
-                              "theta_s", "glasso_iterations", "sigma_start", "sigma_kkt",
-                              "theta_iterations", "theta_evaluations", "theta_exit",
-                              "active", "offdiag_nonzeros"]
-            assert lines[0].startswith("restart=0 sweep=1 ")
-            starts = [re.search(r" sigma_start=(\w+) ", line)[1] for line in lines]
-            assert starts == [start for rec in trace.restarts for start in rec["sigma_start"]]
-            evaluations = [int(re.search(r" theta_evaluations=(\d+) ", line)[1])
-                           for line in lines]
-            assert evaluations == [count for rec in trace.restarts
-                                   for count in rec["theta_evaluations"]]
-            assert lines[-1].startswith("restart=1 ")
+            lines = [dict(field.split("=", 1) for field in re.findall(
+                         r"\w+=(?:'[^']*'|\[[^]]*\]|\S+)", rec.getMessage()))
+                     for rec in caplog.records if rec.levelno == logging.INFO
+                     and rec.getMessage().startswith("restart=")]
+            sweep_lines = [line for line in lines if "sweep" in line]
+            restart_lines = [line for line in lines if "sweep" not in line]
+            assert len(sweep_lines) == sum(rec["sweeps"] for rec in trace.restarts)
+            assert len(restart_lines) == len(trace.restarts) == 2
+            rows = iter(sweep_lines)
+            for r, (rec, restart_line) in enumerate(zip(trace.restarts, restart_lines)):
+                per_sweep = [key for key, value in rec.items()
+                             if isinstance(value, list) and key != "warnings"]
+                assert sorted(per_sweep) == [
+                    "active_theta", "objectives", "offdiag_nonzeros", "sigma_iterations",
+                    "sigma_kkt", "sigma_start", "theta_evaluations", "theta_exits",
+                    "theta_iterations"]
+                for sweep in range(1, rec["sweeps"] + 1):
+                    line = next(rows)
+                    assert list(line)[:5] == ["restart", "sweep", "sigma_s", "beta_s",
+                                              "theta_s"]
+                    assert (int(line["restart"]), int(line["sweep"])) == (r, sweep)
+                    assert sorted(list(line)[5:]) == sorted(per_sweep)
+                    for key in per_sweep:
+                        # counted from the end: some lists hold the start's entry first
+                        entry = rec[key][sweep - rec["sweeps"] - 1]
+                        assert ast.literal_eval(line[key]) == entry, key
+                scalars = {key: value for key, value in rec.items()
+                           if not isinstance(value, list)}
+                assert sorted(scalars) == [
+                    "converged", "final_objective", "init_theta_scale", "nugget_carried",
+                    "nugget_share", "nugget_share_ratio", "sweeps"]
+                assert list(restart_line) == ["restart", *scalars]
+                assert int(restart_line["restart"]) == r
+                assert {key: ast.literal_eval(restart_line[key])
+                        for key in scalars} == scalars
 
     def test_objective_rise_stops_the_restart(self, tiny_set, monkeypatch):
         # every sweep's objective reads above the start's, so sweep 1 rises
