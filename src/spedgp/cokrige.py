@@ -24,7 +24,7 @@ from scipy.special import ndtri
 from .dataio import as_strain_grid, read_json, write_json
 from .exceptions import (InvalidInputError, NumericalError, check_array, check_count,
                          check_rate)
-from .spectral import (DIAMETER_FAMILIES, StructureDesign, check_weights,
+from .spectral import (StructureDesign, check_weights,
                        cholesky, correlation_from_features, correlation_with_nugget,
                        design_feature_row, design_feature_rows, factor_correlation,
                        solve_factored, sq_differences)
@@ -75,9 +75,9 @@ class FitData:
 
     Y holds log-stress rows and P the mean basis of the grid. F holds the
     kernel feature rows of :func:`design_feature_rows`, with the diameter
-    as the (unpenalized) last column for the families that keep it
-    separate, and D = sq_differences(F, F) stacks one n x n matrix of
-    squared differences per column. The packed weight vector z of
+    as the (unpenalized) last column in every family, and
+    D = sq_differences(F, F) stacks one n x n matrix of squared
+    differences per column. The packed weight vector z of
     :func:`check_weights` follows the same layout; it is the package's one
     form of the kernel parameters, and :meth:`unpack` reads (theta,
     theta_d) off it. Built and validated by :func:`make_fit_data` only.
@@ -108,23 +108,15 @@ class FitData:
     def nz(self) -> int:
         return self.D.shape[2]
 
-    @property
-    def has_diameter(self) -> bool:
-        return self.family in DIAMETER_FAMILIES
-
     def unpack(self, z):
-        """(theta, theta_d) of packed weights z, validated by :func:`check_weights`;
-        theta_d is 0 without a diameter column."""
+        """(theta, theta_d) of packed weights z, validated by :func:`check_weights`."""
         z = check_weights(z, self.nz)
-        if not self.has_diameter:
-            return z.copy(), 0.0
         return z[:-1].copy(), float(z[-1])
 
     def penalty_mask(self) -> np.ndarray:
         """1 for coordinates inside the lambda_I penalty, 0 for theta_d."""
         mask = np.ones(self.nz)
-        if self.has_diameter:
-            mask[-1] = 0.0
+        mask[-1] = 0.0
         return mask
 
     def residuals(self, beta) -> np.ndarray:
@@ -305,11 +297,12 @@ def load_model(path) -> TrainedEmulator:
     Each value reaches the rule of its owner as the file holds it:
     :class:`StructureDesign` checks each design, :func:`make_fit_data` the
     training rows, as a fit's are, and :class:`TrainedEmulator` theta with
-    theta_d, beta and Sigma. Only p (a count, against the curve length) and
-    theta_d (a rate, for every family) are checked here. A string, a bool,
-    None or a ragged list in any value raises an invalid-input error. So
-    does a file :func:`read_json` rejects, a missing key or any other value
-    of the wrong type; those errors name the file.
+    theta_d as z = [*theta, theta_d], the layout of every family, beta and
+    Sigma. Only p (a count, against the curve length) and theta_d (a rate)
+    are checked here. A string, a bool, None or a ragged list in any value
+    raises an invalid-input error. So does a file :func:`read_json`
+    rejects, a missing key or any other value of the wrong type; those
+    errors name the file.
     """
     doc, name = read_json(path), Path(path).name
     try:
@@ -330,9 +323,7 @@ def _model_from_doc(doc: dict) -> TrainedEmulator:
     p = check_count("p", doc["p"], 1)
     if p != data.p:
         raise InvalidInputError(f"p = {p!r} does not match the curve length {data.p}")
-    # theta_d is checked for every family and kept where the diameter has a column
-    theta_d = check_rate("theta_d", doc["theta_d"])
     return TrainedEmulator(
-        data=data, z=[*doc["theta"], theta_d] if data.has_diameter else doc["theta"],
+        data=data, z=[*doc["theta"], check_rate("theta_d", doc["theta_d"])],
         beta=doc["beta"], Sigma=doc["Sigma"], fit_metadata=doc.get("fit_metadata", {}),
     )

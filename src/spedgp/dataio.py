@@ -58,7 +58,8 @@ def as_strain_grid(levels) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Designs with their stress responses on a common strain grid."""
+    """Designs with their stress responses on a common strain grid; every
+    design is a :class:`StructureDesign`."""
 
     designs: list
     responses: np.ndarray
@@ -70,6 +71,10 @@ class Dataset:
         n, m = self.responses.shape
         if len(self.designs) != n:
             raise InvalidInputError("design count does not match response rows")
+        for i, dsn in enumerate(self.designs):
+            if not isinstance(dsn, StructureDesign):
+                raise InvalidInputError(
+                    f"design {i} must be a StructureDesign, got {type(dsn).__name__}")
         if m != self.grid.size:
             raise InvalidInputError("response columns do not match the strain grid")
         if np.any(self.responses <= 0):

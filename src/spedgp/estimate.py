@@ -146,8 +146,8 @@ def graphical_lasso(S, lam: float, tol: float = GLASSO_TOL) -> np.ndarray:
     """min_W -logdet W + tr(S W) + lam * sum_{j != k} |W_jk| by
     :func:`glasso_newton`, certified by :func:`glasso_kkt_residual`."""
     S = check_array("S", S, (None, None))
-    if S.shape[0] != S.shape[1]:
-        raise InvalidInputError("S must be square")
+    if S.shape[0] != S.shape[1] or S.size == 0:
+        raise InvalidInputError("S must be square and nonempty")
     if not np.allclose(S, S.T, atol=1e-10 * max(1.0, np.abs(S).max())):
         raise InvalidInputError("S must be symmetric")
     if np.any(np.diag(S) <= 0):
@@ -347,8 +347,8 @@ def _support_newton_step(S, lam, W, I, J):
 def glasso_kkt_residual(S, W, lam: float) -> float:
     """Max stationarity violation of the off-diagonal-penalized glasso."""
     S = check_array("S", S, (None, None))
-    if S.shape[0] != S.shape[1]:
-        raise InvalidInputError("S must be square")
+    if S.shape[0] != S.shape[1] or S.size == 0:
+        raise InvalidInputError("S must be square and nonempty")
     W = check_array("W", W, S.shape)
     check_rate("penalty", lam)
     # cholesky overwrites its argument

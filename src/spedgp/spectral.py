@@ -6,11 +6,11 @@ the modulus of its discrete Fourier transform over the half spectrum;
 the curve is real, so bins above (p-1)/2 are redundant. Correlations are
 Gaussian in weighted squared distances between feature rows: the
 spectral features with the fiber diameter as a last, separately weighted
-coordinate. Two baseline families share the same algebra with different
-feature rows: a four-feature parametric kernel and a functional
-l2-distance kernel on the raw curve values. Every correlation of the
-package, in fitting, prediction and inverse design, is :func:`kernel` of
-squared feature-row differences.
+coordinate. Two baseline families share the same algebra and the same
+diameter column with different heads: the [A, omega, phi] sinusoid
+parameters and the raw curve values (a functional l2 distance). Every
+correlation of the package, in fitting, prediction and inverse design, is
+:func:`kernel` of squared feature-row differences.
 
 Because the modulus spectrum is invariant under cyclic shifts of the
 curve, so is the correlation: shifted copies of a structure are perfectly
@@ -31,8 +31,6 @@ from .exceptions import (InvalidInputError, NumericalError, SingularMatrixError,
                          check_array, check_count, check_rate)
 
 FAMILIES = ("sped", "feature_based", "l2_distance")
-#: families whose feature rows end with the diameter, weighted by theta_d
-DIAMETER_FAMILIES = ("sped", "l2_distance")
 
 #: span of the structure grid in mm; t_k = k * span / (p - 1)
 STRUCTURE_SPAN = 20.0
@@ -90,8 +88,8 @@ class StructureDesign:
     """A functional input: fiber diameter plus discretized structure curve.
 
     ``features`` optionally carries the [d, A, omega, phi] sinusoid
-    provenance needed by the feature_based kernel family; designs read
-    from bare CSV files do not have it.
+    provenance, whose [A, omega, phi] the feature_based kernel family
+    reads; designs read from bare CSV files do not have it.
     """
 
     diameter: float
@@ -116,9 +114,8 @@ def check_weights(z, nz: int) -> np.ndarray:
 
     z is the package's one form of the kernel parameters: one weight per
     column of :func:`design_feature_rows`, the spectral (or feature, or
-    curve-value) weights theta followed, for the DIAMETER_FAMILIES, by the
-    diameter weight theta_d. It must have shape (nz,) and be finite and
-    nonnegative.
+    curve-value) weights theta followed by the diameter weight theta_d.
+    It must have shape (nz,) and be finite and nonnegative.
     """
     z = check_array("kernel weights", z, (nz,))
     if (z < 0).any():
@@ -129,26 +126,26 @@ def check_weights(z, nz: int) -> np.ndarray:
 def design_feature_row(design: StructureDesign, family: str) -> np.ndarray:
     """Kernel feature row of one design.
 
-    The row is the design's moduli spectrum (sped), its
-    [d, A, omega, phi] provenance (feature_based), or its curve values
+    The row's head is the design's moduli spectrum (sped), the
+    [A, omega, phi] of its provenance (feature_based), or its curve values
     scaled by sqrt(dt) with dt = STRUCTURE_SPAN / (p - 1) (l2_distance,
-    folding the Riemann measure into the features). The families in
-    DIAMETER_FAMILIES append the diameter as the last coordinate, so with
-    the packed weights of :func:`check_weights` every family is the same
-    kernel. Head and diameter are copied into one row allocated for them.
+    folding the Riemann measure into the features). Every family appends
+    the diameter as the last coordinate, so with the packed weights of
+    :func:`check_weights` every family is the same kernel. Head and
+    diameter are copied into one row allocated for them.
     """
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown kernel family {family!r}")
-    if family == "feature_based":
-        if design.features is None:
-            raise InvalidInputError(
-                "a design lacks the [d, A, omega, phi] provenance required "
-                "by the feature_based family")
-        return design.features.copy()
     if family == "sped":
         head = dft_modulus(design.curve)
-    else:
+    elif family == "l2_distance":
         head = design.curve * np.sqrt(STRUCTURE_SPAN / (design.p - 1))
+    elif design.features is None:
+        raise InvalidInputError(
+            "a design lacks the [d, A, omega, phi] provenance required "
+            "by the feature_based family")
+    else:
+        head = design.features[1:]
     row = np.empty(head.size + 1)
     row[:-1] = head
     row[-1] = design.diameter

@@ -221,12 +221,13 @@ def feature_sign_lasso(Q, b, lam, x0, max_steps=500):
 
 def frozen_feature_row(design, family):
     """A design's kernel feature row as np.concatenate of its head (moduli
-    by direct summation, provenance or scaled curve values) and its
-    diameter; spectral.design_feature_row must give the same bits."""
-    if family == "feature_based":
-        return design.features.copy()
+    by direct summation, [A, omega, phi] of the provenance or scaled curve
+    values) and its diameter; spectral.design_feature_row must give the
+    same bits."""
     if family == "sped":
         head = dft_modulus_direct(design.curve)
+    elif family == "feature_based":
+        head = design.features[1:]
     else:
         head = design.curve * np.sqrt(STRUCTURE_SPAN / (design.p - 1))
     return np.concatenate((head, (design.diameter,)))

@@ -25,7 +25,7 @@ from spedgp.cokrige import (
     unlog_stress,
 )
 from spedgp.design import gen_sinusoid, sample_designs
-from spedgp.spectral import (DIAMETER_FAMILIES, FAMILIES, cholesky,
+from spedgp.spectral import (FAMILIES, cholesky,
                              correlation_from_features, design_feature_row,
                              design_feature_rows, half_size)
 
@@ -47,13 +47,26 @@ def random_emulator(rng, n=4, m=3, p=5, nugget=1e-8, family="sped", designs=None
     Y = rng.standard_normal((len(designs), m))
     A = rng.standard_normal((m, m))
     Sigma = A @ A.T + m * np.eye(m)
-    n_theta = {"sped": half_size(p), "feature_based": 4, "l2_distance": p}[family]
+    n_theta = {"sped": half_size(p), "feature_based": 3, "l2_distance": p}[family]
     theta = rng.uniform(0.05, 0.3, n_theta)
-    theta_d = rng.uniform(0.1, 1.0)
-    z = np.append(theta, theta_d) if family in DIAMETER_FAMILIES else theta
+    z = np.append(theta, rng.uniform(0.1, 1.0))
     beta = np.array([rng.standard_normal(), rng.uniform(0.5, 2.0)])
     data = make_fit_data(designs, Y, grid, family=family, nugget=nugget)
     return TrainedEmulator(data=data, z=z, beta=beta, Sigma=Sigma)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_weight_layout_for_every_family(family):
+    # the diameter is every row's last column, and its weight theta_d is
+    # z's last entry, outside the lambda_I penalty
+    model = random_emulator(np.random.default_rng(13), family=family)
+    data = model.data
+    for dsn in data.designs:
+        assert design_feature_row(dsn, family)[-1] == dsn.diameter
+    np.testing.assert_array_equal(data.penalty_mask(), np.append(np.ones(data.nz - 1), 0.0))
+    theta, theta_d = data.unpack(model.z)
+    assert theta_d == model.z[-1]
+    np.testing.assert_array_equal(theta, model.z[:-1])
 
 
 class TestTransforms:
@@ -355,9 +368,10 @@ class TestSerialization:
             assert a.scale == b.scale
             np.testing.assert_array_equal(a.Sigma, b.Sigma)
 
-    def test_round_trip_fields(self, tmp_path):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_round_trip_fields(self, tmp_path, family):
         rng = np.random.default_rng(8)
-        model = random_emulator(rng)
+        model = random_emulator(rng, family=family)
         model.fit_metadata.update({"lambda_I": 1.0, "lambda_o": 0.5})
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -495,7 +509,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("family", ["sped", "feature_based"])
     def test_theta_d_checked_for_every_family(self, tmp_path, family):
-        # the feature_based z has no theta_d entry, but its file's theta_d is checked
+        # theta_d is z's last entry in every family, and the file's value is checked
         rng = np.random.default_rng(11)
         path = tmp_path / "model.json"
         save_model(random_emulator(rng, family=family), path)

@@ -186,6 +186,13 @@ class TestDataset:
             save_dataset(tmp / "mixed", Dataset(designs=mixed, responses=Y, grid=grid))
         assert not (tmp / "mixed" / "designs.csv").exists()
 
+    @pytest.mark.parametrize("entry", [1, None, np.ones(9)], ids=["int", "None", "array"])
+    def test_rejects_a_design_that_is_not_a_structure_design(self, tiny, entry):
+        _, _, designs, grid, Y = tiny
+        with pytest.raises(InvalidInputError,
+                           match=r"^design 2 must be a StructureDesign, got \w+$"):
+            Dataset(designs=designs[:2] + [entry] + designs[3:], responses=Y, grid=grid)
+
     def test_eval_prefers_test_prefix(self, tiny):
         tmp, specs, designs, grid, Y = tiny
         ds = Dataset(designs=designs, responses=Y, grid=grid)

@@ -96,10 +96,11 @@ class TestKktCertificate:
         (np.eye(2), [[1.0, np.nan], [np.nan, 1.0]], 0.1, "W must be finite"),
         ([["1", "0"], ["0", "1"]], np.eye(2), 0.1, "S must hold real numbers"),
         (np.ones((2, 3)), np.eye(2), 0.1, "S must be square"),
+        (np.zeros((0, 0)), np.zeros((0, 0)), 0.1, "S must be square and nonempty"),
         (np.eye(2), np.eye(2), True, "penalty must be finite and nonnegative, got True"),
         (np.eye(2), np.eye(2), -0.1, "penalty must be finite and nonnegative"),
     ], ids=["W strings", "W bools", "W size", "W nan", "S strings", "S not square",
-            "penalty bool", "penalty negative"])
+            "S empty", "penalty bool", "penalty negative"])
     def test_arguments_of_the_wrong_type(self, S, W, lam, message):
         with pytest.raises(InvalidInputError, match=message):
             glasso_kkt_residual(S, W, lam)
@@ -163,6 +164,8 @@ class TestFailureModes:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             graphical_lasso(np.ones((2, 3)), 0.1)
+        with pytest.raises(InvalidInputError, match="^S must be square and nonempty$"):
+            graphical_lasso(np.zeros((0, 0)), 0.1)
         with pytest.raises(InvalidInputError):
             graphical_lasso(np.array([[1.0, 0.5], [0.4, 1.0]]), 0.1)
         with pytest.raises(InvalidInputError):

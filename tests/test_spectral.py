@@ -210,9 +210,14 @@ class TestBaselineFamilies:
         rng = np.random.default_rng(9)
         f = np.array([1.0, 0.5, 0.3, 0.1])
         a = StructureDesign(1.0, rng.standard_normal(9), features=f)
-        b = StructureDesign(1.7, rng.standard_normal(9), features=f)
-        # the diameters differ, but the feature row has no separate diameter column
+        b = StructureDesign(1.0, rng.standard_normal(9), features=f)
+        # same [A, omega, phi] and diameter: the curves do not enter the row
         assert pair_correlation(a, b, np.ones(4), "feature_based") == 1.0
+        # the diameter is the row's last column, weighted by theta_d
+        c = StructureDesign(1.7, a.curve, features=f)
+        assert pair_correlation(a, c, np.zeros(4), "feature_based") == 1.0
+        assert pair_correlation(a, c, np.ones(4), "feature_based") == pytest.approx(
+            np.exp(-0.7 ** 2), rel=1e-12)
 
     def test_l2_not_shift_invariant(self):
         rng = np.random.default_rng(4)
@@ -507,10 +512,10 @@ class TestCheckWeights:
 
 def column_stacked_rows(designs, family):
     """Feature rows built a whole list at a time, as one array per column."""
-    if family == "feature_based":
-        return np.array([dsn.features for dsn in designs])
     if family == "sped":
         F = np.array([dft_modulus(dsn.curve) for dsn in designs])
+    elif family == "feature_based":
+        F = np.array([dsn.features[1:] for dsn in designs])
     else:
         p = designs[0].p
         F = np.array([dsn.curve for dsn in designs]) * np.sqrt(STRUCTURE_SPAN / (p - 1))
